@@ -45,16 +45,8 @@ def loss_and_gradient(
     column; the returned gradient has the same shape and matches the analytic
     softmax cross-entropy gradient.
     """
-    design = np.hstack([X, np.ones((X.shape[0], 1))])
-    return _loss_and_gradient_design(weights, design, y_index, l2)
-
-
-def _loss_and_gradient_design(
-    weights: np.ndarray, design: np.ndarray, y_index: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """Same as :func:`loss_and_gradient` but with the bias column pre-appended,
-    so the training loop does not copy the design matrix every iteration."""
-    n = design.shape[0]
+    n = X.shape[0]
+    design = np.hstack([X, np.ones((n, 1))])
     probs = softmax(design @ weights.T)
     ce = -np.mean(np.log(probs[np.arange(n), y_index]))
     penalty = 0.5 * l2 * float(np.sum(weights[:, :-1] ** 2))
@@ -107,16 +99,11 @@ class SoftmaxClassifier(ParamsMixin):
             raise ValueError(f"classes with zero training examples: {empty}")
         y_index = np.array([index[lab] for lab in labels])
 
-        design = np.hstack([X, np.ones((X.shape[0], 1))])
-        weights = np.zeros((len(self.classes_), X.shape[1] + 1))
-        for _ in range(self.max_iters):
-            loss, grad = _loss_and_gradient_design(weights, design, y_index, self.l2)
-            if not np.isfinite(loss):
-                raise FloatingPointError("training diverged: non-finite loss")
-            if np.abs(grad).max() < self.grad_tol:
-                break
-            weights -= self.learning_rate * grad
-        self.weights_ = weights
+        coef, bias, self.n_iter_, self.converged_ = _gradient_descent_gram(
+            X, y_index, len(self.classes_), self.l2, self.learning_rate,
+            self.max_iters, self.grad_tol,
+        )
+        self.weights_ = np.hstack([coef @ X, bias[:, None]])
         self.n_features_ = X.shape[1]
         self.feature_kind_ = feature_kind
         self.vocab_hash_ = vocab_hash
@@ -137,6 +124,54 @@ class SoftmaxClassifier(ParamsMixin):
     def predict(self, X) -> list[str]:
         probs = self.predict_proba(X)
         return [self.classes_[i] for i in probs.argmax(axis=1)]
+
+
+def _gradient_descent_gram(X, y_index, n_classes, l2, learning_rate, max_iters,
+                           grad_tol):
+    """Full-batch gradient descent on the loss of :func:`loss_and_gradient`,
+    run in Gram (representer) form.
+
+    Weights start at zero and only the weights (not the bias) are penalized,
+    so every iterate stays in the row span of X: ``W = A @ X``. The same
+    iterates, up to round-off, then run on the (n_classes, n) coefficients A
+    over the Gram matrix ``K = X @ X.T``: O(n^2 * C) per iteration after a
+    one-time O(n^2 * d) product. The weight gradient is ``g @ X`` with
+    ``g = delta.T / n + l2 * A``.
+
+    The stop rule is the primal ``max|grad| < grad_tol``, exactly. Because
+    ``max|g @ X| >= ||g @ X||_F / sqrt(C * d)`` and
+    ``||g @ X||_F^2 = sum(g * (g @ K))``, ``g @ X`` is formed only when that
+    lower bound and the bias gradient are both below ``grad_tol``.
+
+    Returns ``(A, bias, n_iter, converged)``: n_iter counts the updates made,
+    converged says whether the stop rule fired.
+    """
+    n, d = X.shape
+    rows = np.arange(n)
+    gram = X @ X.T
+    coef = np.zeros((n_classes, n))
+    bias = np.zeros(n_classes)
+    bound_sq = n_classes * d * grad_tol**2
+    for n_iter in range(max_iters):
+        coef_gram = coef @ gram
+        probs = softmax(coef_gram.T + bias)
+        loss = -np.mean(np.log(probs[rows, y_index]))
+        loss += 0.5 * l2 * float(np.sum(coef * coef_gram))
+        if not np.isfinite(loss):
+            raise FloatingPointError("training diverged: non-finite loss")
+        delta = probs
+        delta[rows, y_index] -= 1.0
+        grad_coef = delta.T / n + l2 * coef
+        grad_bias = delta.sum(axis=0) / n
+        if (
+            np.abs(grad_bias).max() < grad_tol
+            and np.sum(grad_coef * (grad_coef @ gram)) <= bound_sq
+            and np.abs(grad_coef @ X).max(initial=0.0) < grad_tol
+        ):
+            return coef, bias, n_iter, True
+        coef -= learning_rate * grad_coef
+        bias -= learning_rate * grad_bias
+    return coef, bias, max_iters, False
 
 
 def _as_design_input(X) -> np.ndarray:
@@ -187,6 +222,7 @@ def load_model(
     recorded = payload.get("sha256", "")
     if recorded != _payload_digest({**payload, "sha256": ""}):
         raise ModelFormatError("model checksum mismatch (corrupt payload)")
+    _check_header(payload)
     if vocab is not None:
         expected_vocab_hash = vocab_sha256(vocab)
     if expected_vocab_hash is not None and payload["vocab_hash"] != expected_vocab_hash:
@@ -194,9 +230,12 @@ def load_model(
             "model was trained against a different vocabulary "
             f"({payload['vocab_hash'][:12]}... != {expected_vocab_hash[:12]}...)"
         )
-    model = SoftmaxClassifier(**payload.get("params", {}))
+    try:
+        model = SoftmaxClassifier(**payload["params"])
+    except TypeError as exc:
+        raise ModelFormatError(f"bad training params: {exc}") from None
     model.classes_ = tuple(payload["classes"])
-    model.n_features_ = int(payload["n_features"])
+    model.n_features_ = payload["n_features"]
     model.feature_kind_ = payload["feature_kind"]
     model.vocab_hash_ = payload["vocab_hash"]
     try:
@@ -211,6 +250,34 @@ def load_model(
         raise ModelFormatError("non-finite weights")
     model.weights_ = weights
     return model
+
+
+_HEADER_TYPES = {
+    "classes": list,
+    "n_features": int,
+    "feature_kind": str,
+    "vocab_hash": str,
+    "params": dict,
+    "weights": list,
+}
+
+
+def _check_header(payload: dict) -> None:
+    """Reject a checksum-valid payload whose header fields are missing or
+    mistyped (a string ``classes`` or weight row would otherwise split into
+    characters)."""
+    for key, kind in _HEADER_TYPES.items():
+        value = payload.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ModelFormatError(
+                f"model field {key!r} missing or not a {kind.__name__}"
+            )
+    if not all(isinstance(c, str) for c in payload["classes"]):
+        raise ModelFormatError("model classes must be strings")
+    if not all(isinstance(row, list) for row in payload["weights"]):
+        raise ModelFormatError("model weight rows must be lists")
+    if payload["n_features"] < 0:
+        raise ModelFormatError("negative n_features")
 
 
 def _payload_digest(payload: dict) -> str:

@@ -140,25 +140,31 @@ def image_features(image: PageImage) -> np.ndarray:
     one). Every pixel belongs to exactly one cell, so at least one cell is
     always non-empty.
     """
+    row_starts, row_sizes, row_kept = _grid_bands(image.height)
+    col_starts, col_sizes, col_kept = _grid_bands(image.width)
     pixels = image.pixels.astype(np.float64)
-    row_edges = [(k * image.height) // GRID for k in range(GRID + 1)]
-    col_edges = [(k * image.width) // GRID for k in range(GRID + 1)]
-    features = np.full(FEATURE_DIM, np.nan)
-    previous = None
-    pos = 0
-    for r in range(GRID):
-        band = pixels[row_edges[r] : row_edges[r + 1]]
-        for c in range(GRID):
-            cell = band[:, col_edges[c] : col_edges[c + 1]]
-            if cell.size:
-                previous = cell.mean() / 255.0
-            if previous is not None:
-                features[pos] = previous
-            pos += 1
-    head = np.isnan(features)
-    if head.any():
-        features[head] = features[~head][0]
-    return features
+    # Empty bands are left out, not reduced: reduceat returns a[i], not 0, for
+    # an empty segment. The kept bands still tile the page, so each segment
+    # ends where the next kept band starts.
+    sums = np.add.reduceat(
+        np.add.reduceat(pixels, row_starts, axis=0), col_starts, axis=1
+    )
+    cells = np.zeros((GRID, GRID))
+    cells[np.ix_(row_kept, col_kept)] = sums / np.outer(row_sizes, col_sizes) / 255.0
+    filled = np.outer(row_kept, col_kept).ravel()
+    # Each cell reads the last filled cell at or before it in scan order; the
+    # head of the scan reads the first filled cell (filled.argmax()).
+    source = np.where(filled, np.arange(FEATURE_DIM), filled.argmax())
+    return cells.ravel()[np.maximum.accumulate(source)]
+
+
+def _grid_bands(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and size of each non-empty grid band along one axis, plus the
+    mask of which of the GRID bands are non-empty."""
+    edges = (np.arange(GRID + 1) * size) // GRID
+    sizes = np.diff(edges)
+    kept = sizes > 0
+    return edges[:-1][kept], sizes[kept], kept
 
 
 def featurizer_sha256() -> str:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -8,12 +9,13 @@ from rfekit.classify import (
     ModelFormatError,
     SoftmaxClassifier,
     VocabMismatchError,
+    _payload_digest,
     load_model,
     loss_and_gradient,
     save_model,
     softmax,
 )
-from rfekit.vectorize import fit_vocab, tfidf_vector
+from rfekit.vectorize import fit_vocab, stack_dense, tfidf_vector
 
 
 def finite_difference_gradient(weights, X, y_index, l2, h=1e-5):
@@ -29,6 +31,19 @@ def finite_difference_gradient(weights, X, y_index, l2, h=1e-5):
             loss_minus, _ = loss_and_gradient(minus, X, y_index, l2)
             grad[r, c] = (loss_plus - loss_minus) / (2 * h)
     return grad
+
+
+def reference_gradient_descent(X, y_index, n_classes, l2, learning_rate,
+                               max_iters, grad_tol):
+    """Plain primal gradient descent built from loss_and_gradient: the loop
+    SoftmaxClassifier.fit must reproduce. Returns (weights, n_iter, converged)."""
+    weights = np.zeros((n_classes, X.shape[1] + 1))
+    for n_iter in range(max_iters):
+        _, grad = loss_and_gradient(weights, X, y_index, l2)
+        if np.abs(grad).max() < grad_tol:
+            return weights, n_iter, True
+        weights -= learning_rate * grad
+    return weights, max_iters, False
 
 
 def test_softmax_rows_sum_to_one():
@@ -215,3 +230,95 @@ def test_estimator_params_api():
     assert clf.learning_rate == 0.1
     with pytest.raises(ValueError):
         clf.set_params(bogus=1)
+
+
+def _tfidf_with_zero_row():
+    docs = [["visa", "fee"], ["passport", "photo", "photo"], ["visa", "photo"],
+            ["fee", "receipt"]]
+    vocab = fit_vocab(docs, {1})
+    vectors = [tfidf_vector(tokens, vocab) for tokens in docs]
+    vectors.append(tfidf_vector(["unseen"], vocab))
+    assert vectors[-1].is_zero()
+    return vectors, ["a", "b", "a", "c", "b"]
+
+
+def _dense_case(n, d, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    y = [f"c{i % n_classes}" for i in range(n)]
+    return rng.normal(size=(n, d)), y
+
+
+@pytest.mark.parametrize(
+    "data, l2",
+    [
+        (_dense_case(6, 20, 3, 0), 1e-3),
+        (_dense_case(30, 4, 3, 1), 1e-3),
+        (_tfidf_with_zero_row(), 1e-3),
+        (_dense_case(8, 12, 2, 2), 0.0),
+    ],
+    ids=["dense-n<d", "dense-n>d", "tfidf-zero-row", "l2=0"],
+)
+def test_gram_fit_matches_primal_gradient_descent(data, l2):
+    X, y = data
+    clf = SoftmaxClassifier(l2=l2, max_iters=300).fit(X, y)
+    dense = X if isinstance(X, np.ndarray) else stack_dense(X)
+    index = {c: i for i, c in enumerate(clf.classes_)}
+    weights, n_iter, converged = reference_gradient_descent(
+        dense, np.array([index[lab] for lab in y]), len(clf.classes_), l2,
+        clf.learning_rate, clf.max_iters, clf.grad_tol,
+    )
+    assert np.abs(clf.weights_ - weights).max() <= 1e-10
+    assert (clf.n_iter_, clf.converged_) == (n_iter, converged)
+    scores = dense @ weights[:, :-1].T + weights[:, -1]
+    assert clf.predict(X) == [clf.classes_[i] for i in scores.argmax(axis=1)]
+
+
+def test_fit_records_convergence_like_plain_loop():
+    X, y = np.eye(3), ["a", "b", "c"]
+    clf = SoftmaxClassifier(grad_tol=1e-3).fit(X, y)
+    _, n_iter, converged = reference_gradient_descent(
+        X, np.arange(3), 3, clf.l2, clf.learning_rate, clf.max_iters, 1e-3
+    )
+    assert converged and clf.converged_
+    assert 0 < clf.n_iter_ == n_iter < clf.max_iters
+    capped = SoftmaxClassifier(grad_tol=1e-3, max_iters=n_iter).fit(X, y)
+    assert (capped.n_iter_, capped.converged_) == (n_iter, False)
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"vocab_hash": DROP},
+        {"classes": DROP},
+        {"n_features": DROP},
+        {"feature_kind": DROP},
+        {"weights": DROP},
+        {"classes": "ab"},
+        {"classes": ["a", 1]},
+        {"n_features": "2"},
+        {"n_features": -1, "weights": [[], []]},
+        {"vocab_hash": None},
+        {"params": DROP},
+        {"params": {"bogus": 1}},
+        {"weights": ["abc", "def"]},
+    ],
+    ids=["no-vocab_hash", "no-classes", "no-n_features", "no-feature_kind",
+         "no-weights", "string-classes", "non-string-class", "string-n_features",
+         "negative-n_features", "null-vocab_hash", "no-params", "unknown-param",
+         "string-weight-rows"],
+)
+def test_resigned_malformed_header_rejected(changes):
+    clf = SoftmaxClassifier(max_iters=1).fit(np.eye(2), ["a", "b"])
+    payload = json.loads(save_model(clf))
+    for key, value in changes.items():
+        if value is DROP:
+            del payload[key]
+        else:
+            payload[key] = value
+    payload["sha256"] = ""
+    payload["sha256"] = _payload_digest(payload)
+    with pytest.raises(ModelFormatError):
+        load_model(json.dumps(payload).encode("utf-8"), expected_vocab_hash="")

@@ -131,3 +131,36 @@ def test_page_image_validates_shape():
         PageImage(width=2, height=2, pixels=np.zeros((2, 3)))
     with pytest.raises(ValueError):
         PageImage(width=0, height=1, pixels=np.zeros((1, 0)))
+
+
+def loop_image_features(image):
+    """Per-cell reference for image_features: one cell.mean() per grid cell."""
+    pixels = image.pixels.astype(np.float64)
+    row_edges = [(k * image.height) // 32 for k in range(33)]
+    col_edges = [(k * image.width) // 32 for k in range(33)]
+    features = np.full(FEATURE_DIM, np.nan)
+    previous = None
+    pos = 0
+    for r in range(32):
+        band = pixels[row_edges[r] : row_edges[r + 1]]
+        for c in range(32):
+            cell = band[:, col_edges[c] : col_edges[c + 1]]
+            if cell.size:
+                previous = cell.mean() / 255.0
+            if previous is not None:
+                features[pos] = previous
+            pos += 1
+    head = np.isnan(features)
+    if head.any():
+        features[head] = features[~head][0]
+    return features
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (5, 40), (31, 33), (40, 7), (100, 3), (33, 1), (128, 96)]
+)
+def test_features_match_per_cell_loop(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for _ in range(3):
+        img = make_image(rng.integers(0, 256, size=shape))
+        assert np.array_equal(image_features(img), loop_image_features(img))
