@@ -4,11 +4,11 @@ for end-to-end evaluation."""
 
 from ._base import NotFittedError
 from .attacks import (
-    AttackDetector,
     AttackReport,
     AttackType,
     ExampleBank,
     detect_attacks,
+    detect_rfe,
     load_bank,
     similarity_matrix,
 )
@@ -38,22 +38,21 @@ from .ensemble import (
     fuse,
 )
 from .evaluation import ConfusionCounts, Metrics, evaluate_attacks, evaluate_documents, metrics
-from .image import GridImageFeaturizer, PageImage, decode_pgm, image_features
+from .image import PageImage, decode_pgm, image_features
 from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
 from .vectorize import (
-    NgramTfidfVectorizer,
     SparseVector,
     Vocabulary,
     cosine,
     fit_vocab,
     ngrams,
+    stack_dense,
     tfidf_vector,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackDetector",
     "AttackReport",
     "AttackType",
     "BeneficiaryRecord",
@@ -65,9 +64,7 @@ __all__ = [
     "EnsembleDocumentClassifier",
     "ExampleBank",
     "FusionTrace",
-    "GridImageFeaturizer",
     "Metrics",
-    "NgramTfidfVectorizer",
     "NotFittedError",
     "PageImage",
     "ResponseDraft",
@@ -84,6 +81,7 @@ __all__ = [
     "cosine",
     "decode_pgm",
     "detect_attacks",
+    "detect_rfe",
     "draft_response",
     "entropy",
     "evaluate_attacks",
@@ -106,6 +104,7 @@ __all__ = [
     "select_templates",
     "similarity_matrix",
     "split_sentences",
+    "stack_dense",
     "tfidf_vector",
     "tokenize",
 ]

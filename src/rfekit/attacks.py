@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._base import ParamsMixin, check_is_fitted
 from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
 from .vectorize import SparseVector, Vocabulary, cosine, fit_vocab, tfidf_vector
 
@@ -210,23 +209,13 @@ def detect_attacks(matrix: np.ndarray, bank: ExampleBank, tau: float = DEFAULT_T
     return AttackReport(detected=detected, evidence=tuple(hits), threshold=tau)
 
 
-class AttackDetector(ParamsMixin):
-    """Estimator facade: fit on a bank file, detect on raw RFE text."""
+def detect_rfe(rfe_text: str, bank: ExampleBank, tau: float = DEFAULT_TAU,
+               stopwords=None) -> AttackReport:
+    """Split raw RFE text into cleaned sentences and detect against ``bank``.
 
-    def __init__(self, tau: float = DEFAULT_TAU):
-        self.tau = tau
-
-    def fit(self, bank_source, y=None):
-        self.stopwords_ = load_stopwords()
-        self.bank_ = load_bank(bank_source, self.stopwords_)
-        return self
-
-    def detect(self, rfe_text: str) -> AttackReport:
-        check_is_fitted(self, "bank_")
-        sentences = split_sentences(rfe_text, self.stopwords_)
-        return self.detect_sentences(sentences)
-
-    def detect_sentences(self, sentences) -> AttackReport:
-        check_is_fitted(self, "bank_")
-        matrix = similarity_matrix(sentences, self.bank_)
-        return detect_attacks(matrix, self.bank_, self.tau)
+    The one detection path: the CLI, the evaluation harness and drafting all
+    call it. Pass ``stopwords`` to reuse one loaded list across many RFEs.
+    """
+    stopwords = load_stopwords() if stopwords is None else stopwords
+    sentences = split_sentences(rfe_text, stopwords)
+    return detect_attacks(similarity_matrix(sentences, bank), bank, tau)

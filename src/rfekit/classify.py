@@ -230,10 +230,7 @@ def load_model(
             "model was trained against a different vocabulary "
             f"({payload['vocab_hash'][:12]}... != {expected_vocab_hash[:12]}...)"
         )
-    try:
-        model = SoftmaxClassifier(**payload["params"])
-    except TypeError as exc:
-        raise ModelFormatError(f"bad training params: {exc}") from None
+    model = SoftmaxClassifier(**payload["params"])
     model.classes_ = tuple(payload["classes"])
     model.n_features_ = payload["n_features"]
     model.feature_kind_ = payload["feature_kind"]
@@ -260,24 +257,39 @@ _HEADER_TYPES = {
     "params": dict,
     "weights": list,
 }
+_PARAM_TYPES = {
+    "l2": (int, float),
+    "learning_rate": (int, float),
+    "max_iters": int,
+    "grad_tol": (int, float),
+}
 
 
 def _check_header(payload: dict) -> None:
     """Reject a checksum-valid payload whose header fields are missing or
     mistyped (a string ``classes`` or weight row would otherwise split into
-    characters)."""
+    characters, and a mistyped param would fail only at the first fit)."""
     for key, kind in _HEADER_TYPES.items():
-        value = payload.get(key)
-        if not isinstance(value, kind) or isinstance(value, bool):
+        if not _is_a(payload.get(key), kind):
             raise ModelFormatError(
                 f"model field {key!r} missing or not a {kind.__name__}"
             )
+    for key, value in payload["params"].items():
+        if key not in _PARAM_TYPES:
+            raise ModelFormatError(f"unknown training param {key!r}")
+        if not _is_a(value, _PARAM_TYPES[key]):
+            raise ModelFormatError(f"param {key!r} is a {type(value).__name__}")
     if not all(isinstance(c, str) for c in payload["classes"]):
         raise ModelFormatError("model classes must be strings")
     if not all(isinstance(row, list) for row in payload["weights"]):
         raise ModelFormatError("model weight rows must be lists")
     if payload["n_features"] < 0:
         raise ModelFormatError("negative n_features")
+
+
+def _is_a(value, kind) -> bool:
+    """isinstance, except that a JSON ``true``/``false`` is never a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _payload_digest(payload: dict) -> str:

@@ -14,10 +14,11 @@ import hashlib
 import json
 import shutil
 import sys
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
-from .attacks import load_bank
+from .attacks import DEFAULT_TAU, detect_rfe, load_bank
 from .corpus import (
     CorpusConfig,
     generate_corpus,
@@ -41,14 +42,15 @@ class UsageError(Exception):
     """Bad invocation detected after argparse (e.g. config file contents)."""
 
 
-def _tau_value(text: str) -> float:
+def _checked_tau(value) -> float:
+    """The resolved tau (flag or config file) as a float in [0, 1]."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid tau {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"tau must be in [0, 1], got {text}")
-    return value
+        tau = float(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"invalid tau {value!r}") from None
+    if isinstance(value, bool) or not 0.0 <= tau <= 1.0:
+        raise UsageError(f"tau must be in [0, 1], got {value!r}")
+    return tau
 
 
 def _date_value(text: str) -> date:
@@ -82,8 +84,10 @@ def _load_config_file(path) -> dict:
     return payload
 
 
-def _resolve(args, file_config: dict, defaults: dict) -> dict:
-    """flags > config file > defaults, keyed by the defaults dict."""
+def _resolve(args, defaults: dict) -> dict:
+    """flags > --config file > defaults, keyed by the defaults dict; the result
+    is echoed to stderr with its content hash."""
+    file_config = _load_config_file(getattr(args, "config", None))
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
@@ -93,13 +97,11 @@ def _resolve(args, file_config: dict, defaults: dict) -> dict:
             resolved[key] = file_config[key]
         else:
             resolved[key] = default
-    return resolved
-
-
-def _echo_config(command: str, resolved: dict) -> None:
     payload = json.dumps(resolved, sort_keys=True, default=str)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    print(f"[rfekit] {command} config sha256={digest[:16]} {payload}", file=sys.stderr)
+    print(f"[rfekit] {args.command} config sha256={digest[:16]} {payload}",
+          file=sys.stderr)
+    return resolved
 
 
 def _emit_records(records, out_path) -> None:
@@ -110,13 +112,22 @@ def _emit_records(records, out_path) -> None:
         atomic_write_text(out_path, text)
 
 
+def _load_split(corpus, split: str, channel: str) -> tuple[list[dict], list]:
+    """Manifest records of ``split`` ("all" for every one) and their documents."""
+    records = [
+        rec
+        for rec in load_manifest(corpus)["documents"]
+        if split == "all" or rec["split"] == split
+    ]
+    if not records:
+        raise UsageError(f"no documents with split {split!r} in {corpus}")
+    return records, [load_document(corpus, rec, channel) for rec in records]
+
+
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_gen_corpus(args) -> int:
-    file_config = _load_config_file(args.config)
-    defaults = CorpusConfig().as_dict()
-    merged = _resolve(args, file_config, defaults)
-    _echo_config("gen-corpus", merged)
+    merged = _resolve(args, CorpusConfig().as_dict())
     try:
         config = CorpusConfig.from_dict(merged)
         config.validate()
@@ -131,7 +142,6 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_train_docs(args) -> int:
-    file_config = _load_config_file(args.config)
     defaults = {
         "channel": "ocr",
         "split": "train",
@@ -141,17 +151,8 @@ def _cmd_train_docs(args) -> int:
         "max_iters": 2000,
         "grad_tol": 1e-6,
     }
-    opts = _resolve(args, file_config, defaults)
-    _echo_config("train-docs", opts)
-    manifest = load_manifest(args.corpus)
-    doc_records = [
-        rec
-        for rec in manifest["documents"]
-        if opts["split"] == "all" or rec["split"] == opts["split"]
-    ]
-    if not doc_records:
-        raise UsageError(f"no documents with split {opts['split']!r} in {args.corpus}")
-    docs = [load_document(args.corpus, rec, opts["channel"]) for rec in doc_records]
+    opts = _resolve(args, defaults)
+    doc_records, docs = _load_split(args.corpus, opts["split"], opts["channel"])
     labels = [rec["label"] for rec in doc_records]
     model = EnsembleDocumentClassifier(
         n_range=tuple(opts["ngrams"]),
@@ -180,8 +181,7 @@ def _find_doc_dirs(input_dir: Path) -> list[Path]:
 
 
 def _cmd_classify(args) -> int:
-    opts = {"channel": args.channel or "ocr", "move": args.move, "out": args.out}
-    _echo_config("classify", opts)
+    opts = _resolve(args, {"channel": "ocr", "move": None, "out": None})
     model = EnsembleDocumentClassifier.load(args.bundle)
     input_dir = Path(args.input)
 
@@ -200,13 +200,16 @@ def _cmd_classify(args) -> int:
         trace = model.classify(load_document_dir(doc_dir, opts["channel"]))
         records.append({"id": doc_id, **trace.as_record()})
         if args.move:
-            moves.append((doc_dir, Path(args.move) / trace.predicted / doc_dir.name))
+            target = Path(args.move) / trace.predicted / doc_dir.name
+            if doc_dir.resolve() != target.resolve():
+                moves.append((doc_dir, target))
+    # Check every target before the first move, so a clash moves nothing.
+    taken = Counter(target.resolve() for _, target in moves)
+    for _, target in moves:
+        if target.exists() or taken[target.resolve()] > 1:
+            raise RuntimeError(f"move target exists or is taken twice: {target}")
     _emit_records(records, args.out)
     for src, target in moves:
-        if src.resolve() == target.resolve():
-            continue
-        if target.exists():
-            raise RuntimeError(f"move target already exists: {target}")
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.move(str(src), str(target))
     return 0
@@ -222,38 +225,24 @@ def _rfe_inputs(input_path: Path) -> list[tuple[str, Path]]:
 
 
 def _cmd_detect(args) -> int:
-    file_config = _load_config_file(args.config)
-    opts = _resolve(args, file_config, {"tau": 0.6})
-    _echo_config("detect", opts)
-    tau = opts["tau"]
-    if not 0.0 <= float(tau) <= 1.0:
-        raise UsageError(f"tau must be in [0, 1], got {tau}")
+    opts = _resolve(args, {"tau": DEFAULT_TAU})
+    tau = _checked_tau(opts["tau"])
     bank = load_bank(args.bank)
     stopwords = load_stopwords()
     jobs = _rfe_inputs(Path(args.input))
     if not jobs:
         raise UsageError(f"no RFE text files under {args.input}")
-    from .attacks import detect_attacks, similarity_matrix
-    from .text import split_sentences
-
     records = []
     for rfe_id, path in jobs:
-        sentences = split_sentences(path.read_text("utf-8"), stopwords)
-        report = detect_attacks(
-            similarity_matrix(sentences, bank), bank, float(tau)
-        )
+        report = detect_rfe(path.read_text("utf-8"), bank, tau, stopwords)
         records.append({"id": rfe_id, **report.as_record()})
     _emit_records(records, args.out)
     return 0
 
 
 def _cmd_draft(args) -> int:
-    file_config = _load_config_file(args.config)
-    opts = _resolve(args, file_config, {"tau": 0.6, "today": None})
-    _echo_config("draft", opts)
-    tau = float(opts["tau"])
-    if not 0.0 <= tau <= 1.0:
-        raise UsageError(f"tau must be in [0, 1], got {tau}")
+    opts = _resolve(args, {"tau": DEFAULT_TAU, "today": None})
+    tau = _checked_tau(opts["tau"])
     today = opts["today"]
     if isinstance(today, str):
         today = date.fromisoformat(today)
@@ -288,18 +277,9 @@ def _cmd_draft(args) -> int:
 
 
 def _cmd_eval_docs(args) -> int:
-    opts = {"channel": args.channel or "ocr", "split": args.split or "test"}
-    _echo_config("eval-docs", opts)
+    opts = _resolve(args, {"channel": "ocr", "split": "test"})
     model = EnsembleDocumentClassifier.load(args.bundle)
-    manifest = load_manifest(args.corpus)
-    doc_records = [
-        rec
-        for rec in manifest["documents"]
-        if opts["split"] == "all" or rec["split"] == opts["split"]
-    ]
-    if not doc_records:
-        raise UsageError(f"no documents with split {opts['split']!r}")
-    docs = [load_document(args.corpus, rec, opts["channel"]) for rec in doc_records]
+    doc_records, docs = _load_split(args.corpus, opts["split"], opts["channel"])
     labels = [rec["label"] for rec in doc_records]
     report = evaluate_documents(model, docs, labels, [r["id"] for r in doc_records])
     print(report.table())
@@ -309,14 +289,8 @@ def _cmd_eval_docs(args) -> int:
 
 
 def _cmd_eval_attacks(args) -> int:
-    file_config = _load_config_file(args.config)
-    opts = _resolve(
-        args, file_config, {"tau": 0.6, "attack": "specialty-occupation"}
-    )
-    _echo_config("eval-attacks", opts)
-    tau = float(opts["tau"])
-    if not 0.0 <= tau <= 1.0:
-        raise UsageError(f"tau must be in [0, 1], got {tau}")
+    opts = _resolve(args, {"tau": DEFAULT_TAU, "attack": "specialty-occupation"})
+    tau = _checked_tau(opts["tau"])
     corpus_dir = Path(args.corpus)
     manifest = load_manifest(corpus_dir)
     bank_path = args.bank or corpus_dir / manifest["paths"]["bank"]
@@ -404,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="detect attack types in RFE text")
     p.add_argument("--bank", required=True)
     p.add_argument("--input", required=True, help="RFE .txt, directory, or corpus")
-    p.add_argument("--tau", type=_tau_value, default=None)
+    p.add_argument("--tau", type=float, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(handler=_cmd_detect)
@@ -416,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", default=None)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tau", type=_tau_value, default=None)
+    p.add_argument("--tau", type=float, default=None)
     p.add_argument("--today", type=_date_value, default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(handler=_cmd_draft)
@@ -433,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--bank", default=None, help="bank override (default: corpus bank)")
     p.add_argument("--attack", default=None)
-    p.add_argument("--tau", type=_tau_value, default=None)
+    p.add_argument("--tau", type=float, default=None)
     p.add_argument("--json", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(handler=_cmd_eval_attacks)

@@ -767,15 +767,8 @@ def load_manifest(corpus_dir) -> dict:
 
 def load_document(corpus_dir, doc_record: dict, channel: str = "ocr") -> Document:
     """Materialize one manifest document; ``channel`` is ``ocr`` or ``clean``."""
-    if channel not in ("ocr", "clean"):
-        raise ValueError(f"unknown text channel {channel!r}")
-    doc_dir = Path(corpus_dir) / doc_record["dir"]
-    pages = tuple(read_pgm(doc_dir / name) for name in doc_record["pages"])
-    text_file = doc_record["ocr_text" if channel == "ocr" else "clean_text"]
-    return Document(
-        doc_id=doc_record["id"],
-        pages=pages,
-        text=(doc_dir / text_file).read_text("utf-8"),
+    return _read_document(
+        Path(corpus_dir) / doc_record["dir"], doc_record, channel, "ocr_text"
     )
 
 
@@ -783,8 +776,16 @@ def load_document_dir(doc_dir, channel: str = "ocr") -> Document:
     """Materialize a standalone document directory written by the generator."""
     doc_dir = Path(doc_dir)
     meta = json.loads((doc_dir / "doc.json").read_text("utf-8"))
+    return _read_document(doc_dir, meta, channel, "text")
+
+
+def _read_document(doc_dir: Path, meta: dict, channel: str, ocr_key: str) -> Document:
+    """Pages and one text channel of a document; ``meta`` names its files (the
+    OCR text under ``ocr_key``, which differs between manifest and doc.json)."""
+    if channel not in ("ocr", "clean"):
+        raise ValueError(f"unknown text channel {channel!r}")
     pages = tuple(read_pgm(doc_dir / name) for name in meta["pages"])
-    text_file = meta["text" if channel == "ocr" else "clean_text"]
+    text_file = meta[ocr_key if channel == "ocr" else "clean_text"]
     return Document(
         doc_id=meta["id"], pages=pages, text=(doc_dir / text_file).read_text("utf-8")
     )

@@ -17,8 +17,7 @@ from datetime import date, datetime
 from importlib import resources
 from pathlib import Path
 
-from .attacks import AttackReport, ExampleBank, detect_attacks, similarity_matrix
-from .text import load_stopwords, split_sentences
+from .attacks import DEFAULT_TAU, AttackReport, ExampleBank, detect_rfe
 
 RFE_FIELD_NAMES = (
     "case_number",
@@ -432,7 +431,7 @@ def draft_response(
     store: BeneficiaryStore,
     library,
     *,
-    tau: float = 0.6,
+    tau: float = DEFAULT_TAU,
     patterns: dict[str, re.Pattern] | None = None,
     today: date | None = None,
     stopwords=None,
@@ -444,9 +443,7 @@ def draft_response(
     unresolved names listed. Detecting no attacks at all is fatal; there is
     nothing to draft.
     """
-    stopwords = load_stopwords() if stopwords is None else stopwords
-    sentences = split_sentences(rfe_text, stopwords)
-    report = detect_attacks(similarity_matrix(sentences, bank), bank, tau)
+    report = detect_rfe(rfe_text, bank, tau, stopwords)
     if not report.detected:
         raise DraftingError("no attack types detected; nothing to draft")
 

@@ -18,12 +18,7 @@ import numpy as np
 
 from ._base import ParamsMixin, check_is_fitted
 from .classify import SoftmaxClassifier, load_model, save_model
-from .image import (
-    FEATURIZER_VERSION,
-    GridImageFeaturizer,
-    PageImage,
-    featurizer_sha256,
-)
+from .image import FEATURIZER_VERSION, PageImage, featurizer_sha256, image_features
 from .text import normalize, stopwords_sha256, tokenize
 from .vectorize import (
     Vocabulary,
@@ -159,7 +154,6 @@ def classify_document(
     image_model: SoftmaxClassifier,
     text_model: SoftmaxClassifier,
     vocab: Vocabulary,
-    featurizer: GridImageFeaturizer | None = None,
 ) -> FusionTrace:
     """Fuse per-page image predictions with the whole-document text prediction.
 
@@ -170,11 +164,12 @@ def classify_document(
     classes = tuple(text_model.classes_)
     if classes != tuple(image_model.classes_):
         raise ValueError("image and text models disagree on the class set")
-    featurizer = featurizer or GridImageFeaturizer()
 
     p_image = None
     if doc.pages:
-        page_probs = image_model.predict_proba(featurizer.transform(doc.pages))
+        page_probs = image_model.predict_proba(
+            np.array([image_features(page) for page in doc.pages])
+        )
         pooled = page_probs.mean(axis=0)
         p_image = ClassDistribution(classes, pooled / pooled.sum())
 
@@ -231,7 +226,6 @@ class EnsembleDocumentClassifier(ParamsMixin):
         if len(docs) != len(labels):
             raise ValueError(f"{len(docs)} documents but {len(labels)} labels")
         self.classes_ = tuple(sorted(set(labels)))
-        self.featurizer_ = GridImageFeaturizer()
 
         token_docs = [document_tokens(d.text) for d in docs]
         self.vocabulary_ = fit_vocab(token_docs, self.n_range)
@@ -251,7 +245,7 @@ class EnsembleDocumentClassifier(ParamsMixin):
         if not pages:
             raise ValueError("no page images in the training documents")
         self.image_model_ = self._head().fit(
-            self.featurizer_.transform(pages),
+            np.array([image_features(page) for page in pages]),
             page_labels,
             classes=self.classes_,
             feature_kind="dense",
@@ -262,8 +256,7 @@ class EnsembleDocumentClassifier(ParamsMixin):
     def classify(self, doc: Document) -> FusionTrace:
         check_is_fitted(self, "text_model_")
         return classify_document(
-            doc, self.image_model_, self.text_model_, self.vocabulary_,
-            self.featurizer_,
+            doc, self.image_model_, self.text_model_, self.vocabulary_
         )
 
     def predict(self, docs) -> list[str]:
@@ -322,5 +315,4 @@ class EnsembleDocumentClassifier(ParamsMixin):
             expected_vocab_hash=featurizer_sha256(),
         )
         est.classes_ = tuple(manifest["classes"])
-        est.featurizer_ = GridImageFeaturizer()
         return est

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attacks import ExampleBank, detect_attacks, similarity_matrix
-from .text import load_stopwords, split_sentences
+from .attacks import DEFAULT_TAU, ExampleBank, detect_rfe
+from .text import load_stopwords
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def evaluate_attacks(
     bank: ExampleBank,
     rfes,
     target_attack: str,
-    tau: float = 0.6,
+    tau: float = DEFAULT_TAU,
     stopwords=None,
 ) -> tuple[ConfusionCounts, Metrics]:
     """Binary presence/absence confusion for one attack over (text, truth) pairs.
@@ -178,9 +178,7 @@ def evaluate_attacks(
     stopwords = load_stopwords() if stopwords is None else stopwords
     tp = fp = fn = tn = 0
     for text, truth_attacks in rfes:
-        sentences = split_sentences(text, stopwords)
-        report = detect_attacks(similarity_matrix(sentences, bank), bank, tau)
-        flagged = target_attack in report.detected
+        flagged = target_attack in detect_rfe(text, bank, tau, stopwords).detected
         present = target_attack in set(truth_attacks)
         if flagged and present:
             tp += 1

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._base import ParamsMixin
-
 GRID = 32
 FEATURE_DIM = GRID * GRID
 FEATURIZER_VERSION = "grid-mean-32x32/1"
@@ -171,18 +169,3 @@ def featurizer_sha256() -> str:
     """Hash of the featurizer version tag; plays the vocabulary-hash role for
     image-side models."""
     return hashlib.sha256(FEATURIZER_VERSION.encode("ascii")).hexdigest()
-
-
-class GridImageFeaturizer(ParamsMixin):
-    """Stateless transformer: list of :class:`PageImage` -> (n, 1024) array."""
-
-    version = FEATURIZER_VERSION
-
-    def fit(self, X, y=None):
-        return self
-
-    def transform(self, images) -> np.ndarray:
-        return np.array([image_features(img) for img in images])
-
-    def fit_transform(self, images, y=None) -> np.ndarray:
-        return self.transform(images)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._base import ParamsMixin, check_is_fitted
-
 VOCAB_MAGIC = "ngram-vocab"
 VOCAB_VERSION = 1
 
@@ -98,12 +96,6 @@ class SparseVector:
         small, big = sorted((self, other), key=lambda v: len(v.entries))
         lookup = dict(big.entries)
         return sum(w * lookup[i] for i, w in small.entries if i in lookup)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        for i, w in self.entries:
-            dense[i] = w
-        return dense
 
 
 def tfidf_vector(tokens: list[str], vocab: Vocabulary) -> SparseVector:
@@ -211,29 +203,6 @@ def _header_value(line: str, key: str) -> str:
     if not line.startswith(prefix):
         raise VocabularyFormatError(f"expected {prefix!r} header, found {line!r}")
     return line[len(prefix) :]
-
-
-class NgramTfidfVectorizer(ParamsMixin):
-    """Estimator facade over :func:`fit_vocab` and :func:`tfidf_vector`.
-
-    fit() takes a list of token streams (not raw strings; tokenization policy
-    belongs to the caller) and freezes the vocabulary; transform() maps token
-    streams into the fitted space.
-    """
-
-    def __init__(self, n_range=(1, 2, 3)):
-        self.n_range = n_range
-
-    def fit(self, token_docs, y=None):
-        self.vocabulary_ = fit_vocab(token_docs, self.n_range)
-        return self
-
-    def transform(self, token_docs) -> list[SparseVector]:
-        check_is_fitted(self, "vocabulary_")
-        return [tfidf_vector(tokens, self.vocabulary_) for tokens in token_docs]
-
-    def fit_transform(self, token_docs, y=None) -> list[SparseVector]:
-        return self.fit(token_docs).transform(token_docs)
 
 
 def stack_dense(vectors: list[SparseVector]) -> np.ndarray:

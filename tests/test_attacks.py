@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from rfekit.attacks import (
-    AttackDetector,
     BankFormatError,
     detect_attacks,
+    detect_rfe,
     load_bank,
     similarity_matrix,
 )
+from rfekit.text import load_stopwords, split_sentences
 
 
 def bank_line(attack_id, sentence, description=None):
@@ -227,19 +228,19 @@ def test_matches_exhaustive_oracle_randomized():
             assert matrix[e.sentence_index, e.example_index] > tau
 
 
-def test_detector_estimator_roundtrip():
-    detector = AttackDetector(tau=0.6).fit(SMALL_BANK)
-    report = detector.detect(
+def test_detect_rfe_roundtrip():
+    bank = load_bank(SMALL_BANK)
+    text = (
         "Case Number: ABC-1\n"
         "The position requires specialized degree knowledge!\n"
         "Unrelated filler line.\n"
     )
+    report = detect_rfe(text, bank)
     assert "specialty-occupation" in report.detected
-    assert detector.get_params() == {"tau": 0.6}
-
-
-def test_detector_requires_fit():
-    from rfekit import NotFittedError
-
-    with pytest.raises(NotFittedError):
-        AttackDetector().detect("text")
+    assert report.threshold == 0.6
+    stopwords = load_stopwords()
+    sentences = split_sentences(text, stopwords)
+    assert report == detect_attacks(similarity_matrix(sentences, bank), bank, 0.6)
+    assert detect_rfe(text, bank, 0.6, stopwords) == report
+    with pytest.raises(ValueError):
+        detect_rfe(text, bank, tau=1.5)

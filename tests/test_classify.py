@@ -304,11 +304,20 @@ DROP = object()
         {"params": DROP},
         {"params": {"bogus": 1}},
         {"weights": ["abc", "def"]},
+        {"params": {"max_iters": "x"}},
+        {"params": {"max_iters": 2.0}},
+        {"params": {"max_iters": True}},
+        {"params": {"l2": True}},
+        {"params": {"l2": "0.001"}},
+        {"params": {"learning_rate": None}},
+        {"params": {"grad_tol": False}},
     ],
     ids=["no-vocab_hash", "no-classes", "no-n_features", "no-feature_kind",
          "no-weights", "string-classes", "non-string-class", "string-n_features",
          "negative-n_features", "null-vocab_hash", "no-params", "unknown-param",
-         "string-weight-rows"],
+         "string-weight-rows", "string-max_iters", "float-max_iters",
+         "bool-max_iters", "bool-l2", "string-l2", "null-learning_rate",
+         "bool-grad_tol"],
 )
 def test_resigned_malformed_header_rejected(changes):
     clf = SoftmaxClassifier(max_iters=1).fit(np.eye(2), ["a", "b"])

@@ -285,3 +285,100 @@ def test_eval_attacks_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "attack=specialty-occupation" in out
     assert "recall=" in out
+
+
+@pytest.mark.parametrize("tau", ["abc", 1.5, True])
+@pytest.mark.parametrize("command", ["detect", "draft", "eval-attacks"])
+def test_bad_config_tau_exits_2(tmp_path, capsys, command, tau):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tau": tau}))
+    args = {
+        "detect": ["--bank", "b", "--input", "i"],
+        "draft": ["--bank", "b", "--store", "s", "--templates", "t",
+                  "--input", "i", "--out", str(tmp_path / "o")],
+        "eval-attacks": ["--corpus", str(tmp_path / "c")],
+    }[command]
+    assert run([command, *args, "--config", str(config)]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("clash", ["existing-target", "duplicate-target"])
+def test_classify_move_clash_moves_nothing(tmp_path, trained_bundle, clash):
+    import shutil
+
+    corpus, bundle = trained_bundle
+    docs = json.loads((corpus / "manifest.json").read_text())["documents"]
+    inbox, dest = tmp_path / "inbox", tmp_path / "sorted"
+    if clash == "existing-target":
+        for rec in docs[:2]:
+            shutil.copytree(corpus / rec["dir"], inbox / rec["id"])
+        traces = tmp_path / "traces.jsonl"
+        argv = ["classify", "--bundle", str(bundle), "--input", str(inbox)]
+        assert run([*argv, "--out", str(traces)]) == 0
+        second = [json.loads(line) for line in traces.read_text().splitlines()][1]
+        (dest / second["predicted"] / second["id"]).mkdir(parents=True)
+    else:
+        # one document twice under the same name: both copies map to one target
+        for folder in ("a", "b"):
+            shutil.copytree(corpus / docs[0]["dir"], inbox / folder / docs[0]["id"])
+        dest.mkdir()
+    inbox_before, dest_before = tree_digest(inbox), sorted(dest.rglob("*"))
+    out = tmp_path / "moved.jsonl"
+    code = run(
+        [
+            "classify", "--bundle", str(bundle), "--input", str(inbox),
+            "--move", str(dest), "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert tree_digest(inbox) == inbox_before
+    assert sorted(dest.rglob("*")) == dest_before
+    assert not out.exists()
+
+
+def test_detect_draft_and_evaluate_agree_on_every_rfe(tmp_path, capsys):
+    """Each seed-42 RFE gets the same detected set from all three consumers."""
+    from rfekit.attacks import load_bank
+    from rfekit.evaluation import evaluate_attacks
+
+    corpus = tmp_path / "rfes"
+    assert run(["gen-corpus", "--out", str(corpus), "--seed", "42",
+                "--docs-per-class", "0", "--rfes", "49"]) == 0
+    rfes = json.loads((corpus / "manifest.json").read_text())["rfes"]
+    assert len(rfes) == 49
+    reports = tmp_path / "detect.jsonl"
+    assert run(["detect", "--bank", str(corpus / "bank.jsonl"),
+                "--input", str(corpus), "--out", str(reports)]) == 0
+    detected = {
+        r["id"]: r["detected"] for r in map(json.loads, reports.read_text().splitlines())
+    }
+    assert sorted(detected) == sorted(r["id"] for r in rfes)
+    assert any(detected.values()) and not all(detected.values())
+
+    for rfe in rfes:
+        out = tmp_path / f"{rfe['id']}.txt"
+        code = run(
+            [
+                "draft",
+                "--bank", str(corpus / "bank.jsonl"),
+                "--store", str(corpus / "beneficiaries.jsonl"),
+                "--templates", str(corpus / "templates"),
+                "--input", str(corpus / rfe["file"]),
+                "--out", str(out), "--today", "2021-06-01",
+            ]
+        )
+        if detected[rfe["id"]]:
+            assert code == 0
+            sidecar = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert sidecar["detected"] == detected[rfe["id"]]
+        else:
+            assert code == 1 and not out.exists()
+    capsys.readouterr()
+
+    # With the detect output as ground truth, a disagreement on any RFE is an
+    # fp or an fn for some attack type.
+    bank = load_bank(corpus / "bank.jsonl")
+    pairs = [((corpus / r["file"]).read_text("utf-8"), detected[r["id"]]) for r in rfes]
+    for attack in bank.attack_ids:
+        counts, _ = evaluate_attacks(bank, pairs, attack)
+        assert (counts.fp, counts.fn) == (0, 0), attack

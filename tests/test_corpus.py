@@ -11,6 +11,7 @@ from rfekit.corpus import (
     corrupt_text,
     generate_corpus,
     load_document,
+    load_document_dir,
     load_manifest,
     paraphrase_sentence,
     token_overlap,
@@ -228,3 +229,25 @@ def test_manifest_loads_and_documents_materialize(tmp_path):
     assert doc.text
     noisy = load_document(tmp_path, manifest["documents"][0], channel="ocr")
     assert noisy.doc_id == doc.doc_id
+
+
+@pytest.mark.parametrize("channel", ["ocr", "clean"])
+def test_document_dir_matches_manifest_document(tmp_path, channel):
+    generate_corpus(small_config(), tmp_path)
+    record = load_manifest(tmp_path)["documents"][0]
+    from_manifest = load_document(tmp_path, record, channel)
+    from_dir = load_document_dir(tmp_path / record["dir"], channel)
+    assert from_dir.doc_id == from_manifest.doc_id
+    assert from_dir.text == from_manifest.text
+    assert [p.pixels.tolist() for p in from_dir.pages] == [
+        p.pixels.tolist() for p in from_manifest.pages
+    ]
+
+
+def test_document_loaders_reject_unknown_channel(tmp_path):
+    generate_corpus(small_config(), tmp_path)
+    record = load_manifest(tmp_path)["documents"][0]
+    with pytest.raises(ValueError, match="unknown text channel"):
+        load_document(tmp_path, record, "bogus")
+    with pytest.raises(ValueError, match="unknown text channel"):
+        load_document_dir(tmp_path / record["dir"], "bogus")

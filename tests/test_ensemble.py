@@ -14,7 +14,7 @@ from rfekit.ensemble import (
     entropy,
     fuse,
 )
-from rfekit.image import PageImage
+from rfekit.image import PageImage, image_features
 from rfekit.vectorize import fit_vocab
 
 
@@ -162,11 +162,8 @@ def page(fill):
 
 def tiny_heads():
     """Image head keyed on brightness, text head on one word."""
-    from rfekit.image import GridImageFeaturizer
-
-    feat = GridImageFeaturizer()
     image_model = SoftmaxClassifier(max_iters=300).fit(
-        feat.transform([page(250), page(240), page(20), page(5)]),
+        np.array([image_features(page(fill)) for fill in (250, 240, 20, 5)]),
         ["light", "light", "dark", "dark"],
     )
     vocab = fit_vocab([["bright", "page"], ["dim", "page"]], {1})
@@ -183,11 +180,7 @@ def test_classify_document_single_page_matches_page_distribution():
     image_model, text_model, vocab = tiny_heads()
     doc = Document(doc_id="d", pages=(page(245),), text="bright page")
     trace = classify_document(doc, image_model, text_model, vocab)
-    from rfekit.image import GridImageFeaturizer
-
-    page_probs = image_model.predict_proba(
-        GridImageFeaturizer().transform([page(245)])
-    )[0]
+    page_probs = image_model.predict_proba([image_features(page(245))])[0]
     assert trace.p_image.probs == pytest.approx(page_probs, abs=1e-12)
     assert trace.predicted == "light"
 

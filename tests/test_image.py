@@ -3,7 +3,6 @@ import pytest
 
 from rfekit.image import (
     FEATURE_DIM,
-    GridImageFeaturizer,
     PageImage,
     PgmFormatError,
     PgmTruncatedError,
@@ -116,14 +115,6 @@ def test_features_brightening_is_monotone():
     base = image_features(make_image(pixels))
     brighter = image_features(make_image(pixels + 55))
     assert np.all(brighter >= base - 1e-12)
-
-
-def test_featurizer_transform_stacks():
-    rng = np.random.default_rng(2)
-    images = [make_image(rng.integers(0, 256, size=(33, 41))) for _ in range(3)]
-    out = GridImageFeaturizer().fit(images).transform(images)
-    assert out.shape == (3, FEATURE_DIM)
-    assert out[1] == pytest.approx(image_features(images[1]))
 
 
 def test_page_image_validates_shape():

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from rfekit.vectorize import (
-    NgramTfidfVectorizer,
     SparseVector,
     VocabularyFormatError,
     cosine,
@@ -12,6 +11,7 @@ from rfekit.vectorize import (
     load_vocab,
     ngrams,
     save_vocab,
+    stack_dense,
     tfidf_vector,
     vocab_sha256,
 )
@@ -149,7 +149,7 @@ def test_tfidf_and_cosine_match_dense_reference():
         vec_b = tfidf_vector(doc_b, vocab)
         ref_a = dense_tfidf_reference(corpus, doc_a, n_range)
         ref_b = dense_tfidf_reference(corpus, doc_b, n_range)
-        assert vec_a.to_dense() == pytest.approx(ref_a, abs=1e-9)
+        assert stack_dense([vec_a])[0] == pytest.approx(ref_a, abs=1e-9)
         dense_dot = sum(x * y for x, y in zip(ref_a, ref_b))
         na = math.sqrt(sum(x * x for x in ref_a))
         nb = math.sqrt(sum(x * x for x in ref_b))
@@ -215,19 +215,3 @@ def test_vocab_row_count_mismatch():
     with pytest.raises(VocabularyFormatError):
         load_vocab(truncated)
 
-
-def test_vectorizer_estimator_api():
-    vec = NgramTfidfVectorizer(n_range=(1, 2))
-    assert vec.get_params() == {"n_range": (1, 2)}
-    out = vec.fit_transform([["a", "b"], ["b", "c"]])
-    assert len(out) == 2
-    assert out[0].dim == vec.vocabulary_.size
-    vec.set_params(n_range=(1,))
-    assert vec.get_params()["n_range"] == (1,)
-
-
-def test_vectorizer_not_fitted():
-    from rfekit import NotFittedError
-
-    with pytest.raises(NotFittedError):
-        NgramTfidfVectorizer().transform([["a"]])
