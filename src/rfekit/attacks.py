@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
-from .vectorize import SparseVector, Vocabulary, cosine, fit_vocab, tfidf_vector
+from .vectorize import SparseVector, Vocabulary, fit_vocab, tfidf_vector
 
 DEFAULT_TAU = 0.6
 BANK_N_RANGE = (1, 2, 3)
@@ -48,12 +48,32 @@ class ExampleBank:
 
     ``attacks`` keeps declaration order (first appearance in the bank file);
     downstream template selection relies on that order being stable.
+
+    The bank side of every similarity is computed once, at construction:
+    ``norms[j]`` is ``vectors[j].norm()``, and ``postings`` maps a column
+    index to the ``(example_index, weight)`` pairs of the examples that use it.
     """
 
     attacks: tuple[AttackType, ...]
     examples: tuple[tuple[tuple[str, ...], str], ...]
     vocab: Vocabulary
     vectors: tuple[SparseVector, ...]
+    norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    postings: dict[int, tuple[tuple[int, float], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        norms = tuple(vec.norm() for vec in self.vectors)
+        postings: dict[int, list[tuple[int, float]]] = {}
+        for j, (vec, norm) in enumerate(zip(self.vectors, norms)):
+            if norm != 0.0:
+                for index, weight in vec.entries:
+                    postings.setdefault(index, []).append((j, weight))
+        object.__setattr__(self, "norms", norms)
+        object.__setattr__(
+            self, "postings", {i: tuple(p) for i, p in postings.items()}
+        )
 
     @property
     def attack_ids(self) -> tuple[str, ...]:
@@ -143,7 +163,10 @@ def load_bank(source, stopwords=None) -> ExampleBank:
 
 def _read_bank_records(source) -> list[tuple[str, str, str]]:
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text("utf-8").splitlines()
+        try:
+            lines = Path(source).read_text("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise BankFormatError(f"bank is not UTF-8 ({exc})") from None
     else:
         lines = [str(line) for line in source]
     records = []
@@ -152,7 +175,7 @@ def _read_bank_records(source) -> list[tuple[str, str, str]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise BankFormatError(f"bank line {lineno}: invalid JSON ({exc})") from None
         try:
             records.append(
@@ -170,14 +193,28 @@ def similarity_matrix(rfe_sentences, bank: ExampleBank) -> np.ndarray:
 
     RFE sentences are token lists, vectorized in the bank's fitted space;
     the result is shape (n_sentences, n_examples) with entries in [0, 1].
+
+    Every entry equals :func:`~rfekit.vectorize.cosine` of the pair bit for
+    bit: each sentence vector and its norm are built once, the bank side
+    comes precomputed, and each pair's dot product is the builtin ``sum`` of
+    the same products in the same ascending index order, then the same
+    divide and clamp. A different summation (BLAS, ``np.dot``) rounds
+    differently and can reorder exact 1.0 ties in the evidence.
     """
     matrix = np.zeros((len(rfe_sentences), len(bank.vectors)))
+    postings, example_norms = bank.postings, bank.norms
     for i, tokens in enumerate(rfe_sentences):
         vec = tfidf_vector(list(tokens), bank.vocab)
-        if vec.is_zero():
+        norm = vec.norm()
+        if norm == 0.0:
             continue
-        for j, example_vec in enumerate(bank.vectors):
-            matrix[i, j] = cosine(vec, example_vec)
+        products: dict[int, list[float]] = {}
+        for index, weight in vec.entries:
+            for j, example_weight in postings.get(index, ()):
+                products.setdefault(j, []).append(weight * example_weight)
+        row = matrix[i]
+        for j, terms in products.items():
+            row[j] = max(-1.0, min(1.0, sum(terms) / (norm * example_norms[j])))
     return matrix
 
 

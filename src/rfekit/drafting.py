@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .attacks import DEFAULT_TAU, AttackReport, ExampleBank, detect_rfe
 
@@ -107,8 +108,9 @@ class RfeFields:
         return out
 
 
-@dataclass(frozen=True)
-class BeneficiaryRecord:
+class BeneficiaryRecord(NamedTuple):
+    """One beneficiary: an immutable named tuple of the store's string fields."""
+
     case_number: str
     soc_code: str
     field_of_study: str
@@ -116,7 +118,7 @@ class BeneficiaryRecord:
     institution: str
 
     def as_values(self) -> dict[str, str]:
-        return {name: getattr(self, name) for name in BENEFICIARY_FIELD_NAMES}
+        return dict(zip(BENEFICIARY_FIELD_NAMES, self))
 
 
 @dataclass(frozen=True)
@@ -220,9 +222,18 @@ class BeneficiaryStore:
 
     @classmethod
     def load(cls, source) -> "BeneficiaryStore":
-        """Read JSON-lines records keyed by case_number."""
+        """Read JSON-lines records keyed by case_number.
+
+        Every line is decoded on its own, so an error names its line; a file
+        that is not UTF-8, a line that is not JSON (or nests or digits past
+        the decoder's limits) and a record without the five fields all raise
+        :class:`StoreFormatError`.
+        """
         if isinstance(source, (str, Path)):
-            lines = Path(source).read_text("utf-8").splitlines()
+            try:
+                lines = Path(source).read_text("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                raise StoreFormatError(f"store is not UTF-8 ({exc})") from None
         else:
             lines = [str(line) for line in source]
         records = []
@@ -232,11 +243,11 @@ class BeneficiaryStore:
             try:
                 obj = json.loads(line)
                 records.append(
-                    BeneficiaryRecord(
-                        **{k: str(obj[k]) for k in BENEFICIARY_FIELD_NAMES}
+                    BeneficiaryRecord._make(
+                        [str(obj[k]) for k in BENEFICIARY_FIELD_NAMES]
                     )
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, RecursionError, KeyError, TypeError) as exc:
                 raise StoreFormatError(f"store line {lineno}: {exc}") from None
         return cls(records)
 

@@ -295,20 +295,46 @@ class EnsembleDocumentClassifier(ParamsMixin):
 
     @classmethod
     def load(cls, bundle_dir) -> "EnsembleDocumentClassifier":
+        """Read a :meth:`save` bundle; a malformed or inconsistent one raises
+        ``ValueError`` naming the bundle.
+
+        The recorded ``vocab_sha256`` must match the loaded vocabulary and the
+        recorded ``stopwords_sha256`` the stopword list shipped with this
+        package.
+        """
         bundle_dir = Path(bundle_dir)
         manifest = json.loads((bundle_dir / "bundle.json").read_text("utf-8"))
-        if manifest.get("format") != BUNDLE_MAGIC:
+        if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_MAGIC:
             raise ValueError(f"{bundle_dir} is not a document-ensemble bundle")
         if manifest.get("version") != BUNDLE_VERSION:
             raise ValueError(f"unsupported bundle version {manifest.get('version')!r}")
+        for key in ("files", "classes"):
+            if key not in manifest:
+                raise ValueError(f"bundle {bundle_dir}: bundle.json has no {key!r}")
+        files = manifest["files"]
+        if not isinstance(files, dict) or set(_BUNDLE_FILES) - set(files):
+            raise ValueError(
+                f"bundle {bundle_dir}: 'files' must name {sorted(_BUNDLE_FILES)}"
+            )
+        if manifest.get("stopwords_sha256") != stopwords_sha256():
+            raise ValueError(
+                f"bundle {bundle_dir}: recorded stopwords_sha256 does not match "
+                f"the shipped stopword list"
+            )
         params = manifest.get("params", {})
         if "n_range" in params:
             params["n_range"] = tuple(params["n_range"])
         est = cls(**params)
-        files = manifest["files"]
         est.vocabulary_ = load_vocab((bundle_dir / files["vocabulary"]).read_bytes())
+        vocab_hash = vocab_sha256(est.vocabulary_)
+        if manifest.get("vocab_sha256") != vocab_hash:
+            raise ValueError(
+                f"bundle {bundle_dir}: recorded vocab_sha256 does not match "
+                f"{files['vocabulary']}"
+            )
         est.text_model_ = load_model(
-            (bundle_dir / files["text_model"]).read_bytes(), vocab=est.vocabulary_
+            (bundle_dir / files["text_model"]).read_bytes(),
+            expected_vocab_hash=vocab_hash,
         )
         est.image_model_ = load_model(
             (bundle_dir / files["image_model"]).read_bytes(),

@@ -12,7 +12,7 @@ import hashlib
 import re
 from importlib import resources
 
-_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
+_NOT_LOWER_OR_SPACE = re.compile(r"[^a-z\s]")
 _NEWLINE_RUN = re.compile(r"\n+")
 
 
@@ -24,9 +24,7 @@ def normalize(text: str) -> str:
     boundaries survive. Newlines pass through untouched; sentence splitting
     depends on them.
     """
-    return "".join(
-        c if c in _LOWER or c.isspace() else " " for c in text.lower()
-    )
+    return _NOT_LOWER_OR_SPACE.sub(" ", text.lower())
 
 
 def tokenize(text: str) -> list[str]:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,19 +42,27 @@ def ngrams(tokens: list[str], n_range) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Fitted n-gram space: dense column indices plus document frequencies."""
+    """Fitted n-gram space: dense column indices plus document frequencies.
+
+    ``idf_table[i]`` is the idf of column ``i``, computed once at construction
+    and kept as unboxed doubles (``array('d')``), so a lookup yields a plain
+    Python float.
+    """
 
     ngram_to_index: dict[str, int]
     doc_freq: tuple[int, ...]
     corpus_size: int
     n_range: tuple[int, ...]
+    idf_table: array = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.corpus_size
+        table = array("d", (math.log((1 + n) / (1 + df)) + 1.0 for df in self.doc_freq))
+        object.__setattr__(self, "idf_table", table)
 
     @property
     def size(self) -> int:
         return len(self.ngram_to_index)
-
-    def idf(self, index: int) -> float:
-        return math.log((1 + self.corpus_size) / (1 + self.doc_freq[index])) + 1.0
 
 
 def fit_vocab(corpus, n_range) -> Vocabulary:
@@ -109,7 +118,8 @@ def tfidf_vector(tokens: list[str], vocab: Vocabulary) -> SparseVector:
         index = vocab.ngram_to_index.get(gram)
         if index is not None:
             counts[index] = counts.get(index, 0) + 1
-    weighted = [(i, c * vocab.idf(i)) for i, c in sorted(counts.items())]
+    idf = vocab.idf_table
+    weighted = [(i, c * idf[i]) for i, c in sorted(counts.items())]
     norm = math.sqrt(sum(w * w for _, w in weighted))
     if norm == 0.0:
         return SparseVector(entries=(), dim=vocab.size)

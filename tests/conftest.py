@@ -1,0 +1,11 @@
+import pytest
+
+from rfekit.corpus import CorpusConfig, generate_corpus
+
+
+@pytest.fixture(scope="session")
+def rfe_corpus_42(tmp_path_factory):
+    """The seed-42 RFE corpus (49 RFEs, bank, store, templates) and its manifest."""
+    root = tmp_path_factory.mktemp("rfe-corpus-42")
+    manifest = generate_corpus(CorpusConfig(seed=42, docs_per_class=0, n_rfes=49), root)
+    return root, manifest

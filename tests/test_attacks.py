@@ -12,6 +12,7 @@ from rfekit.attacks import (
     similarity_matrix,
 )
 from rfekit.text import load_stopwords, split_sentences
+from rfekit.vectorize import cosine, tfidf_vector
 
 
 def bank_line(attack_id, sentence, description=None):
@@ -244,3 +245,68 @@ def test_detect_rfe_roundtrip():
     assert detect_rfe(text, bank, 0.6, stopwords) == report
     with pytest.raises(ValueError):
         detect_rfe(text, bank, tau=1.5)
+
+
+def cosine_reference(sentences, bank):
+    """``similarity_matrix`` by its definition: one ``cosine`` call per pair."""
+    ref = np.zeros((len(sentences), len(bank.vectors)))
+    for i, tokens in enumerate(sentences):
+        vec = tfidf_vector(list(tokens), bank.vocab)
+        for j, example in enumerate(bank.vectors):
+            ref[i, j] = cosine(vec, example)
+    return ref
+
+
+WORDS = (
+    "position specialty degree occupation employer beneficiary evidence "
+    "transcript wage level duties complex unique theoretical practical field "
+    "bachelor master equivalent experience itinerary client contract site"
+).split()
+
+
+def random_bank_case(rng):
+    """A random bank and RFE sentences: copies of bank sentences (exact 1.0
+    ties, also across duplicated examples), random word sentences, and
+    sentences of words outside the bank (all-zero vectors)."""
+    attacks = [f"attack-{k}" for k in range(rng.randint(1, 4))]
+    sentences = [
+        " ".join(rng.choices(WORDS, k=rng.randint(1, 10)))
+        for _ in range(rng.randint(len(attacks), 10))
+    ]
+    sentences += rng.choices(sentences, k=rng.randint(0, 3))
+    lines = [
+        bank_line(attacks[k] if k < len(attacks) else rng.choice(attacks), sentence)
+        for k, sentence in enumerate(sentences)
+    ]
+    bank = load_bank(lines)
+    rfe = [list(tokens) for tokens, _ in rng.choices(bank.examples, k=rng.randint(0, 4))]
+    rfe += [rng.choices(WORDS, k=rng.randint(1, 12)) for _ in range(rng.randint(0, 6))]
+    rfe += [["zebra", "quantum"][: rng.randint(1, 2)] for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rfe)
+    return bank, rfe
+
+
+def test_similarity_matrix_bit_identical_to_cosine_on_random_banks():
+    rng = random.Random(20260418)
+    ones = zero_rows = 0
+    for _ in range(240):
+        bank, rfe = random_bank_case(rng)
+        matrix = similarity_matrix(rfe, bank)
+        assert np.array_equal(matrix, cosine_reference(rfe, bank))
+        ones += int((matrix == 1.0).sum())
+        zero_rows += int((~matrix.any(axis=1)).sum()) if matrix.size else 0
+    assert ones > 100 and zero_rows > 100
+
+
+def test_similarity_matrix_bit_identical_to_cosine_on_seed42_rfes(rfe_corpus_42):
+    root, manifest = rfe_corpus_42
+    bank = load_bank(root / manifest["paths"]["bank"])
+    stopwords = load_stopwords()
+    ones = 0
+    for rec in manifest["rfes"]:
+        sentences = split_sentences((root / rec["file"]).read_text("utf-8"), stopwords)
+        matrix = similarity_matrix(sentences, bank)
+        assert np.array_equal(matrix, cosine_reference(sentences, bank)), rec["id"]
+        ones += int((matrix == 1.0).sum())
+    assert len(manifest["rfes"]) == 49 and ones > 0
+

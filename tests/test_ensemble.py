@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from rfekit.ensemble import (
     fuse,
 )
 from rfekit.image import PageImage, image_features
-from rfekit.vectorize import fit_vocab
+from rfekit.vectorize import fit_vocab, save_vocab
 
 
 def dist(*probs, classes=None):
@@ -270,3 +272,47 @@ def test_ensemble_classify_before_fit_raises():
         EnsembleDocumentClassifier().classify(
             Document(doc_id="x", pages=(), text="words")
         )
+
+
+@pytest.fixture()
+def saved_bundle(tmp_path):
+    docs, labels = make_training_docs()
+    EnsembleDocumentClassifier(n_range=(1, 2), max_iters=50).fit(docs, labels).save(
+        tmp_path / "bundle"
+    )
+    return tmp_path / "bundle"
+
+
+def _edit_manifest(bundle, edit):
+    path = bundle / "bundle.json"
+    manifest = json.loads(path.read_text("utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), "utf-8")
+
+
+@pytest.mark.parametrize("key", ["files", "classes"])
+def test_bundle_missing_key_names_bundle(saved_bundle, key):
+    _edit_manifest(saved_bundle, lambda m: m.pop(key))
+    with pytest.raises(ValueError, match=f"bundle {re.escape(str(saved_bundle))}.*{key}"):
+        EnsembleDocumentClassifier.load(saved_bundle)
+
+
+def test_bundle_files_missing_entry_names_bundle(saved_bundle):
+    _edit_manifest(saved_bundle, lambda m: m["files"].pop("text_model"))
+    with pytest.raises(ValueError, match=f"bundle {re.escape(str(saved_bundle))}.*files"):
+        EnsembleDocumentClassifier.load(saved_bundle)
+
+
+@pytest.mark.parametrize("key", ["vocab_sha256", "stopwords_sha256"])
+def test_bundle_hash_mismatch_rejected(saved_bundle, key):
+    _edit_manifest(saved_bundle, lambda m: m.__setitem__(key, "0" * 64))
+    with pytest.raises(ValueError, match=f"bundle {re.escape(str(saved_bundle))}: recorded {key}"):
+        EnsembleDocumentClassifier.load(saved_bundle)
+
+
+def test_bundle_swapped_vocab_rejected(saved_bundle):
+    """A vocabulary file replaced by another valid one no longer matches."""
+    other = fit_vocab([["some", "other", "words"]], (1, 2))
+    (saved_bundle / "vocab.txt").write_bytes(save_vocab(other))
+    with pytest.raises(ValueError, match="recorded vocab_sha256"):
+        EnsembleDocumentClassifier.load(saved_bundle)

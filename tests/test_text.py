@@ -16,6 +16,21 @@ def test_normalize_replaces_digits_and_punctuation():
     assert normalize("I-797 Approval!") == "i     approval "
 
 
+def normalize_per_character(text):
+    """The original character-by-character normalize, kept as the reference."""
+    lower = frozenset("abcdefghijklmnopqrstuvwxyz")
+    return "".join(c if c in lower or c.isspace() else " " for c in text.lower())
+
+
+def test_normalize_matches_per_character_reference_on_every_code_point():
+    # Lone surrogates included: they are valid in a str and must map to " ".
+    every = "".join(map(chr, range(0x110000)))
+    assert normalize(every) == normalize_per_character(every)
+    # Context-dependent lowercasing (a final sigma) and expanding ones.
+    for text in ("ΟΔΟΣ ΟΔΟΣ.", "İstanbul\u0130", "ẞtraße\tﬁ\r\n\x85\u2028x"):
+        assert normalize(text) == normalize_per_character(text)
+
+
 def test_normalize_empty():
     assert normalize("") == ""
 

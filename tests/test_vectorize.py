@@ -94,6 +94,16 @@ def test_fit_vocab_indices_lexicographic():
     ]
 
 
+def test_idf_table_is_the_smoothed_formula_as_plain_floats():
+    docs = [["a", "b", "b"], ["b", "c"], ["c", "d", "a"], ["e"]]
+    for vocab in (fit_vocab(docs, (1, 2)), load_vocab(save_vocab(fit_vocab(docs, (1, 2))))):
+        n = vocab.corpus_size
+        assert len(vocab.idf_table) == vocab.size
+        for i, df in enumerate(vocab.doc_freq):
+            assert type(vocab.idf_table[i]) is float
+            assert vocab.idf_table[i] == math.log((1 + n) / (1 + df)) + 1.0
+
+
 def test_tfidf_no_known_ngrams_gives_zero_vector():
     vocab = fit_vocab([["a", "b"]], {1})
     vec = tfidf_vector(["z", "q"], vocab)
