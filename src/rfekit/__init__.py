@@ -23,7 +23,6 @@ from .drafting import (
     assemble_response,
     draft_response,
     extract_fields,
-    fill_template,
     load_template_library,
     select_templates,
 )
@@ -41,7 +40,6 @@ from .evaluation import ConfusionCounts, Metrics, evaluate_attacks, evaluate_doc
 from .image import PageImage, decode_pgm, image_features
 from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
 from .vectorize import (
-    SparseVector,
     Vocabulary,
     cosine,
     fit_vocab,
@@ -71,7 +69,6 @@ __all__ = [
     "RfeFields",
     "SeededRng",
     "SoftmaxClassifier",
-    "SparseVector",
     "Template",
     "Vocabulary",
     "assemble_response",
@@ -87,7 +84,6 @@ __all__ = [
     "evaluate_attacks",
     "evaluate_documents",
     "extract_fields",
-    "fill_template",
     "fit_vocab",
     "fuse",
     "generate_corpus",

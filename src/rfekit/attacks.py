@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
-from .vectorize import SparseVector, Vocabulary, fit_vocab, tfidf_vector
+from .vectorize import Vocabulary, fit_vocab, norm, tfidf_vector
 
 DEFAULT_TAU = 0.6
 BANK_N_RANGE = (1, 2, 3)
@@ -44,36 +44,21 @@ class Evidence(NamedTuple):
 
 @dataclass(frozen=True)
 class ExampleBank:
-    """Fitted detection state: cleaned example sentences and their vectors.
+    """Fitted detection state: cleaned example sentences and the bank side of
+    every similarity, computed once by :func:`load_bank`.
 
     ``attacks`` keeps declaration order (first appearance in the bank file);
     downstream template selection relies on that order being stable.
-
-    The bank side of every similarity is computed once, at construction:
-    ``norms[j]`` is ``vectors[j].norm()``, and ``postings`` maps a column
-    index to the ``(example_index, weight)`` pairs of the examples that use it.
+    ``norms[j]`` is the norm of example ``j``'s TF-IDF vector, and
+    ``postings`` maps a column index to the ``(example_index, weight)`` pairs
+    of the examples that use it.
     """
 
     attacks: tuple[AttackType, ...]
     examples: tuple[tuple[tuple[str, ...], str], ...]
     vocab: Vocabulary
-    vectors: tuple[SparseVector, ...]
-    norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    postings: dict[int, tuple[tuple[int, float], ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        norms = tuple(vec.norm() for vec in self.vectors)
-        postings: dict[int, list[tuple[int, float]]] = {}
-        for j, (vec, norm) in enumerate(zip(self.vectors, norms)):
-            if norm != 0.0:
-                for index, weight in vec.entries:
-                    postings.setdefault(index, []).append((j, weight))
-        object.__setattr__(self, "norms", norms)
-        object.__setattr__(
-            self, "postings", {i: tuple(p) for i, p in postings.items()}
-        )
+    norms: tuple[float, ...]
+    postings: dict[int, list[tuple[int, float]]]
 
     @property
     def attack_ids(self) -> tuple[str, ...]:
@@ -152,12 +137,19 @@ def load_bank(source, stopwords=None) -> ExampleBank:
             f"attack types with no surviving example sentences: {orphaned}"
         )
     vocab = fit_vocab([list(tokens) for tokens, _ in examples], BANK_N_RANGE)
-    vectors = tuple(tfidf_vector(list(tokens), vocab) for tokens, _ in examples)
+    norms = []
+    postings: dict[int, list[tuple[int, float]]] = {}
+    for j, (tokens, _) in enumerate(examples):
+        vec = tfidf_vector(list(tokens), vocab)
+        norms.append(norm(vec))
+        for index, weight in vec:
+            postings.setdefault(index, []).append((j, weight))
     return ExampleBank(
         attacks=tuple(attacks),
         examples=tuple(examples),
         vocab=vocab,
-        vectors=vectors,
+        norms=tuple(norms),
+        postings=postings,
     )
 
 
@@ -201,20 +193,20 @@ def similarity_matrix(rfe_sentences, bank: ExampleBank) -> np.ndarray:
     divide and clamp. A different summation (BLAS, ``np.dot``) rounds
     differently and can reorder exact 1.0 ties in the evidence.
     """
-    matrix = np.zeros((len(rfe_sentences), len(bank.vectors)))
+    matrix = np.zeros((len(rfe_sentences), len(bank.examples)))
     postings, example_norms = bank.postings, bank.norms
     for i, tokens in enumerate(rfe_sentences):
         vec = tfidf_vector(list(tokens), bank.vocab)
-        norm = vec.norm()
-        if norm == 0.0:
+        vec_norm = norm(vec)
+        if vec_norm == 0.0:
             continue
         products: dict[int, list[float]] = {}
-        for index, weight in vec.entries:
+        for index, weight in vec:
             for j, example_weight in postings.get(index, ()):
                 products.setdefault(j, []).append(weight * example_weight)
         row = matrix[i]
         for j, terms in products.items():
-            row[j] = max(-1.0, min(1.0, sum(terms) / (norm * example_norms[j])))
+            row[j] = max(-1.0, min(1.0, sum(terms) / (vec_norm * example_norms[j])))
     return matrix
 
 
@@ -227,20 +219,15 @@ def detect_attacks(matrix: np.ndarray, bank: ExampleBank, tau: float = DEFAULT_T
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    matrix = np.asarray(matrix)
-    if matrix.size and matrix.shape[1] != len(bank.vectors):
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.size and matrix.shape[1] != len(bank.examples):
         raise ValueError(
             f"matrix has {matrix.shape[1]} columns but bank has "
-            f"{len(bank.vectors)} examples"
+            f"{len(bank.examples)} examples"
         )
-    hits = []
-    flagged: set[str] = set()
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            sim = float(matrix[i, j])
-            if sim > tau:
-                hits.append(Evidence(i, j, sim))
-                flagged.add(bank.attack_of(j))
+    rows, cols = np.nonzero(matrix > tau)
+    hits = list(map(Evidence, rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()))
+    flagged = {bank.attack_of(e.example_index) for e in hits}
     hits.sort(key=lambda e: (-e.similarity, e.sentence_index, e.example_index))
     detected = tuple(a for a in bank.attack_ids if a in flagged)
     return AttackReport(detected=detected, evidence=tuple(hits), threshold=tau)

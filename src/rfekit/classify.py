@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from ._base import ParamsMixin, check_is_fitted
-from .vectorize import SparseVector, Vocabulary, stack_dense, vocab_sha256
 
 MODEL_MAGIC = "softmax-linear"
 MODEL_VERSION = 1
@@ -60,10 +59,10 @@ def loss_and_gradient(
 class SoftmaxClassifier(ParamsMixin):
     """sklearn-style estimator: ``fit(X, y)``, ``predict_proba``, ``predict``.
 
-    X may be a dense 2-D array or a list of :class:`SparseVector`; y is a
-    sequence of class labels. Class order is frozen at fit time (pass
-    ``classes`` to pin it explicitly; defaults to sorted unique labels) and
-    argmax ties resolve to the earliest class in that order.
+    X is a 2-D numeric array (rows are samples); y is a sequence of class
+    labels. Class order is frozen at fit time (pass ``classes`` to pin it
+    explicitly; defaults to sorted unique labels) and argmax ties resolve to
+    the earliest class in that order.
     """
 
     def __init__(self, l2=1e-3, learning_rate=0.5, max_iters=2000, grad_tol=1e-6):
@@ -175,12 +174,10 @@ def _gradient_descent_gram(X, y_index, n_classes, l2, learning_rate, max_iters,
 
 
 def _as_design_input(X) -> np.ndarray:
-    if isinstance(X, np.ndarray):
-        return np.atleast_2d(X).astype(np.float64)
-    X = list(X)
-    if X and isinstance(X[0], SparseVector):
-        return stack_dense(X)
-    return np.atleast_2d(np.array(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D (samples x features), got shape {X.shape}")
+    return X
 
 
 def save_model(model: SoftmaxClassifier) -> bytes:
@@ -201,19 +198,15 @@ def save_model(model: SoftmaxClassifier) -> bytes:
     return json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
 
 
-def load_model(
-    data: bytes,
-    vocab: Vocabulary | None = None,
-    expected_vocab_hash: str | None = None,
-) -> SoftmaxClassifier:
+def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxClassifier:
     """Rebuild a fitted classifier; verifies format, checksum, and vocabulary.
 
-    Pass ``vocab`` (text head) or ``expected_vocab_hash`` (image head) to
-    reject a model that was trained against a different feature space.
+    Pass ``expected_vocab_hash`` (a ``vocab_sha256`` or the featurizer's hash)
+    to reject a model that was trained against a different feature space.
     """
     try:
         payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"unreadable model payload: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_MAGIC:
         raise ModelFormatError("not a softmax-linear model file")
@@ -223,8 +216,6 @@ def load_model(
     if recorded != _payload_digest({**payload, "sha256": ""}):
         raise ModelFormatError("model checksum mismatch (corrupt payload)")
     _check_header(payload)
-    if vocab is not None:
-        expected_vocab_hash = vocab_sha256(vocab)
     if expected_vocab_hash is not None and payload["vocab_hash"] != expected_vocab_hash:
         raise VocabMismatchError(
             "model was trained against a different vocabulary "

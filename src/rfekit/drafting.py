@@ -75,14 +75,6 @@ class TemplateSelectionError(ValueError):
     """A detected attack has no applicable template."""
 
 
-class MissingFieldError(ValueError):
-    """Strict fill hit placeholders with no value; ``missing`` lists them all."""
-
-    def __init__(self, missing):
-        self.missing = tuple(sorted(set(missing)))
-        super().__init__(f"missing placeholder values: {', '.join(self.missing)}")
-
-
 class DraftingError(RuntimeError):
     """The drafting pipeline cannot produce a draft (e.g. nothing detected)."""
 
@@ -141,26 +133,35 @@ def load_field_patterns(source=None) -> dict[str, re.Pattern]:
     Each pattern must contain exactly one capture group; matching is
     line-anchored (MULTILINE).
     """
-    if source is None:
-        raw = (
-            resources.files("rfekit.data")
-            .joinpath("field_patterns.json")
-            .read_text("utf-8")
-        )
-    elif isinstance(source, (str, Path)):
-        raw = Path(source).read_text("utf-8")
-    else:
-        raw = source.decode("utf-8") if isinstance(source, bytes) else str(source)
     try:
+        if source is None:
+            raw = (
+                resources.files("rfekit.data")
+                .joinpath("field_patterns.json")
+                .read_text("utf-8")
+            )
+        elif isinstance(source, (str, Path)):
+            raw = Path(source).read_text("utf-8")
+        else:
+            raw = source.decode("utf-8") if isinstance(source, bytes) else str(source)
         payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PatternFormatError(f"invalid pattern file: {exc}") from None
-    if payload.get("format") != "field-patterns" or payload.get("version") != 1:
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format") != "field-patterns"
+        or payload.get("version") != 1
+    ):
         raise PatternFormatError("not a version-1 field-patterns file")
+    entries = payload.get("patterns", {})
+    if not isinstance(entries, dict):
+        raise PatternFormatError("'patterns' must map field names to regexes")
     patterns = {}
-    for name, pattern in payload.get("patterns", {}).items():
+    for name, pattern in entries.items():
         if name not in RFE_FIELD_NAMES:
             raise PatternFormatError(f"unknown field {name!r} in pattern file")
+        if not isinstance(pattern, str):
+            raise PatternFormatError(f"field {name!r}: pattern is not a string")
         try:
             compiled = re.compile(pattern, re.MULTILINE)
         except re.error as exc:
@@ -270,13 +271,20 @@ def load_template_library(directory) -> tuple[Template, ...]:
         manifest = json.loads(manifest_path.read_text("utf-8"))
     except FileNotFoundError:
         raise TemplateFormatError(f"no templates.json in {directory}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TemplateFormatError(f"invalid templates.json: {exc}") from None
-    if manifest.get("format") != "template-library" or manifest.get("version") != 1:
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("format") != "template-library"
+        or manifest.get("version") != 1
+    ):
         raise TemplateFormatError("not a version-1 template-library manifest")
+    entries = manifest.get("templates", [])
+    if not isinstance(entries, list):
+        raise TemplateFormatError("'templates' must be a list")
     templates = []
     seen = set()
-    for entry in manifest.get("templates", []):
+    for entry in entries:
         try:
             template_id = entry["id"]
             attack_id = entry["attack_id"]
@@ -284,15 +292,22 @@ def load_template_library(directory) -> tuple[Template, ...]:
             body = (directory / entry["file"]).read_text("utf-8")
         except (KeyError, TypeError) as exc:
             raise TemplateFormatError(f"bad template entry {entry!r}: {exc}") from None
-        except FileNotFoundError as exc:
-            raise TemplateFormatError(str(exc)) from None
+        except (OSError, ValueError) as exc:
+            raise TemplateFormatError(f"template body {entry['file']!r}: {exc}") from None
+        if not isinstance(template_id, str) or not isinstance(attack_id, str):
+            raise TemplateFormatError(f"template entry {entry!r}: ids must be strings")
         if template_id in seen:
             raise TemplateFormatError(f"duplicate template id {template_id!r}")
         seen.add(template_id)
         if soc_codes == "*":
             selector = None
+        elif not isinstance(soc_codes, list):
+            raise TemplateFormatError(
+                f"template {template_id!r}: soc_codes must be a list or '*'"
+            )
         else:
-            bad = [c for c in soc_codes if not SOC_CODE_RE.match(c)]
+            bad = [c for c in soc_codes
+                   if not isinstance(c, str) or not SOC_CODE_RE.match(c)]
             if bad:
                 raise TemplateFormatError(
                     f"template {template_id!r}: bad soc codes {bad}"
@@ -336,17 +351,6 @@ def select_templates(
             )
         selected.extend(chosen)
     return selected
-
-
-def fill_template(template: Template, values) -> str:
-    """Replace every ``{{name}}`` in one pass; values are inserted literally.
-
-    Raises :class:`MissingFieldError` naming *all* unresolved placeholders.
-    """
-    text, missing = render_with_markers(template.body, values)
-    if missing:
-        raise MissingFieldError(missing)
-    return text
 
 
 def render_with_markers(body: str, values) -> tuple[str, tuple[str, ...]]:
@@ -445,7 +449,6 @@ def draft_response(
     tau: float = DEFAULT_TAU,
     patterns: dict[str, re.Pattern] | None = None,
     today: date | None = None,
-    stopwords=None,
 ) -> ResponseDraft:
     """End-to-end drafting: detect, extract, look up, select, fill, assemble.
 
@@ -454,7 +457,7 @@ def draft_response(
     unresolved names listed. Detecting no attacks at all is fatal; there is
     nothing to draft.
     """
-    report = detect_rfe(rfe_text, bank, tau, stopwords)
+    report = detect_rfe(rfe_text, bank, tau)
     if not report.detected:
         raise DraftingError("no attack types detected; nothing to draft")
 

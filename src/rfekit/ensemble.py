@@ -25,6 +25,7 @@ from .vectorize import (
     fit_vocab,
     load_vocab,
     save_vocab,
+    stack_dense,
     tfidf_vector,
     vocab_sha256,
 )
@@ -176,8 +177,8 @@ def classify_document(
     p_text = None
     tokens = document_tokens(doc.text)
     if tokens:
-        vec = tfidf_vector(tokens, vocab)
-        p_text = ClassDistribution(classes, text_model.predict_proba([vec])[0])
+        X = stack_dense([tfidf_vector(tokens, vocab)], vocab.size)
+        p_text = ClassDistribution(classes, text_model.predict_proba(X)[0])
 
     if p_image is not None and p_text is not None:
         return fuse(p_image, p_text)
@@ -229,13 +230,16 @@ class EnsembleDocumentClassifier(ParamsMixin):
 
         token_docs = [document_tokens(d.text) for d in docs]
         self.vocabulary_ = fit_vocab(token_docs, self.n_range)
-        text_vectors = [tfidf_vector(t, self.vocabulary_) for t in token_docs]
+        vocab_hash = vocab_sha256(self.vocabulary_)  # before densifying: lower peak RSS
         self.text_model_ = self._head().fit(
-            text_vectors,
+            stack_dense(
+                [tfidf_vector(t, self.vocabulary_) for t in token_docs],
+                self.vocabulary_.size,
+            ),
             labels,
             classes=self.classes_,
             feature_kind="sparse",
-            vocab_hash=vocab_sha256(self.vocabulary_),
+            vocab_hash=vocab_hash,
         )
 
         pages, page_labels = [], []

@@ -166,7 +166,6 @@ def evaluate_attacks(
     rfes,
     target_attack: str,
     tau: float = DEFAULT_TAU,
-    stopwords=None,
 ) -> tuple[ConfusionCounts, Metrics]:
     """Binary presence/absence confusion for one attack over (text, truth) pairs.
 
@@ -175,7 +174,7 @@ def evaluate_attacks(
     """
     if target_attack not in bank.attack_ids:
         raise ValueError(f"unknown attack id {target_attack!r}")
-    stopwords = load_stopwords() if stopwords is None else stopwords
+    stopwords = load_stopwords()
     tp = fp = fn = tn = 0
     for text, truth_attacks in rfes:
         flagged = target_attack in detect_rfe(text, bank, tau, stopwords).detected

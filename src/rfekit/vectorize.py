@@ -83,35 +83,17 @@ def fit_vocab(corpus, n_range) -> Vocabulary:
     )
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted (index, weight) entries over a fixed-dimension space.
-
-    Weights are strictly positive; the all-zero vector has no entries.
-    """
-
-    entries: tuple[tuple[int, float], ...]
-    dim: int
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for _, w in self.entries))
-
-    def dot(self, other: "SparseVector") -> float:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} != {other.dim}")
-        small, big = sorted((self, other), key=lambda v: len(v.entries))
-        lookup = dict(big.entries)
-        return sum(w * lookup[i] for i, w in small.entries if i in lookup)
+def norm(vec) -> float:
+    """Euclidean length of a sparse vector (a tuple of ``(index, weight)``)."""
+    return math.sqrt(sum(w * w for _, w in vec))
 
 
-def tfidf_vector(tokens: list[str], vocab: Vocabulary) -> SparseVector:
+def tfidf_vector(tokens: list[str], vocab: Vocabulary) -> tuple[tuple[int, float], ...]:
     """L2-normalized tf-idf vector of ``tokens`` in the fitted space.
 
-    N-grams unseen at fit time are ignored; if none are known the result is
-    the zero vector.
+    A vector is a tuple of ``(index, weight)`` pairs in ascending index order
+    with every weight > 0. N-grams unseen at fit time are ignored; if none are
+    known the result is the zero vector ``()``.
     """
     counts: dict[int, int] = {}
     for gram in ngrams(tokens, vocab.n_range):
@@ -120,27 +102,26 @@ def tfidf_vector(tokens: list[str], vocab: Vocabulary) -> SparseVector:
             counts[index] = counts.get(index, 0) + 1
     idf = vocab.idf_table
     weighted = [(i, c * idf[i]) for i, c in sorted(counts.items())]
-    norm = math.sqrt(sum(w * w for _, w in weighted))
-    if norm == 0.0:
-        return SparseVector(entries=(), dim=vocab.size)
-    return SparseVector(
-        entries=tuple((i, w / norm) for i, w in weighted), dim=vocab.size
-    )
+    length = norm(weighted)
+    if length == 0.0:
+        return ()
+    return tuple((i, w / length) for i, w in weighted)
 
 
-def cosine(u: SparseVector, v: SparseVector) -> float:
-    """``u.v / (|u||v|)``; zero when either vector is all-zero.
+def cosine(u, v) -> float:
+    """``u.v / (|u||v|)`` of two sparse vectors; zero when either is all-zero.
 
     Clamped into [-1, 1]: Cauchy-Schwarz guarantees the true value never
     exceeds 1, and round-off must not push an identical pair past a strict
     threshold comparison.
     """
-    if u.dim != v.dim:
-        raise ValueError(f"dimension mismatch: {u.dim} != {v.dim}")
-    nu, nv = u.norm(), v.norm()
+    nu, nv = norm(u), norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    return max(-1.0, min(1.0, u.dot(v) / (nu * nv)))
+    small, big = sorted((u, v), key=len)
+    lookup = dict(big)
+    dot = sum(w * lookup[i] for i, w in small if i in lookup)
+    return max(-1.0, min(1.0, dot / (nu * nv)))
 
 
 def save_vocab(vocab: Vocabulary) -> bytes:
@@ -165,7 +146,10 @@ def save_vocab(vocab: Vocabulary) -> bytes:
 
 def load_vocab(data: bytes) -> Vocabulary:
     """Parse :func:`save_vocab` output; raises VocabularyFormatError when malformed."""
-    lines = data.decode("utf-8").splitlines()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise VocabularyFormatError(f"vocabulary is not UTF-8 ({exc})") from None
     if len(lines) < 4:
         raise VocabularyFormatError("vocabulary file too short")
     magic = lines[0].split()
@@ -175,12 +159,14 @@ def load_vocab(data: bytes) -> Vocabulary:
         raise VocabularyFormatError(f"unsupported vocabulary version {magic[1]!r}")
     try:
         corpus_size = int(_header_value(lines[1], "corpus_size"))
-        n_range = tuple(
-            int(n) for n in _header_value(lines[2], "n_range").split(",") if n
-        )
+        n_range = tuple(int(n) for n in _header_value(lines[2], "n_range").split(","))
         size = int(_header_value(lines[3], "size"))
     except ValueError as exc:
         raise VocabularyFormatError(str(exc)) from None
+    if corpus_size < 1:
+        raise VocabularyFormatError("corpus_size must be >= 1")
+    if min(n_range) < 1:
+        raise VocabularyFormatError(f"n-gram sizes must be >= 1, got {n_range}")
     rows = lines[4:]
     if len(rows) != size:
         raise VocabularyFormatError(f"expected {size} rows, found {len(rows)}")
@@ -194,13 +180,14 @@ def load_vocab(data: bytes) -> Vocabulary:
             index, freq, gram = int(parts[0]), int(parts[1]), parts[2]
         except ValueError:
             raise VocabularyFormatError(f"bad row {row!r}") from None
-        if index != expected or freq < 1 or gram in ngram_to_index:
+        if index != expected or not 1 <= freq <= corpus_size or gram in ngram_to_index:
             raise VocabularyFormatError(f"inconsistent row {row!r}")
         ngram_to_index[gram] = index
         doc_freq.append(freq)
-    if corpus_size < 1:
-        raise VocabularyFormatError("corpus_size must be >= 1")
-    return Vocabulary(ngram_to_index, tuple(doc_freq), corpus_size, n_range)
+    try:
+        return Vocabulary(ngram_to_index, tuple(doc_freq), corpus_size, n_range)
+    except OverflowError:
+        raise VocabularyFormatError(f"corpus_size {corpus_size} is too large") from None
 
 
 def vocab_sha256(vocab: Vocabulary) -> str:
@@ -215,15 +202,10 @@ def _header_value(line: str, key: str) -> str:
     return line[len(prefix) :]
 
 
-def stack_dense(vectors: list[SparseVector]) -> np.ndarray:
-    """Stack sparse vectors into a (n, dim) dense array for the linear head."""
-    if not vectors:
-        raise ValueError("no vectors to stack")
-    dims = {v.dim for v in vectors}
-    if len(dims) != 1:
-        raise ValueError(f"mixed dimensions {sorted(dims)}")
-    out = np.zeros((len(vectors), dims.pop()))
+def stack_dense(vectors, dim: int) -> np.ndarray:
+    """Stack sparse vectors into a (len(vectors), dim) array for the linear head."""
+    out = np.zeros((len(vectors), dim))
     for row, vec in enumerate(vectors):
-        for i, w in vec.entries:
+        for i, w in vec:
             out[row, i] = w
     return out

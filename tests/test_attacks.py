@@ -6,6 +6,7 @@ import pytest
 
 from rfekit.attacks import (
     BankFormatError,
+    Evidence,
     detect_attacks,
     detect_rfe,
     load_bank,
@@ -45,7 +46,7 @@ def exhaustive_oracle(matrix, bank, tau):
 
 def test_load_bank_counts():
     bank = load_bank(SMALL_BANK)
-    assert len(bank.vectors) == 4
+    assert len(bank.examples) == len(bank.norms) == 4
     assert bank.attack_ids == ("specialty-occupation", "qualification")
     assert bank.vocab.n_range == (1, 2, 3)
 
@@ -59,7 +60,7 @@ def test_load_bank_drops_empty_sentence_with_warning():
     lines = SMALL_BANK + [bank_line("qualification", "the 123 !!")]
     with pytest.warns(UserWarning, match="zero tokens"):
         bank = load_bank(lines)
-    assert len(bank.vectors) == 4
+    assert len(bank.examples) == 4
 
 
 def test_load_bank_attack_with_no_survivors():
@@ -200,12 +201,12 @@ def test_adding_examples_fixed_vocab_never_removes_detection():
     extra = np.hstack([matrix, np.zeros((1, 1))])
 
     class FixedBank:
-        vectors = tuple(bank.vectors) + (bank.vectors[0],)
+        examples = bank.examples + (bank.examples[0],)
         attack_ids = bank.attack_ids
 
         @staticmethod
         def attack_of(j):
-            if j < len(bank.vectors):
+            if j < len(bank.examples):
                 return bank.attack_of(j)
             return "qualification"
 
@@ -229,6 +230,36 @@ def test_matches_exhaustive_oracle_randomized():
             assert matrix[e.sentence_index, e.example_index] > tau
 
 
+def evidence_loop_reference(matrix, tau):
+    """The evidence list as the per-element double loop built it."""
+    hits = []
+    for i in range(matrix.shape[0]):
+        for j in range(matrix.shape[1]):
+            sim = float(matrix[i, j])
+            if sim > tau:
+                hits.append(Evidence(i, j, sim))
+    hits.sort(key=lambda e: (-e.similarity, e.sentence_index, e.example_index))
+    return tuple(hits)
+
+
+def test_evidence_equals_double_loop_on_random_matrices():
+    bank = load_bank(SMALL_BANK)
+    rng = random.Random(9090)
+    for _ in range(300):
+        tau = rng.choice([0.0, 0.25, 0.6, 1.0, rng.random()])
+        levels = [0.0, tau, 1.0, rng.random(), rng.random()]
+        n = rng.randint(0, 8)
+        matrix = np.array(
+            [[rng.choice(levels) for _ in range(4)] for _ in range(n)]
+        ).reshape(n, 4)
+        report = detect_attacks(matrix, bank, tau)
+        expected = evidence_loop_reference(matrix, tau)
+        assert report.evidence == expected
+        assert all(type(e.similarity) is float and type(e.sentence_index) is int
+                   and type(e.example_index) is int for e in report.evidence)
+        assert set(report.detected) == {bank.attack_of(e.example_index) for e in expected}
+
+
 def test_detect_rfe_roundtrip():
     bank = load_bank(SMALL_BANK)
     text = (
@@ -248,11 +279,13 @@ def test_detect_rfe_roundtrip():
 
 
 def cosine_reference(sentences, bank):
-    """``similarity_matrix`` by its definition: one ``cosine`` call per pair."""
-    ref = np.zeros((len(sentences), len(bank.vectors)))
+    """``similarity_matrix`` by its definition: one ``cosine`` call per pair,
+    each example vector rebuilt from its tokens as ``load_bank`` builds it."""
+    examples = [tfidf_vector(list(tokens), bank.vocab) for tokens, _ in bank.examples]
+    ref = np.zeros((len(sentences), len(examples)))
     for i, tokens in enumerate(sentences):
         vec = tfidf_vector(list(tokens), bank.vocab)
-        for j, example in enumerate(bank.vectors):
+        for j, example in enumerate(examples):
             ref[i, j] = cosine(vec, example)
     return ref
 

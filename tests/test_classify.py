@@ -15,7 +15,7 @@ from rfekit.classify import (
     save_model,
     softmax,
 )
-from rfekit.vectorize import fit_vocab, stack_dense, tfidf_vector
+from rfekit.vectorize import fit_vocab, stack_dense, tfidf_vector, vocab_sha256
 
 
 def finite_difference_gradient(weights, X, y_index, l2, h=1e-5):
@@ -175,12 +175,29 @@ def test_predict_dimension_mismatch():
 
 def test_fit_accepts_sparse_vectors():
     vocab = fit_vocab([["spam", "spam"], ["ham", "eggs"]], {1})
-    vectors = [
-        tfidf_vector(["spam", "spam"], vocab),
-        tfidf_vector(["ham", "eggs"], vocab),
-    ]
-    clf = SoftmaxClassifier().fit(vectors, ["s", "h"])
-    assert clf.predict(vectors) == ["s", "h"]
+    X = stack_dense(
+        [tfidf_vector(["spam", "spam"], vocab), tfidf_vector(["ham", "eggs"], vocab)],
+        vocab.size,
+    )
+    clf = SoftmaxClassifier().fit(X, ["s", "h"])
+    assert clf.predict(X) == ["s", "h"]
+
+
+@pytest.mark.parametrize(
+    "X, shape",
+    [
+        ([((0, 1.0),), ((1, 0.5),)], r"\(2, 1, 2\)"),
+        (np.zeros((2, 3, 2)), r"\(2, 3, 2\)"),
+        (np.zeros(2), r"\(2,\)"),
+    ],
+    ids=["pair-tuples", "3-d", "1-d"],
+)
+def test_fit_and_predict_reject_non_2d_input(X, shape):
+    with pytest.raises(ValueError, match=shape):
+        SoftmaxClassifier(max_iters=1).fit(X, ["a", "b"])
+    clf = SoftmaxClassifier(max_iters=1).fit(np.eye(2), ["a", "b"])
+    with pytest.raises(ValueError, match=shape):
+        clf.predict_proba(X)
 
 
 def test_model_roundtrip_bit_identical():
@@ -211,16 +228,15 @@ def test_model_corruption_rejected():
 def test_model_vocab_hash_mismatch():
     vocab_a = fit_vocab([["x", "y"]], {1})
     vocab_b = fit_vocab([["x", "z"]], {1})
-    vectors = [tfidf_vector(["x"], vocab_a), tfidf_vector(["y"], vocab_a)]
-    from rfekit.vectorize import vocab_sha256
-
+    X = stack_dense([tfidf_vector(["x"], vocab_a), tfidf_vector(["y"], vocab_a)],
+                    vocab_a.size)
     clf = SoftmaxClassifier(max_iters=1).fit(
-        vectors, ["a", "b"], feature_kind="sparse", vocab_hash=vocab_sha256(vocab_a)
+        X, ["a", "b"], feature_kind="sparse", vocab_hash=vocab_sha256(vocab_a)
     )
     data = save_model(clf)
-    assert load_model(data, vocab=vocab_a).classes_ == ("a", "b")
+    assert load_model(data, expected_vocab_hash=vocab_sha256(vocab_a)).classes_ == ("a", "b")
     with pytest.raises(VocabMismatchError):
-        load_model(data, vocab=vocab_b)
+        load_model(data, expected_vocab_hash=vocab_sha256(vocab_b))
 
 
 def test_estimator_params_api():
@@ -238,8 +254,8 @@ def _tfidf_with_zero_row():
     vocab = fit_vocab(docs, {1})
     vectors = [tfidf_vector(tokens, vocab) for tokens in docs]
     vectors.append(tfidf_vector(["unseen"], vocab))
-    assert vectors[-1].is_zero()
-    return vectors, ["a", "b", "a", "c", "b"]
+    assert vectors[-1] == ()
+    return stack_dense(vectors, vocab.size), ["a", "b", "a", "c", "b"]
 
 
 def _dense_case(n, d, n_classes, seed):
@@ -261,15 +277,14 @@ def _dense_case(n, d, n_classes, seed):
 def test_gram_fit_matches_primal_gradient_descent(data, l2):
     X, y = data
     clf = SoftmaxClassifier(l2=l2, max_iters=300).fit(X, y)
-    dense = X if isinstance(X, np.ndarray) else stack_dense(X)
     index = {c: i for i, c in enumerate(clf.classes_)}
     weights, n_iter, converged = reference_gradient_descent(
-        dense, np.array([index[lab] for lab in y]), len(clf.classes_), l2,
+        X, np.array([index[lab] for lab in y]), len(clf.classes_), l2,
         clf.learning_rate, clf.max_iters, clf.grad_tol,
     )
     assert np.abs(clf.weights_ - weights).max() <= 1e-10
     assert (clf.n_iter_, clf.converged_) == (n_iter, converged)
-    scores = dense @ weights[:, :-1].T + weights[:, -1]
+    scores = X @ weights[:, :-1].T + weights[:, -1]
     assert clf.predict(X) == [clf.classes_[i] for i in scores.argmax(axis=1)]
 
 

@@ -8,14 +8,13 @@ from rfekit.drafting import (
     BeneficiaryNotFoundError,
     BeneficiaryRecord,
     BeneficiaryStore,
-    MissingFieldError,
+    PatternFormatError,
     StoreFormatError,
     Template,
     TemplateFormatError,
     TemplateSelectionError,
     assemble_response,
     extract_fields,
-    fill_template,
     load_field_patterns,
     load_template_library,
     parse_date,
@@ -99,6 +98,26 @@ def test_load_patterns_rejects_multi_group():
         load_field_patterns(bad.encode())
 
 
+def pattern_file(patterns):
+    return json.dumps({"format": "field-patterns", "version": 1, "patterns": patterns})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"[]",
+        pattern_file([]).encode(),
+        pattern_file({"case_number": 5}).encode(),
+        b"\xff" + pattern_file({}).encode(),
+        b"[" * 100_000,
+    ],
+    ids=["top-level-list", "patterns-list", "non-string-pattern", "not-utf-8", "deep-nesting"],
+)
+def test_load_patterns_raises_pattern_format_error(data):
+    with pytest.raises(PatternFormatError):
+        load_field_patterns(data)
+
+
 def test_store_lookup_known_and_unknown():
     store = BeneficiaryStore([record()])
     assert store.lookup("ABC-21-900-11111").soc_code == "15-1211"
@@ -172,28 +191,25 @@ def test_select_keeps_detection_order():
     assert [t.template_id for t in chosen] == ["so/15-1211", "bq/any"]
 
 
-def test_fill_template_basic():
-    t = Template("t", "a", None, "Dear {{attorney_name}},")
-    assert fill_template(t, {"attorney_name": "J. Doe"}) == "Dear J. Doe,"
-
-
-def test_fill_template_missing_lists_all_names():
-    t = Template("t", "a", None, "{{soc_code}} and {{degree}} and {{soc_code}}")
-    with pytest.raises(MissingFieldError) as exc:
-        fill_template(t, {})
-    assert exc.value.missing == ("degree", "soc_code")
+def test_render_fills_placeholder_values():
+    text, missing = render_with_markers("Dear {{attorney_name}},", {"attorney_name": "J. Doe"})
+    assert (text, missing) == ("Dear J. Doe,", ())
 
 
 def test_fill_is_single_pass():
-    t = Template("t", "a", None, "value: {{employee_name}}")
-    out = fill_template(t, {"employee_name": "{{soc_code}}"})
-    assert out == "value: {{soc_code}}"  # inserted literally, never re-expanded
+    text, missing = render_with_markers(
+        "value: {{employee_name}}", {"employee_name": "{{soc_code}}"}
+    )
+    assert text == "value: {{soc_code}}"  # inserted literally, never re-expanded
+    assert missing == ()
 
 
 def test_render_with_markers():
     text, missing = render_with_markers("{{degree}} from {{institution}}", {})
     assert text == "[MISSING degree] from [MISSING institution]"
     assert missing == ("degree", "institution")
+    _, missing = render_with_markers("{{soc_code}} and {{degree}} and {{soc_code}}", {})
+    assert missing == ("degree", "soc_code")
 
 
 def test_template_library_roundtrip(tmp_path):
@@ -215,6 +231,40 @@ def test_template_library_roundtrip(tmp_path):
     lib = load_template_library(lib_dir)
     assert lib[0].soc_codes is None
     assert lib[0].body == "Body {{employee_name}}"
+
+
+def write_library(lib_dir, manifest, body=b"Body {{employee_name}}"):
+    lib_dir.mkdir()
+    (lib_dir / "a.txt").write_bytes(body)
+    data = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+    (lib_dir / "templates.json").write_bytes(data)
+
+
+def library_manifest(**entry):
+    entry = {"id": "a", "attack_id": "x", "soc_codes": "*", "file": "a.txt", **entry}
+    return {"format": "template-library", "version": 1, "templates": [entry]}
+
+
+@pytest.mark.parametrize(
+    "manifest, body",
+    [
+        ([], b"Body"),
+        ({"format": "template-library", "version": 1, "templates": 5}, b"Body"),
+        (library_manifest(soc_codes=5), b"Body"),
+        (library_manifest(soc_codes=[15]), b"Body"),
+        (library_manifest(id=["a"]), b"Body"),
+        (library_manifest(file="."), b"Body"),
+        (library_manifest(file="a\u0000.txt"), b"Body"),
+        (b"\xff" + json.dumps(library_manifest()).encode(), b"Body"),
+        (library_manifest(), b"Body \xff"),
+    ],
+    ids=["top-level-list", "templates-int", "soc-codes-int", "soc-code-int", "id-list",
+         "file-is-dir", "file-nul", "manifest-not-utf-8", "body-not-utf-8"],
+)
+def test_template_library_raises_template_format_error(tmp_path, manifest, body):
+    write_library(tmp_path / "templates", manifest, body)
+    with pytest.raises(TemplateFormatError):
+        load_template_library(tmp_path / "templates")
 
 
 def test_template_library_rejects_unknown_placeholder(tmp_path):

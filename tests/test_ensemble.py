@@ -169,10 +169,13 @@ def tiny_heads():
         ["light", "light", "dark", "dark"],
     )
     vocab = fit_vocab([["bright", "page"], ["dim", "page"]], {1})
-    from rfekit.vectorize import tfidf_vector
+    from rfekit.vectorize import stack_dense, tfidf_vector
 
     text_model = SoftmaxClassifier(max_iters=300).fit(
-        [tfidf_vector(["bright", "page"], vocab), tfidf_vector(["dim", "page"], vocab)],
+        stack_dense(
+            [tfidf_vector(["bright", "page"], vocab), tfidf_vector(["dim", "page"], vocab)],
+            vocab.size,
+        ),
         ["light", "dark"],
     )
     return image_model, text_model, vocab

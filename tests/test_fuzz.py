@@ -1,4 +1,4 @@
-"""Seeded mutation fuzz of the line-based loaders over the seed-42 corpus files.
+"""Seeded mutation fuzz of the file loaders over seed-42 artifacts.
 
 Each mutant is a valid file with one to three byte-level edits. Only the
 format's own error may escape a loader; the beneficiary store must also give
@@ -13,12 +13,21 @@ from dataclasses import dataclass
 import pytest
 
 from rfekit.attacks import BankFormatError, ExampleBank, load_bank
+from rfekit.classify import ModelFormatError, SoftmaxClassifier, load_model
+from rfekit.corpus import CorpusConfig, generate_corpus, load_document
 from rfekit.drafting import (
     BENEFICIARY_FIELD_NAMES,
     BeneficiaryRecord,
     BeneficiaryStore,
+    PatternFormatError,
     StoreFormatError,
+    TemplateFormatError,
+    load_field_patterns,
+    load_template_library,
 )
+from rfekit.ensemble import EnsembleDocumentClassifier
+from rfekit.image import PageImage, PgmError, decode_pgm
+from rfekit.vectorize import Vocabulary, VocabularyFormatError, load_vocab
 
 MUTANTS = 400
 FRAGMENTS = [
@@ -124,9 +133,90 @@ def test_bank_load_mutants_raise_only_bank_format_error(rfe_corpus_42, tmp_path)
             except BankFormatError:
                 outcomes.add("error")
                 continue
-        assert isinstance(bank, ExampleBank) and bank.vectors
+        assert isinstance(bank, ExampleBank) and bank.examples
         outcomes.add("ok")
     assert outcomes == {"ok", "error"}
+
+
+@pytest.fixture(scope="module")
+def doc_artifacts_42(tmp_path_factory):
+    """A seed-42 PGM page, and the vocabulary and text model of a bundle
+    trained on the seed-42 documents."""
+    root = tmp_path_factory.mktemp("doc-corpus-42")
+    manifest = generate_corpus(CorpusConfig(seed=42, docs_per_class=1, n_rfes=0), root)
+    records = manifest["documents"]
+    docs = [load_document(root, rec) for rec in records]
+    bundle = root / "bundle"
+    EnsembleDocumentClassifier(max_iters=20).fit(
+        docs, [rec["label"] for rec in records]
+    ).save(bundle)
+    return {
+        "page": (root / records[0]["dir"] / records[0]["pages"][0]).read_bytes(),
+        "vocab": (bundle / "vocab.txt").read_bytes(),
+        "model": (bundle / "text-model.json").read_bytes(),
+    }
+
+
+def fuzz_outcomes(load, original, error, seed):
+    """Load MUTANTS mutants of ``original``; any exception but ``error`` fails.
+
+    Warnings are ignored: a mutated regex makes ``re.compile`` warn.
+    """
+    rng = random.Random(seed)
+    outcomes = []
+    for _ in range(MUTANTS):
+        data = mutate(original, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                outcomes.append(load(data))
+            except error:
+                outcomes.append(error)
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "artifact, load, error, kind",
+    [
+        ("page", decode_pgm, PgmError, PageImage),
+        ("vocab", load_vocab, VocabularyFormatError, Vocabulary),
+        ("model", load_model, ModelFormatError, SoftmaxClassifier),
+    ],
+)
+def test_document_artifact_mutants_raise_only_format_error(
+    doc_artifacts_42, artifact, load, error, kind
+):
+    outcomes = fuzz_outcomes(load, doc_artifacts_42[artifact], error, seed=len(artifact))
+    assert error in outcomes
+    assert any(isinstance(o, kind) for o in outcomes)
+    assert all(o is error or isinstance(o, kind) for o in outcomes)
+
+
+def test_pattern_mutants_raise_only_pattern_format_error(rfe_corpus_42):
+    root, manifest = rfe_corpus_42
+    original = (root / manifest["paths"]["patterns"]).read_bytes()
+    outcomes = fuzz_outcomes(load_field_patterns, original, PatternFormatError, seed=7)
+    assert PatternFormatError in outcomes
+    assert any(isinstance(o, dict) for o in outcomes)
+
+
+def test_template_manifest_mutants_raise_only_template_format_error(
+    rfe_corpus_42, tmp_path
+):
+    root, manifest = rfe_corpus_42
+    library = tmp_path / "templates"
+    library.mkdir()
+    for body in (root / manifest["paths"]["templates"]).iterdir():
+        (library / body.name).write_bytes(body.read_bytes())
+    original = (library / "templates.json").read_bytes()
+
+    def load(data):
+        (library / "templates.json").write_bytes(data)
+        return load_template_library(library)
+
+    outcomes = fuzz_outcomes(load, original, TemplateFormatError, seed=11)
+    assert TemplateFormatError in outcomes
+    assert any(isinstance(o, tuple) and o for o in outcomes)
 
 
 def test_store_records_are_immutable_named_tuples(rfe_corpus_42):
@@ -150,3 +240,5 @@ def test_decoder_limits_raise_format_errors(line):
         BeneficiaryStore.load(["", line])
     with pytest.raises(BankFormatError, match="bank line 1"):
         load_bank([line])
+    with pytest.raises(ModelFormatError, match="unreadable"):
+        load_model(line.encode())

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from rfekit.vectorize import (
-    SparseVector,
     VocabularyFormatError,
     cosine,
     fit_vocab,
     load_vocab,
     ngrams,
+    norm,
     save_vocab,
     stack_dense,
     tfidf_vector,
@@ -106,16 +106,14 @@ def test_idf_table_is_the_smoothed_formula_as_plain_floats():
 
 def test_tfidf_no_known_ngrams_gives_zero_vector():
     vocab = fit_vocab([["a", "b"]], {1})
-    vec = tfidf_vector(["z", "q"], vocab)
-    assert vec.is_zero()
-    assert vec.dim == vocab.size
+    assert tfidf_vector(["z", "q"], vocab) == ()
 
 
 def test_tfidf_single_known_ngram_is_unit():
     vocab = fit_vocab([["a", "b"], ["a", "c"]], {1})
     vec = tfidf_vector(["b", "b", "b"], vocab)
-    assert len(vec.entries) == 1
-    assert vec.entries[0][1] == pytest.approx(1.0, abs=1e-12)
+    assert len(vec) == 1
+    assert vec[0][1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tfidf_derived_example():
@@ -123,7 +121,7 @@ def test_tfidf_derived_example():
     # norm=2.9835095 -> (0.3352, 0.9421)
     vocab = fit_vocab([["a", "b"], ["a", "c"]], {1})
     vec = tfidf_vector(["a", "b", "b"], vocab)
-    weights = dict(vec.entries)
+    weights = dict(vec)
     assert weights[vocab.ngram_to_index["a"]] == pytest.approx(0.3352, abs=1e-4)
     assert weights[vocab.ngram_to_index["b"]] == pytest.approx(0.9421, abs=1e-4)
 
@@ -138,9 +136,12 @@ def test_tfidf_l2_norm_is_one_or_zero():
         ]
         doc = [rng.choice(alphabet + "xyz") for _ in range(rng.randint(0, 6))]
         vec = tfidf_vector(doc, fit_vocab(corpus, {1, 2}))
-        if vec.is_zero():
+        if vec == ():
             continue
-        assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+        assert norm(vec) == pytest.approx(1.0, abs=1e-9)
+        indices = [i for i, _ in vec]
+        assert indices == sorted(set(indices))
+        assert all(type(w) is float and w > 0.0 for _, w in vec)
 
 
 def test_tfidf_and_cosine_match_dense_reference():
@@ -159,7 +160,7 @@ def test_tfidf_and_cosine_match_dense_reference():
         vec_b = tfidf_vector(doc_b, vocab)
         ref_a = dense_tfidf_reference(corpus, doc_a, n_range)
         ref_b = dense_tfidf_reference(corpus, doc_b, n_range)
-        assert stack_dense([vec_a])[0] == pytest.approx(ref_a, abs=1e-9)
+        assert stack_dense([vec_a], vocab.size)[0] == pytest.approx(ref_a, abs=1e-9)
         dense_dot = sum(x * y for x, y in zip(ref_a, ref_b))
         na = math.sqrt(sum(x * x for x in ref_a))
         nb = math.sqrt(sum(x * x for x in ref_b))
@@ -174,29 +175,19 @@ def test_cosine_self_is_one():
 
 
 def test_cosine_disjoint_supports():
-    u = SparseVector(entries=((0, 1.0),), dim=3)
-    v = SparseVector(entries=((2, 1.0),), dim=3)
-    assert cosine(u, v) == 0.0
+    assert cosine(((0, 1.0),), ((2, 1.0),)) == 0.0
 
 
 def test_cosine_zero_vector_convention():
-    zero = SparseVector(entries=(), dim=3)
-    v = SparseVector(entries=((1, 1.0),), dim=3)
-    assert cosine(zero, v) == 0.0
-    assert cosine(zero, zero) == 0.0
-
-
-def test_cosine_dimension_mismatch():
-    u = SparseVector(entries=((0, 1.0),), dim=2)
-    v = SparseVector(entries=((0, 1.0),), dim=3)
-    with pytest.raises(ValueError):
-        cosine(u, v)
+    v = ((1, 1.0),)
+    assert cosine((), v) == 0.0
+    assert cosine((), ()) == 0.0
 
 
 def test_cosine_scale_invariant_and_symmetric():
-    u = SparseVector(entries=((0, 0.5), (3, 1.5)), dim=5)
-    v = SparseVector(entries=((0, 2.0), (2, 1.0)), dim=5)
-    scaled = SparseVector(entries=tuple((i, 7.3 * w) for i, w in u.entries), dim=5)
+    u = ((0, 0.5), (3, 1.5))
+    v = ((0, 2.0), (2, 1.0))
+    scaled = tuple((i, 7.3 * w) for i, w in u)
     assert cosine(u, v) == pytest.approx(cosine(v, u), abs=1e-12)
     assert cosine(scaled, v) == pytest.approx(cosine(u, v), abs=1e-12)
 
@@ -225,3 +216,24 @@ def test_vocab_row_count_mismatch():
     with pytest.raises(VocabularyFormatError):
         load_vocab(truncated)
 
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"ngram-vocab 1", b"ngram-vocab 1\xff"),
+        (b"n_range=1,2", b"n_range=0"),
+        (b"n_range=1,2", b"n_range="),
+        (b"n_range=1,2", b"n_range=1,,2"),
+        (b"n_range=1,2", b"n_range=-1,2"),
+        (b"corpus_size=1", b"corpus_size=1" + b"0" * 400),
+        (b"0\t1\ta", b"0\t2\ta"),
+    ],
+    ids=["not-utf-8", "zero", "empty", "empty-item", "negative", "idf-overflow",
+         "doc-freq-above-corpus-size"],
+)
+def test_vocab_malformed_raises_format_error(old, new):
+    data = save_vocab(fit_vocab([["a", "b"]], {1, 2}))
+    assert old in data
+    with pytest.raises(VocabularyFormatError):
+        load_vocab(data.replace(old, new))
