@@ -1,4 +1,4 @@
-"""Multinomial logistic regression trained by full-batch gradient descent.
+"""Multinomial logistic regression trained by truncated Newton (Newton-CG).
 
 One implementation serves both heads of the document ensemble: the image head
 (dense grid features) and the text head (TF-IDF vectors). Training is
@@ -65,9 +65,8 @@ class SoftmaxClassifier(ParamsMixin):
     the earliest class in that order.
     """
 
-    def __init__(self, l2=1e-3, learning_rate=0.5, max_iters=2000, grad_tol=1e-6):
+    def __init__(self, l2=1e-3, max_iters=2000, grad_tol=1e-6):
         self.l2 = l2
-        self.learning_rate = learning_rate
         self.max_iters = max_iters
         self.grad_tol = grad_tol
 
@@ -98,9 +97,8 @@ class SoftmaxClassifier(ParamsMixin):
             raise ValueError(f"classes with zero training examples: {empty}")
         y_index = np.array([index[lab] for lab in labels])
 
-        coef, bias, self.n_iter_, self.converged_ = _gradient_descent_gram(
-            X, y_index, len(self.classes_), self.l2, self.learning_rate,
-            self.max_iters, self.grad_tol,
+        coef, bias, self.n_iter_, self.converged_, self.grad_max_ = _newton_cg_gram(
+            X, y_index, len(self.classes_), self.l2, self.max_iters, self.grad_tol,
         )
         self.weights_ = np.hstack([coef @ X, bias[:, None]])
         self.n_features_ = X.shape[1]
@@ -125,52 +123,132 @@ class SoftmaxClassifier(ParamsMixin):
         return [self.classes_[i] for i in probs.argmax(axis=1)]
 
 
-def _gradient_descent_gram(X, y_index, n_classes, l2, learning_rate, max_iters,
-                           grad_tol):
-    """Full-batch gradient descent on the loss of :func:`loss_and_gradient`,
-    run in Gram (representer) form.
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking search
+_MAX_HALVINGS = 60
+
+
+def _newton_cg_gram(X, y_index, n_classes, l2, max_iters, grad_tol):
+    """Truncated-Newton (Newton-CG) minimization of the loss of
+    :func:`loss_and_gradient`, run in Gram (representer) form.
 
     Weights start at zero and only the weights (not the bias) are penalized,
-    so every iterate stays in the row span of X: ``W = A @ X``. The same
-    iterates, up to round-off, then run on the (n_classes, n) coefficients A
-    over the Gram matrix ``K = X @ X.T``: O(n^2 * C) per iteration after a
-    one-time O(n^2 * d) product. The weight gradient is ``g @ X`` with
-    ``g = delta.T / n + l2 * A``.
+    so every gradient and Newton step lies in the row span of X and every
+    iterate is ``W = A @ X`` for (n_classes, n) coefficients A. The Gram
+    matrix ``K = X @ X.T`` is built and eigendecomposed once,
+    ``K = Q @ diag(lam) @ Q.T``, and the loop runs on ``V = A @ Q @
+    diag(sqrt(lam))`` over the n x r features ``F = Q @ diag(sqrt(lam))``:
+    the scores are ``F @ V.T + b`` and the penalty is ``l2/2 * ||V||^2``. So
+    the Euclidean inner product of V is the K inner product
+    ``tr(S @ K @ T.T)`` of A, the primal one of ``S @ X`` and ``T @ X``.
+    Eigenvalues at round-off level (``lam <= lam_max * n * eps``) are dropped:
+    in A they span directions that leave W unchanged, and there round-off in
+    CG would grow A without bound.
 
-    The stop rule is the primal ``max|grad| < grad_tol``, exactly. Because
-    ``max|g @ X| >= ||g @ X||_F / sqrt(C * d)`` and
-    ``||g @ X||_F^2 = sum(g * (g @ K))``, ``g @ X`` is formed only when that
-    lower bound and the bias gradient are both below ``grad_tol``.
+    Each outer step checks the exact primal stop rule
+    ``max(|grad_bias|, |g @ X|) < grad_tol`` with ``g = delta.T / n + l2 * A``,
+    takes a Newton step from :func:`_newton_direction`, and backtracks from
+    t = 1 by halving until the Armijo condition holds (Lin, Weng & Keerthi,
+    JMLR 2008; Nocedal & Wright, *Numerical Optimization*, ch. 7).
 
-    Returns ``(A, bias, n_iter, converged)``: n_iter counts the updates made,
-    converged says whether the stop rule fired.
+    Returns ``(A, bias, n_iter, converged, grad_max)``: n_iter counts the
+    Newton steps taken, converged says whether the stop rule fired, and
+    grad_max is the primal max|grad| at the returned point. A step that finds
+    no decrease ends the loop unconverged.
     """
-    n, d = X.shape
+    n = X.shape[0]
     rows = np.arange(n)
-    gram = X @ X.T
-    coef = np.zeros((n_classes, n))
+    lam, basis = np.linalg.eigh(X @ X.T)
+    keep = lam > lam[-1] * n * np.finfo(float).eps
+    root, basis = np.sqrt(lam[keep]), basis[:, keep]
+    features = basis * root
+    coords = np.zeros((n_classes, root.size))
     bias = np.zeros(n_classes)
-    bound_sq = n_classes * d * grad_tol**2
-    for n_iter in range(max_iters):
-        coef_gram = coef @ gram
-        probs = softmax(coef_gram.T + bias)
-        loss = -np.mean(np.log(probs[rows, y_index]))
-        loss += 0.5 * l2 * float(np.sum(coef * coef_gram))
-        if not np.isfinite(loss):
-            raise FloatingPointError("training diverged: non-finite loss")
-        delta = probs
+    loss, probs = _objective(features, coords, bias, y_index, l2)
+    for n_iter in range(max_iters + 1):
+        coef = (coords / root) @ basis.T
+        delta = probs.copy()
         delta[rows, y_index] -= 1.0
-        grad_coef = delta.T / n + l2 * coef
         grad_bias = delta.sum(axis=0) / n
-        if (
-            np.abs(grad_bias).max() < grad_tol
-            and np.sum(grad_coef * (grad_coef @ gram)) <= bound_sq
-            and np.abs(grad_coef @ X).max(initial=0.0) < grad_tol
-        ):
-            return coef, bias, n_iter, True
-        coef -= learning_rate * grad_coef
-        bias -= learning_rate * grad_bias
-    return coef, bias, max_iters, False
+        grad_max = float(np.maximum(  # NaN-propagating, unlike builtin max
+            np.abs(grad_bias).max(),
+            np.abs((delta.T / n + l2 * coef) @ X).max(initial=0.0),
+        ))
+        if not np.isfinite(grad_max):
+            raise FloatingPointError("training diverged: non-finite gradient")
+        if grad_max < grad_tol:
+            return coef, bias, n_iter, True, grad_max
+        if n_iter == max_iters:
+            break
+        grad = delta.T @ features / n + l2 * coords
+        step, step_bias = _newton_direction(grad, grad_bias, probs, features, l2)
+        slope = float(np.sum(grad * step) + grad_bias @ step_bias)
+        if not slope < 0.0:
+            break
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = (coords + t * step, bias + t * step_bias)
+            trial_loss, trial_probs = _objective(features, *trial, y_index, l2)
+            if trial_loss <= loss + _ARMIJO_C * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        (coords, bias), loss, probs = trial, trial_loss, trial_probs
+    return coef, bias, n_iter, False, grad_max
+
+
+def _objective(features, coords, bias, y_index, l2):
+    """``(loss, probs)`` of :func:`loss_and_gradient` at the point ``(V, b)``
+    of :func:`_newton_cg_gram`; the cross-entropy is taken by log-sum-exp."""
+    scores = features @ coords.T + bias
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1)
+    ce = np.mean(np.log(total) - shifted[np.arange(len(y_index)), y_index])
+    loss = float(ce) + 0.5 * l2 * float(np.sum(coords * coords))
+    return loss, exp / total[:, None]
+
+
+def _newton_direction(grad, grad_bias, probs, features, l2):
+    """Approximate solution ``(S, s_b)`` of ``H(S, s_b) = -(grad, grad_bias)``
+    by conjugate gradients, H being the Hessian of :func:`_objective`.
+
+    The Hessian-vector product is ``dZ = F @ S.T + s_b``,
+    ``R = P*dZ - P*rowsum(P*dZ)``, ``H(S, s_b) = (R.T @ F / n + l2*S,
+    colsum(R) / n)``. CG stops at a residual norm of at most
+    ``min(0.5, sqrt(|g|)) * |g|``, after ``C * (r + 1)`` iterations (the
+    number of unknowns), or on non-positive curvature (where a first
+    iteration returns the steepest descent direction).
+    """
+    n = probs.shape[0]
+    step, step_bias = np.zeros_like(grad), np.zeros_like(grad_bias)
+    res, res_bias = -grad, -grad_bias
+    dir_, dir_bias = res, res_bias
+    res_sq = float(np.sum(res * res) + res_bias @ res_bias)
+    grad_norm = np.sqrt(res_sq)
+    tol_sq = (min(0.5, np.sqrt(grad_norm)) * grad_norm) ** 2
+    for it in range(res.size + res_bias.size):
+        if res_sq <= tol_sq:
+            break
+        p_dz = probs * (features @ dir_.T + dir_bias)
+        r = p_dz - probs * p_dz.sum(axis=1, keepdims=True)
+        h, h_bias = r.T @ features / n + l2 * dir_, r.sum(axis=0) / n
+        curvature = float(np.sum(h * dir_) + h_bias @ dir_bias)
+        if not curvature > 0.0:
+            if it == 0:
+                return dir_, dir_bias
+            break
+        alpha = res_sq / curvature
+        step += alpha * dir_
+        step_bias += alpha * dir_bias
+        res = res - alpha * h
+        res_bias = res_bias - alpha * h_bias
+        new_sq = float(np.sum(res * res) + res_bias @ res_bias)
+        beta = new_sq / res_sq
+        res_sq = new_sq
+        dir_ = res + beta * dir_
+        dir_bias = res_bias + beta * dir_bias
+    return step, step_bias
 
 
 def _as_design_input(X) -> np.ndarray:
@@ -191,7 +269,7 @@ def save_model(model: SoftmaxClassifier) -> bytes:
         "feature_kind": model.feature_kind_,
         "vocab_hash": model.vocab_hash_,
         "params": model.get_params(),
-        "weights": [[float(w).hex() for w in row] for row in model.weights_],
+        "weights": [list(map(float.hex, row)) for row in model.weights_.tolist()],
         "sha256": "",
     }
     payload["sha256"] = _payload_digest(payload)
@@ -221,7 +299,9 @@ def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxCl
             "model was trained against a different vocabulary "
             f"({payload['vocab_hash'][:12]}... != {expected_vocab_hash[:12]}...)"
         )
-    model = SoftmaxClassifier(**payload["params"])
+    model = SoftmaxClassifier(**{
+        k: v for k, v in payload["params"].items() if k not in _LEGACY_PARAM_TYPES
+    })
     model.classes_ = tuple(payload["classes"])
     model.n_features_ = payload["n_features"]
     model.feature_kind_ = payload["feature_kind"]
@@ -250,10 +330,12 @@ _HEADER_TYPES = {
 }
 _PARAM_TYPES = {
     "l2": (int, float),
-    "learning_rate": (int, float),
     "max_iters": int,
     "grad_tol": (int, float),
 }
+# Params that older v1 files record: still type-checked, then ignored. The
+# gradient-descent step size learning_rate has no use in Newton-CG training.
+_LEGACY_PARAM_TYPES = {"learning_rate": (int, float)}
 
 
 def _check_header(payload: dict) -> None:
@@ -266,9 +348,10 @@ def _check_header(payload: dict) -> None:
                 f"model field {key!r} missing or not a {kind.__name__}"
             )
     for key, value in payload["params"].items():
-        if key not in _PARAM_TYPES:
+        kind = _PARAM_TYPES.get(key) or _LEGACY_PARAM_TYPES.get(key)
+        if kind is None:
             raise ModelFormatError(f"unknown training param {key!r}")
-        if not _is_a(value, _PARAM_TYPES[key]):
+        if not _is_a(value, kind):
             raise ModelFormatError(f"param {key!r} is a {type(value).__name__}")
     if not all(isinstance(c, str) for c in payload["classes"]):
         raise ModelFormatError("model classes must be strings")

@@ -147,7 +147,6 @@ def _cmd_train_docs(args) -> int:
         "split": "train",
         "ngrams": (2, 3),
         "l2": 1e-3,
-        "learning_rate": 0.5,
         "max_iters": 2000,
         "grad_tol": 1e-6,
     }
@@ -157,7 +156,6 @@ def _cmd_train_docs(args) -> int:
     model = EnsembleDocumentClassifier(
         n_range=tuple(opts["ngrams"]),
         l2=float(opts["l2"]),
-        learning_rate=float(opts["learning_rate"]),
         max_iters=int(opts["max_iters"]),
         grad_tol=float(opts["grad_tol"]),
     ).fit(docs, labels)
@@ -167,6 +165,11 @@ def _cmd_train_docs(args) -> int:
         f"({len(model.classes_)} classes, vocabulary {model.vocabulary_.size}); "
         f"bundle written to {args.out}"
     )
+    for name, head in (("text", model.text_model_), ("image", model.image_model_)):
+        print(
+            f"{name} head: {head.n_iter_} Newton steps, converged "
+            f"{str(head.converged_).lower()}, max|grad| {head.grad_max_:.2e}"
+        )
     return 0
 
 
@@ -356,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test", "all"), default=None)
     p.add_argument("--ngrams", type=_ngrams_value, default=None)
     p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     p.add_argument("--grad-tol", dest="grad_tol", type=float, default=None)
     p.add_argument("--config", default=None)

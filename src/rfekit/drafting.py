@@ -259,11 +259,21 @@ class BeneficiaryStore:
             raise BeneficiaryNotFoundError(case_number) from None
 
 
+def _is_bare_file_name(name) -> bool:
+    """A name with no directory part: not empty, ``.`` or ``..``, no
+    separator. Checked on the string alone, with no filesystem call."""
+    return (
+        isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name
+    )
+
+
 def load_template_library(directory) -> tuple[Template, ...]:
     """Load and validate a template directory (templates.json + body files).
 
     Validation: unique template ids, SOC codes shaped NN-NNNN (or ``"*"`` for
-    the wildcard), and every placeholder drawn from the documented namespace.
+    the wildcard), every placeholder drawn from the documented namespace, and
+    every ``file`` a bare file name, so a body is always read from inside the
+    library directory.
     """
     directory = Path(directory)
     manifest_path = directory / "templates.json"
@@ -289,11 +299,17 @@ def load_template_library(directory) -> tuple[Template, ...]:
             template_id = entry["id"]
             attack_id = entry["attack_id"]
             soc_codes = entry["soc_codes"]
-            body = (directory / entry["file"]).read_text("utf-8")
+            name = entry["file"]
         except (KeyError, TypeError) as exc:
             raise TemplateFormatError(f"bad template entry {entry!r}: {exc}") from None
+        if not _is_bare_file_name(name):
+            raise TemplateFormatError(
+                f"template body {name!r}: not a file name inside the library"
+            )
+        try:
+            body = (directory / name).read_text("utf-8")
         except (OSError, ValueError) as exc:
-            raise TemplateFormatError(f"template body {entry['file']!r}: {exc}") from None
+            raise TemplateFormatError(f"template body {name!r}: {exc}") from None
         if not isinstance(template_id, str) or not isinstance(attack_id, str):
             raise TemplateFormatError(f"template entry {entry!r}: ids must be strings")
         if template_id in seen:

@@ -9,6 +9,7 @@ whole computation is returned as an auditable trace.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -55,9 +56,6 @@ class ClassDistribution:
             raise ValueError("probabilities outside [0, 1]")
         if abs(float(self.probs.sum()) - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
-
-    def prob(self, label: str) -> float:
-        return float(self.probs[self.classes.index(label)])
 
     def argmax_label(self) -> str:
         """Highest-probability class; ties resolve to the earliest class."""
@@ -206,20 +204,15 @@ class EnsembleDocumentClassifier(ParamsMixin):
     heads per document with entropy weighting.
     """
 
-    def __init__(self, n_range=(2, 3), l2=1e-3, learning_rate=0.5,
-                 max_iters=2000, grad_tol=1e-6):
+    def __init__(self, n_range=(2, 3), l2=1e-3, max_iters=2000, grad_tol=1e-6):
         self.n_range = n_range
         self.l2 = l2
-        self.learning_rate = learning_rate
         self.max_iters = max_iters
         self.grad_tol = grad_tol
 
     def _head(self) -> SoftmaxClassifier:
         return SoftmaxClassifier(
-            l2=self.l2,
-            learning_rate=self.learning_rate,
-            max_iters=self.max_iters,
-            grad_tol=self.grad_tol,
+            l2=self.l2, max_iters=self.max_iters, grad_tol=self.grad_tol
         )
 
     def fit(self, docs, labels):
@@ -274,9 +267,8 @@ class EnsembleDocumentClassifier(ParamsMixin):
         check_is_fitted(self, "text_model_")
         bundle_dir = Path(bundle_dir)
         bundle_dir.mkdir(parents=True, exist_ok=True)
-        (bundle_dir / _BUNDLE_FILES["vocabulary"]).write_bytes(
-            save_vocab(self.vocabulary_)
-        )
+        vocab_bytes = save_vocab(self.vocabulary_)
+        (bundle_dir / _BUNDLE_FILES["vocabulary"]).write_bytes(vocab_bytes)
         (bundle_dir / _BUNDLE_FILES["text_model"]).write_bytes(
             save_model(self.text_model_)
         )
@@ -291,7 +283,7 @@ class EnsembleDocumentClassifier(ParamsMixin):
             "files": _BUNDLE_FILES,
             "featurizer": FEATURIZER_VERSION,
             "stopwords_sha256": stopwords_sha256(),
-            "vocab_sha256": vocab_sha256(self.vocabulary_),
+            "vocab_sha256": hashlib.sha256(vocab_bytes).hexdigest(),
         }
         (bundle_dir / "bundle.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8"
@@ -326,6 +318,7 @@ class EnsembleDocumentClassifier(ParamsMixin):
                 f"the shipped stopword list"
             )
         params = manifest.get("params", {})
+        params.pop("learning_rate", None)  # legacy v1 param, unused by Newton-CG
         if "n_range" in params:
             params["n_range"] = tuple(params["n_range"])
         est = cls(**params)

@@ -33,17 +33,14 @@ def finite_difference_gradient(weights, X, y_index, l2, h=1e-5):
     return grad
 
 
-def reference_gradient_descent(X, y_index, n_classes, l2, learning_rate,
-                               max_iters, grad_tol):
-    """Plain primal gradient descent built from loss_and_gradient: the loop
-    SoftmaxClassifier.fit must reproduce. Returns (weights, n_iter, converged)."""
+def reference_gradient_descent(X, y_index, n_classes, l2, n_steps=5000):
+    """Weights after ``n_steps`` of plain primal gradient descent (step 0.5)
+    built from loss_and_gradient: the objective the Newton-CG fit must match
+    or beat."""
     weights = np.zeros((n_classes, X.shape[1] + 1))
-    for n_iter in range(max_iters):
-        _, grad = loss_and_gradient(weights, X, y_index, l2)
-        if np.abs(grad).max() < grad_tol:
-            return weights, n_iter, True
-        weights -= learning_rate * grad
-    return weights, max_iters, False
+    for _ in range(n_steps):
+        weights -= 0.5 * loss_and_gradient(weights, X, y_index, l2)[1]
+    return weights
 
 
 def test_softmax_rows_sum_to_one():
@@ -242,10 +239,11 @@ def test_model_vocab_hash_mismatch():
 def test_estimator_params_api():
     clf = SoftmaxClassifier(l2=0.5)
     assert clf.get_params()["l2"] == 0.5
-    clf.set_params(learning_rate=0.1)
-    assert clf.learning_rate == 0.1
-    with pytest.raises(ValueError):
-        clf.set_params(bogus=1)
+    clf.set_params(max_iters=7)
+    assert clf.max_iters == 7
+    for gone in ("bogus", "learning_rate"):
+        with pytest.raises(ValueError):
+            clf.set_params(**{gone: 1})
 
 
 def _tfidf_with_zero_row():
@@ -274,30 +272,76 @@ def _dense_case(n, d, n_classes, seed):
     ],
     ids=["dense-n<d", "dense-n>d", "tfidf-zero-row", "l2=0"],
 )
-def test_gram_fit_matches_primal_gradient_descent(data, l2):
+def test_newton_fit_reaches_the_optimum(data, l2):
     X, y = data
-    clf = SoftmaxClassifier(l2=l2, max_iters=300).fit(X, y)
+    clf = SoftmaxClassifier(l2=l2).fit(X, y)
     index = {c: i for i, c in enumerate(clf.classes_)}
-    weights, n_iter, converged = reference_gradient_descent(
-        X, np.array([index[lab] for lab in y]), len(clf.classes_), l2,
-        clf.learning_rate, clf.max_iters, clf.grad_tol,
-    )
-    assert np.abs(clf.weights_ - weights).max() <= 1e-10
-    assert (clf.n_iter_, clf.converged_) == (n_iter, converged)
-    scores = X @ weights[:, :-1].T + weights[:, -1]
+    y_index = np.array([index[lab] for lab in y])
+    assert clf.converged_ and 0 < clf.n_iter_ < clf.max_iters
+    assert np.isfinite(clf.weights_).all()
+    loss, grad = loss_and_gradient(clf.weights_, X, y_index, l2)
+    assert np.abs(grad).max() == pytest.approx(clf.grad_max_, rel=1e-6)
+    assert clf.grad_max_ < clf.grad_tol
+    reference = reference_gradient_descent(X, y_index, len(clf.classes_), l2)
+    # no higher than 5,000 gradient-descent steps reach, up to round-off
+    assert loss <= loss_and_gradient(reference, X, y_index, l2)[0] + 1e-12
+    scores = X @ clf.weights_[:, :-1].T + clf.weights_[:, -1]
     assert clf.predict(X) == [clf.classes_[i] for i in scores.argmax(axis=1)]
 
 
-def test_fit_records_convergence_like_plain_loop():
-    X, y = np.eye(3), ["a", "b", "c"]
-    clf = SoftmaxClassifier(grad_tol=1e-3).fit(X, y)
-    _, n_iter, converged = reference_gradient_descent(
-        X, np.arange(3), 3, clf.l2, clf.learning_rate, clf.max_iters, 1e-3
-    )
-    assert converged and clf.converged_
-    assert 0 < clf.n_iter_ == n_iter < clf.max_iters
-    capped = SoftmaxClassifier(grad_tol=1e-3, max_iters=n_iter).fit(X, y)
-    assert (capped.n_iter_, capped.converged_) == (n_iter, False)
+def test_max_iters_caps_newton_steps():
+    X, y = _dense_case(6, 20, 3, 0)
+    steps = SoftmaxClassifier().fit(X, y).n_iter_
+    capped = SoftmaxClassifier(max_iters=steps - 1).fit(X, y)
+    assert (capped.n_iter_, capped.converged_) == (steps - 1, False)
+    assert capped.grad_max_ >= capped.grad_tol
+
+
+def test_rank_deficient_gram_loss_decreases_every_step():
+    """n > d gives a singular Gram matrix; with l2=0 nothing bounds the
+    coefficients in its null space, so each Newton step must still lower
+    the primal loss and the fit must converge."""
+    X = np.random.default_rng(9).normal(size=(9, 1)) * 10
+    y = [f"c{i % 3}" for i in range(9)]
+    final = SoftmaxClassifier(l2=0.0).fit(X, y)
+    assert final.converged_
+    losses = [
+        loss_and_gradient(
+            SoftmaxClassifier(l2=0.0, max_iters=k).fit(X, y).weights_,
+            X, np.arange(9) % 3, 0.0,
+        )[0]
+        for k in range(final.n_iter_ + 1)
+    ]
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
+
+
+def test_legacy_learning_rate_param_loads_and_is_ignored():
+    X, y = _dense_case(6, 20, 3, 0)
+    clf = SoftmaxClassifier().fit(X, y)
+    payload = json.loads(save_model(clf))
+    payload["params"]["learning_rate"] = 0.5
+    payload["sha256"] = ""
+    payload["sha256"] = _payload_digest(payload)
+    restored = load_model(json.dumps(payload).encode("utf-8"))
+    assert restored.get_params() == clf.get_params()
+    assert np.array_equal(restored.weights_, clf.weights_)
+    assert restored.predict(X) == clf.predict(X)
+
+
+def _old_save_model_weights(model):
+    """The per-element weight encoder that save_model used before."""
+    return [[float(w).hex() for w in row] for row in model.weights_]
+
+
+def test_save_model_weight_encoding_unchanged():
+    X, y = _tfidf_with_zero_row()
+    clf = SoftmaxClassifier().fit(X, y)
+    payload = json.loads(save_model(clf))
+    payload["weights"] = _old_save_model_weights(clf)
+    payload["sha256"] = ""
+    payload["sha256"] = _payload_digest(payload)
+    old_bytes = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
+    assert save_model(clf) == old_bytes
 
 
 DROP = object()

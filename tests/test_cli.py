@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,21 @@ def test_missing_corpus_exits_1(tmp_path):
         ["train-docs", "--corpus", str(tmp_path / "nope"), "--out", str(tmp_path / "b")]
     )
     assert code == 1
+
+
+def test_train_docs_seed42_heads_converge_and_print_fit_record(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run(["gen-corpus", "--out", str(corpus), "--seed", "42"]) == 0
+    capsys.readouterr()
+    bundle = tmp_path / "bundle"
+    assert run(["train-docs", "--corpus", str(corpus), "--out", str(bundle)]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(":")[0] for line in lines] == ["text head", "image head"]
+    for line in lines:
+        steps, converged, grad = re.fullmatch(
+            r"\w+ head: (\d+) Newton steps, converged (\w+), max\|grad\| (\S+)", line
+        ).groups()
+        assert 0 < int(steps) < 2000 and converged == "true" and float(grad) < 1e-6
 
 
 def test_train_classify_eval_pipeline(tmp_path, capsys):

@@ -267,6 +267,26 @@ def test_template_library_raises_template_format_error(tmp_path, manifest, body)
         load_template_library(tmp_path / "templates")
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["../x.txt", "/etc/hostname", "sub/x.txt", "..", "ABSOLUTE", "./a.txt"],
+    ids=["parent", "etc-hostname", "subdir", "dot-dot", "absolute-existing",
+         "dot-slash"],
+)
+def test_template_file_must_be_a_bare_name(tmp_path, name):
+    """Every target below is a readable file (or directory), so only the
+    name rule rejects it."""
+    lib_dir = tmp_path / "templates"
+    (tmp_path / "x.txt").write_text("Body", "utf-8")
+    if name == "ABSOLUTE":
+        name = str(tmp_path / "x.txt")
+    write_library(lib_dir, library_manifest(file=name))
+    (lib_dir / "sub").mkdir()
+    (lib_dir / "sub" / "x.txt").write_text("Body", "utf-8")
+    with pytest.raises(TemplateFormatError, match="not a file name"):
+        load_template_library(lib_dir)
+
+
 def test_template_library_rejects_unknown_placeholder(tmp_path):
     lib_dir = tmp_path / "templates"
     lib_dir.mkdir()

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from rfekit.classify import SoftmaxClassifier
+from rfekit.classify import SoftmaxClassifier, _payload_digest
 from rfekit.ensemble import (
     ClassDistribution,
     Document,
@@ -319,3 +319,21 @@ def test_bundle_swapped_vocab_rejected(saved_bundle):
     (saved_bundle / "vocab.txt").write_bytes(save_vocab(other))
     with pytest.raises(ValueError, match="recorded vocab_sha256"):
         EnsembleDocumentClassifier.load(saved_bundle)
+
+
+def test_bundle_recording_legacy_learning_rate_loads(saved_bundle):
+    """A v1 bundle from gradient-descent training records learning_rate in
+    its manifest and both model files; it loads and predicts as before."""
+    docs, _ = make_training_docs()
+    before = EnsembleDocumentClassifier.load(saved_bundle).predict_proba(docs)
+    _edit_manifest(saved_bundle, lambda m: m["params"].update(learning_rate=0.5))
+    for name in ("text-model.json", "image-model.json"):
+        path = saved_bundle / name
+        payload = json.loads(path.read_bytes())
+        payload["params"]["learning_rate"] = 0.5
+        payload["sha256"] = ""
+        payload["sha256"] = _payload_digest(payload)
+        path.write_text(json.dumps(payload, sort_keys=True, indent=1), "utf-8")
+    restored = EnsembleDocumentClassifier.load(saved_bundle)
+    assert "learning_rate" not in restored.get_params()
+    assert np.array_equal(restored.predict_proba(docs), before)

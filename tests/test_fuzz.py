@@ -218,6 +218,26 @@ def test_template_manifest_mutants_raise_only_template_format_error(
     assert TemplateFormatError in outcomes
     assert any(isinstance(o, tuple) and o for o in outcomes)
 
+    # Point one entry at a readable copy of its body outside the library, in
+    # a subdirectory, or by a relative path: the name rule alone rejects it.
+    outside = tmp_path / "outside"
+    (library / "sub").mkdir()
+    outside.mkdir()
+    for body in list(library.iterdir()):
+        if body.is_file():
+            (outside / body.name).write_bytes(body.read_bytes())
+            (library / "sub" / body.name).write_bytes(body.read_bytes())
+    rng = random.Random(12)
+    for _ in range(MUTANTS // 10):
+        mutant = json.loads(original)
+        entry = rng.choice(mutant["templates"])
+        entry["file"] = rng.choice([
+            "../outside/" + entry["file"], str(outside / entry["file"]),
+            "sub/" + entry["file"], "./" + entry["file"], "..", ".",
+        ])
+        with pytest.raises(TemplateFormatError, match="not a file name"):
+            load(json.dumps(mutant).encode("utf-8"))
+
 
 def test_store_records_are_immutable_named_tuples(rfe_corpus_42):
     root, manifest = rfe_corpus_42
