@@ -46,10 +46,8 @@ def loss_and_gradient(
     """
     n = X.shape[0]
     design = np.hstack([X, np.ones((n, 1))])
-    probs = softmax(design @ weights.T)
-    ce = -np.mean(np.log(probs[np.arange(n), y_index]))
+    ce, delta = _cross_entropy(design @ weights.T, y_index)
     penalty = 0.5 * l2 * float(np.sum(weights[:, :-1] ** 2))
-    delta = probs.copy()
     delta[np.arange(n), y_index] -= 1.0
     grad = delta.T @ design / n
     grad[:, :-1] += l2 * weights[:, :-1]
@@ -199,14 +197,20 @@ def _newton_cg_gram(X, y_index, n_classes, l2, max_iters, grad_tol):
 
 def _objective(features, coords, bias, y_index, l2):
     """``(loss, probs)`` of :func:`loss_and_gradient` at the point ``(V, b)``
-    of :func:`_newton_cg_gram`; the cross-entropy is taken by log-sum-exp."""
-    scores = features @ coords.T + bias
+    of :func:`_newton_cg_gram`."""
+    ce, probs = _cross_entropy(features @ coords.T + bias, y_index)
+    return ce + 0.5 * l2 * float(np.sum(coords * coords)), probs
+
+
+def _cross_entropy(scores, y_index):
+    """``(mean cross-entropy, softmax probabilities)`` of the rows of
+    ``scores``, the cross-entropy taken by log-sum-exp: it stays finite when
+    a true-class probability underflows to zero."""
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1)
     ce = np.mean(np.log(total) - shifted[np.arange(len(y_index)), y_index])
-    loss = float(ce) + 0.5 * l2 * float(np.sum(coords * coords))
-    return loss, exp / total[:, None]
+    return float(ce), exp / total[:, None]
 
 
 def _newton_direction(grad, grad_bias, probs, features, l2):

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .attacks import DEFAULT_TAU, AttackReport, ExampleBank, detect_rfe
+from .ioutil import is_bare_file_name
 
 RFE_FIELD_NAMES = (
     "case_number",
@@ -259,14 +260,6 @@ class BeneficiaryStore:
             raise BeneficiaryNotFoundError(case_number) from None
 
 
-def _is_bare_file_name(name) -> bool:
-    """A name with no directory part: not empty, ``.`` or ``..``, no
-    separator. Checked on the string alone, with no filesystem call."""
-    return (
-        isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name
-    )
-
-
 def load_template_library(directory) -> tuple[Template, ...]:
     """Load and validate a template directory (templates.json + body files).
 
@@ -302,7 +295,7 @@ def load_template_library(directory) -> tuple[Template, ...]:
             name = entry["file"]
         except (KeyError, TypeError) as exc:
             raise TemplateFormatError(f"bad template entry {entry!r}: {exc}") from None
-        if not _is_bare_file_name(name):
+        if not is_bare_file_name(name):
             raise TemplateFormatError(
                 f"template body {name!r}: not a file name inside the library"
             )

@@ -18,8 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from ._base import ParamsMixin, check_is_fitted
-from .classify import SoftmaxClassifier, load_model, save_model
+from .classify import (
+    _LEGACY_PARAM_TYPES,
+    _PARAM_TYPES,
+    SoftmaxClassifier,
+    _is_a,
+    load_model,
+    save_model,
+)
 from .image import FEATURIZER_VERSION, PageImage, featurizer_sha256, image_features
+from .ioutil import atomic_write_bytes, atomic_write_text, is_bare_file_name
 from .text import normalize, stopwords_sha256, tokenize
 from .vectorize import (
     Vocabulary,
@@ -27,8 +35,8 @@ from .vectorize import (
     load_vocab,
     save_vocab,
     stack_dense,
+    tfidf_matrix,
     tfidf_vector,
-    vocab_sha256,
 )
 
 ENTROPY_EPSILON = 0.001
@@ -40,6 +48,8 @@ _BUNDLE_FILES = {
     "text_model": "text-model.json",
     "image_model": "image-model.json",
 }
+# Types of the manifest params: the constructor's, plus legacy v1 params.
+_BUNDLE_PARAM_TYPES = {"n_range": list, **_PARAM_TYPES, **_LEGACY_PARAM_TYPES}
 
 
 @dataclass(frozen=True)
@@ -223,16 +233,13 @@ class EnsembleDocumentClassifier(ParamsMixin):
 
         token_docs = [document_tokens(d.text) for d in docs]
         self.vocabulary_ = fit_vocab(token_docs, self.n_range)
-        vocab_hash = vocab_sha256(self.vocabulary_)  # before densifying: lower peak RSS
+        self.vocab_bytes_ = save_vocab(self.vocabulary_)
         self.text_model_ = self._head().fit(
-            stack_dense(
-                [tfidf_vector(t, self.vocabulary_) for t in token_docs],
-                self.vocabulary_.size,
-            ),
+            tfidf_matrix(token_docs, self.vocabulary_),
             labels,
             classes=self.classes_,
             feature_kind="sparse",
-            vocab_hash=vocab_hash,
+            vocab_hash=hashlib.sha256(self.vocab_bytes_).hexdigest(),
         )
 
         pages, page_labels = [], []
@@ -263,18 +270,21 @@ class EnsembleDocumentClassifier(ParamsMixin):
         return np.array([self.classify(d).fused.probs for d in docs])
 
     def save(self, bundle_dir) -> None:
-        """Write vocab + both heads + a bundle manifest into ``bundle_dir``."""
+        """Write vocab + both heads, then the bundle manifest, into ``bundle_dir``.
+
+        Each file is written atomically and ``bundle.json`` last. The bundle as
+        a whole is not crash-consistent: a crash between two files can leave
+        new parts beside the old manifest.
+        """
         check_is_fitted(self, "text_model_")
         bundle_dir = Path(bundle_dir)
-        bundle_dir.mkdir(parents=True, exist_ok=True)
-        vocab_bytes = save_vocab(self.vocabulary_)
-        (bundle_dir / _BUNDLE_FILES["vocabulary"]).write_bytes(vocab_bytes)
-        (bundle_dir / _BUNDLE_FILES["text_model"]).write_bytes(
-            save_model(self.text_model_)
-        )
-        (bundle_dir / _BUNDLE_FILES["image_model"]).write_bytes(
-            save_model(self.image_model_)
-        )
+        parts = {
+            "vocabulary": self.vocab_bytes_,
+            "text_model": save_model(self.text_model_),
+            "image_model": save_model(self.image_model_),
+        }
+        for part, data in parts.items():
+            atomic_write_bytes(bundle_dir / _BUNDLE_FILES[part], data)
         manifest = {
             "format": BUNDLE_MAGIC,
             "version": BUNDLE_VERSION,
@@ -283,59 +293,85 @@ class EnsembleDocumentClassifier(ParamsMixin):
             "files": _BUNDLE_FILES,
             "featurizer": FEATURIZER_VERSION,
             "stopwords_sha256": stopwords_sha256(),
-            "vocab_sha256": hashlib.sha256(vocab_bytes).hexdigest(),
+            "vocab_sha256": hashlib.sha256(self.vocab_bytes_).hexdigest(),
         }
-        (bundle_dir / "bundle.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8"
-        )
+        manifest_text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        atomic_write_text(bundle_dir / "bundle.json", manifest_text)
 
     @classmethod
     def load(cls, bundle_dir) -> "EnsembleDocumentClassifier":
         """Read a :meth:`save` bundle; a malformed or inconsistent one raises
         ``ValueError`` naming the bundle.
 
-        The recorded ``vocab_sha256`` must match the loaded vocabulary and the
-        recorded ``stopwords_sha256`` the stopword list shipped with this
-        package.
+        ``bundle.json`` must be UTF-8 JSON. Its ``params`` must be an object of
+        known params of the right types, each ``files`` value a bare file name
+        (so every part is read from inside ``bundle_dir``), and ``classes`` a
+        list of strings equal to both heads' classes. The recorded
+        ``vocab_sha256`` must match the loaded vocabulary and the recorded
+        ``stopwords_sha256`` the stopword list shipped with this package.
         """
         bundle_dir = Path(bundle_dir)
-        manifest = json.loads((bundle_dir / "bundle.json").read_text("utf-8"))
+
+        def invalid(reason: str) -> ValueError:
+            return ValueError(f"bundle {bundle_dir}: {reason}")
+
+        try:
+            manifest = json.loads((bundle_dir / "bundle.json").read_text("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise invalid(f"unreadable bundle.json ({exc})") from None
         if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_MAGIC:
-            raise ValueError(f"{bundle_dir} is not a document-ensemble bundle")
+            raise invalid("not a document-ensemble bundle")
         if manifest.get("version") != BUNDLE_VERSION:
-            raise ValueError(f"unsupported bundle version {manifest.get('version')!r}")
+            raise invalid(f"unsupported bundle version {manifest.get('version')!r}")
         for key in ("files", "classes"):
             if key not in manifest:
-                raise ValueError(f"bundle {bundle_dir}: bundle.json has no {key!r}")
+                raise invalid(f"bundle.json has no {key!r}")
         files = manifest["files"]
         if not isinstance(files, dict) or set(_BUNDLE_FILES) - set(files):
-            raise ValueError(
-                f"bundle {bundle_dir}: 'files' must name {sorted(_BUNDLE_FILES)}"
-            )
+            raise invalid(f"'files' must name {sorted(_BUNDLE_FILES)}")
+        if not all(is_bare_file_name(name) for name in files.values()):
+            raise invalid("each 'files' value must be a file name inside the bundle")
         if manifest.get("stopwords_sha256") != stopwords_sha256():
-            raise ValueError(
-                f"bundle {bundle_dir}: recorded stopwords_sha256 does not match "
-                f"the shipped stopword list"
+            raise invalid(
+                "recorded stopwords_sha256 does not match the shipped stopword list"
             )
         params = manifest.get("params", {})
+        if not isinstance(params, dict):
+            raise invalid("'params' must be an object")
+        for key, value in params.items():
+            kind = _BUNDLE_PARAM_TYPES.get(key)
+            if kind is None:
+                raise invalid(f"unknown param {key!r}")
+            if not _is_a(value, kind) or (key == "n_range" and not (
+                value and all(_is_a(n, int) and n >= 1 for n in value)
+            )):
+                raise invalid(f"param {key!r} has a bad value {value!r}")
         params.pop("learning_rate", None)  # legacy v1 param, unused by Newton-CG
         if "n_range" in params:
             params["n_range"] = tuple(params["n_range"])
+
+        def read(part, load, **kwargs):
+            try:
+                return load((bundle_dir / files[part]).read_bytes(), **kwargs)
+            except (OSError, ValueError) as exc:
+                raise invalid(f"{files[part]}: {exc}") from exc
+
         est = cls(**params)
-        est.vocabulary_ = load_vocab((bundle_dir / files["vocabulary"]).read_bytes())
-        vocab_hash = vocab_sha256(est.vocabulary_)
+        est.vocabulary_ = read("vocabulary", load_vocab)
+        est.vocab_bytes_ = save_vocab(est.vocabulary_)
+        vocab_hash = hashlib.sha256(est.vocab_bytes_).hexdigest()
         if manifest.get("vocab_sha256") != vocab_hash:
-            raise ValueError(
-                f"bundle {bundle_dir}: recorded vocab_sha256 does not match "
-                f"{files['vocabulary']}"
-            )
-        est.text_model_ = load_model(
-            (bundle_dir / files["text_model"]).read_bytes(),
-            expected_vocab_hash=vocab_hash,
+            raise invalid(f"recorded vocab_sha256 does not match {files['vocabulary']}")
+        est.text_model_ = read("text_model", load_model, expected_vocab_hash=vocab_hash)
+        est.image_model_ = read(
+            "image_model", load_model, expected_vocab_hash=featurizer_sha256()
         )
-        est.image_model_ = load_model(
-            (bundle_dir / files["image_model"]).read_bytes(),
-            expected_vocab_hash=featurizer_sha256(),
-        )
-        est.classes_ = tuple(manifest["classes"])
+        classes = manifest["classes"]
+        if not (
+            isinstance(classes, list)
+            and all(isinstance(c, str) for c in classes)
+            and tuple(classes) == est.text_model_.classes_ == est.image_model_.classes_
+        ):
+            raise invalid("'classes' must be the heads' class list, as strings")
+        est.classes_ = tuple(classes)
         return est

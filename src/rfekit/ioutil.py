@@ -1,4 +1,4 @@
-"""Atomic file writes shared by the corpus generator and the CLI."""
+"""Atomic file writes and the bare-file-name rule shared by the loaders and writers."""
 
 from __future__ import annotations
 
@@ -33,3 +33,11 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def is_bare_file_name(name) -> bool:
+    """A name with no directory part: not empty, ``.`` or ``..``, no
+    separator. Checked on the string alone, with no filesystem call."""
+    return (
+        isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name
+    )

@@ -57,7 +57,9 @@ class Vocabulary:
 
     def __post_init__(self):
         n = self.corpus_size
-        table = array("d", (math.log((1 + n) / (1 + df)) + 1.0 for df in self.doc_freq))
+        # doc_freq takes few distinct values: one log per value, then a lookup.
+        idf = {df: math.log((1 + n) / (1 + df)) + 1.0 for df in set(self.doc_freq)}
+        table = array("d", map(idf.__getitem__, self.doc_freq))
         object.__setattr__(self, "idf_table", table)
 
     @property
@@ -106,6 +108,40 @@ def tfidf_vector(tokens: list[str], vocab: Vocabulary) -> tuple[tuple[int, float
     if length == 0.0:
         return ()
     return tuple((i, w / length) for i, w in weighted)
+
+
+def tfidf_matrix(token_docs, vocab: Vocabulary) -> np.ndarray:
+    """Dense ``(len(token_docs), vocab.size)`` array of the documents' tf-idf
+    vectors: row r equals ``tfidf_vector(token_docs[r], vocab)`` densified by
+    :func:`stack_dense`, bit for bit.
+
+    Each document's n-grams are mapped to columns once; the (row, column)
+    pairs are then counted and weighted with numpy. A row's length is the
+    builtin ``sum`` of its squared weights in ascending column order, the
+    primitive and order of :func:`norm`, so the rows match on every Python
+    (builtin float ``sum`` is compensated from 3.12, numpy's is not).
+    """
+    token_docs = list(token_docs)
+    n_docs = len(token_docs)
+    lookup = vocab.ngram_to_index.get
+    doc_ids: list[int] = []
+    col_ids: list[int] = []
+    for doc, tokens in enumerate(token_docs):
+        found = [i for i in map(lookup, ngrams(tokens, vocab.n_range)) if i is not None]
+        col_ids.extend(found)
+        doc_ids.extend([doc] * len(found))
+    out = np.zeros((n_docs, vocab.size))
+    if not col_ids:
+        return out
+    pairs = np.array(doc_ids, dtype=np.int64) * vocab.size + np.array(col_ids)
+    keys, counts = np.unique(pairs, return_counts=True)
+    row, col = np.divmod(keys, vocab.size)  # sorted by row, then by column
+    weights = counts * np.frombuffer(vocab.idf_table)[col]
+    squares = (weights * weights).tolist()
+    bounds = np.searchsorted(row, np.arange(n_docs + 1)).tolist()
+    lengths = np.array([math.sqrt(sum(squares[a:b])) for a, b in zip(bounds, bounds[1:])])
+    out[row, col] = weights / lengths[row]
+    return out
 
 
 def cosine(u, v) -> float:

@@ -73,6 +73,15 @@ def test_loss_at_zero_weights_is_ln2():
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+def test_loss_stays_finite_when_true_class_probability_underflows():
+    # scores (800, -800): p(true class 1) = exp(-1600) underflows to 0, but
+    # the log-sum-exp cross-entropy is exactly 1600 (pytest makes warnings errors)
+    weights = np.array([[800.0, 0.0], [-800.0, 0.0]])
+    loss, grad = loss_and_gradient(weights, np.array([[1.0]]), np.array([1]), l2=0.0)
+    assert loss == 1600.0
+    assert grad.tolist() == [[1.0, 1.0], [-1.0, -1.0]]
+
+
 def test_gradient_at_zero_weights_single_example():
     # p = (0.5, 0.5), so row 0 gets -0.5*[x, 1] and row 1 gets +0.5*[x, 1]
     x = np.array([[2.0, -3.0]])

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rfekit
 from rfekit.cli import run
 
 
@@ -137,6 +141,30 @@ def test_train_docs_seed42_heads_converge_and_print_fit_record(tmp_path, capsys)
             r"\w+ head: (\d+) Newton steps, converged (\w+), max\|grad\| (\S+)", line
         ).groups()
         assert 0 < int(steps) < 2000 and converged == "true" and float(grad) < 1e-6
+
+
+def test_train_docs_bundle_is_independent_of_hash_seed(tmp_path, corpus_42):
+    """String hashing order differs between the two processes; the dict and
+    set iteration in training must not reach any bundle byte."""
+    root, _ = corpus_42
+    bundles = []
+    for seed in ("0", "1"):
+        bundle = tmp_path / f"bundle-{seed}"
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": str(Path(rfekit.__file__).parents[1]),
+        }
+        subprocess.run(
+            [sys.executable, "-m", "rfekit", "train-docs", "--corpus", str(root),
+             "--out", str(bundle)],
+            env=env, check=True, capture_output=True,
+        )
+        bundles.append(bundle)
+    names = ["bundle.json", "image-model.json", "text-model.json", "vocab.txt"]
+    assert sorted(p.name for p in bundles[0].iterdir()) == names
+    for name in names:
+        assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes()
 
 
 def test_train_classify_eval_pipeline(tmp_path, capsys):

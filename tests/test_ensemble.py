@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import random
 import re
 
 import numpy as np
 import pytest
 
+from rfekit import ioutil
 from rfekit.classify import SoftmaxClassifier, _payload_digest
 from rfekit.ensemble import (
     ClassDistribution,
@@ -337,3 +339,107 @@ def test_bundle_recording_legacy_learning_rate_loads(saved_bundle):
     restored = EnsembleDocumentClassifier.load(saved_bundle)
     assert "learning_rate" not in restored.get_params()
     assert np.array_equal(restored.predict_proba(docs), before)
+
+
+def _set_files(name):
+    def edit(manifest):
+        manifest["files"]["vocabulary"] = name
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["params"].update(bogus=1),
+        lambda m: m.__setitem__("params", [1]),
+        lambda m: m["params"].update(max_iters="x"),
+        lambda m: m["params"].update(l2=True),
+        lambda m: m["params"].update(n_range=[1, "2"]),
+        lambda m: m["params"].update(n_range=[]),
+        lambda m: m["params"].update(n_range=[0, 1]),
+        lambda m: m.__setitem__("classes", "dl"),
+        lambda m: m.__setitem__("classes", ["x", "y", "z"]),
+        lambda m: m.__setitem__("classes", ["light", "dark"]),
+        lambda m: m.__setitem__("classes", ["dark", 1]),
+        lambda m: m.__setitem__("version", 2),
+        lambda m: m.__setitem__("format", "other"),
+        _set_files("missing.txt"),
+        _set_files("text-model.json"),
+        lambda m: m["files"].update(text_model="image-model.json"),
+    ],
+    ids=[
+        "unknown-param", "params-not-object", "mistyped-param", "bool-param",
+        "n_range-item", "n_range-empty", "n_range-zero", "classes-string",
+        "classes-three", "classes-order", "classes-not-strings", "version",
+        "format", "files-missing", "files-wrong-kind", "files-swapped-heads",
+    ],
+)
+def test_bundle_bad_manifest_raises_value_error_naming_bundle(saved_bundle, edit):
+    _edit_manifest(saved_bundle, edit)
+    with pytest.raises(ValueError, match=f"^bundle {re.escape(str(saved_bundle))}: "):
+        EnsembleDocumentClassifier.load(saved_bundle)
+
+
+@pytest.mark.parametrize(
+    "name", ["../vocab.txt", "absolute", "sub/vocab.txt", "./vocab.txt", "..", ".", "", 7]
+)
+def test_bundle_files_must_be_bare_names(saved_bundle, name):
+    """A readable vocabulary outside the bundle, in a subdirectory or behind
+    a relative path is refused by the name rule alone."""
+    outside = saved_bundle.parent / "vocab.txt"
+    outside.write_bytes((saved_bundle / "vocab.txt").read_bytes())
+    (saved_bundle / "sub").mkdir()
+    (saved_bundle / "sub" / "vocab.txt").write_bytes(outside.read_bytes())
+    _edit_manifest(saved_bundle, _set_files(str(outside) if name == "absolute" else name))
+    match = f"^bundle {re.escape(str(saved_bundle))}: each 'files' value must be a file name"
+    with pytest.raises(ValueError, match=match):
+        EnsembleDocumentClassifier.load(saved_bundle)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{}", b"{not json", b"", b"[" * 100_000],
+    ids=["not-utf-8", "not-json", "empty", "deep"],
+)
+def test_bundle_unreadable_manifest_names_bundle(saved_bundle, data):
+    (saved_bundle / "bundle.json").write_bytes(data)
+    match = f"^bundle {re.escape(str(saved_bundle))}: unreadable bundle.json"
+    with pytest.raises(ValueError, match=match):
+        EnsembleDocumentClassifier.load(saved_bundle)
+
+
+def test_bundle_loads_then_saves_byte_identical(saved_bundle, tmp_path):
+    """The loaded bundle keeps the vocabulary bytes its hash check made."""
+    copy = tmp_path / "copy"
+    EnsembleDocumentClassifier.load(saved_bundle).save(copy)
+    names = sorted(p.name for p in saved_bundle.iterdir())
+    assert names == ["bundle.json", "image-model.json", "text-model.json", "vocab.txt"]
+    assert sorted(p.name for p in copy.iterdir()) == names
+    for name in names:
+        assert (copy / name).read_bytes() == (saved_bundle / name).read_bytes()
+
+
+@pytest.mark.parametrize("failing", range(4))
+def test_bundle_save_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, failing):
+    """Each file is written through a temp file and renamed, bundle.json
+    last; a failed rename removes its temp file and earlier files stay whole."""
+    docs, labels = make_training_docs()
+    model = EnsembleDocumentClassifier(n_range=(1, 2), max_iters=50).fit(docs, labels)
+    renamed = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if len(renamed) == failing:
+            raise OSError("disk full")
+        renamed.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(ioutil.os, "replace", replace)
+    bundle = tmp_path / "bundle"
+    with pytest.raises(OSError, match="disk full"):
+        model.save(bundle)
+    order = ["vocab.txt", "text-model.json", "image-model.json", "bundle.json"]
+    assert renamed == order[:failing]
+    assert not list(bundle.glob("*.tmp"))
+    assert sorted(p.name for p in bundle.iterdir()) == sorted(order[:failing])

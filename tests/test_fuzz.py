@@ -140,8 +140,8 @@ def test_bank_load_mutants_raise_only_bank_format_error(rfe_corpus_42, tmp_path)
 
 @pytest.fixture(scope="module")
 def doc_artifacts_42(tmp_path_factory):
-    """A seed-42 PGM page, and the vocabulary and text model of a bundle
-    trained on the seed-42 documents."""
+    """A seed-42 PGM page, and the vocabulary, text model and every file of a
+    bundle trained on the seed-42 documents."""
     root = tmp_path_factory.mktemp("doc-corpus-42")
     manifest = generate_corpus(CorpusConfig(seed=42, docs_per_class=1, n_rfes=0), root)
     records = manifest["documents"]
@@ -154,6 +154,7 @@ def doc_artifacts_42(tmp_path_factory):
         "page": (root / records[0]["dir"] / records[0]["pages"][0]).read_bytes(),
         "vocab": (bundle / "vocab.txt").read_bytes(),
         "model": (bundle / "text-model.json").read_bytes(),
+        "bundle": {p.name: p.read_bytes() for p in bundle.iterdir()},
     }
 
 
@@ -190,6 +191,30 @@ def test_document_artifact_mutants_raise_only_format_error(
     assert error in outcomes
     assert any(isinstance(o, kind) for o in outcomes)
     assert all(o is error or isinstance(o, kind) for o in outcomes)
+
+
+def test_bundle_manifest_mutants_raise_only_value_error_naming_bundle(
+    doc_artifacts_42, tmp_path
+):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    for name, data in doc_artifacts_42["bundle"].items():
+        (bundle / name).write_bytes(data)
+    original = (bundle / "bundle.json").read_bytes()
+
+    def load(data):
+        (bundle / "bundle.json").write_bytes(data)
+        try:
+            return EnsembleDocumentClassifier.load(bundle)
+        except ValueError as exc:
+            assert str(exc).startswith(f"bundle {bundle}: ")
+            raise
+
+    outcomes = fuzz_outcomes(load, original, ValueError, seed=13)
+    assert ValueError in outcomes
+    assert any(isinstance(o, EnsembleDocumentClassifier) for o in outcomes)
+    assert all(o is ValueError or isinstance(o, EnsembleDocumentClassifier)
+               for o in outcomes)
 
 
 def test_pattern_mutants_raise_only_pattern_format_error(rfe_corpus_42):

@@ -3,7 +3,10 @@ import random
 
 import pytest
 
+from rfekit.corpus import load_document
+from rfekit.ensemble import document_tokens
 from rfekit.vectorize import (
+    Vocabulary,
     VocabularyFormatError,
     cosine,
     fit_vocab,
@@ -12,6 +15,7 @@ from rfekit.vectorize import (
     norm,
     save_vocab,
     stack_dense,
+    tfidf_matrix,
     tfidf_vector,
     vocab_sha256,
 )
@@ -96,12 +100,67 @@ def test_fit_vocab_indices_lexicographic():
 
 def test_idf_table_is_the_smoothed_formula_as_plain_floats():
     docs = [["a", "b", "b"], ["b", "c"], ["c", "d", "a"], ["e"]]
-    for vocab in (fit_vocab(docs, (1, 2)), load_vocab(save_vocab(fit_vocab(docs, (1, 2))))):
+    many_dfs = tuple(random.Random(3).randint(1, 500) for _ in range(2000))
+    for vocab in (
+        fit_vocab(docs, (1, 2)),
+        load_vocab(save_vocab(fit_vocab(docs, (1, 2)))),
+        Vocabulary({f"g{i}": i for i in range(2000)}, many_dfs, 500, (1,)),
+    ):
         n = vocab.corpus_size
         assert len(vocab.idf_table) == vocab.size
         for i, df in enumerate(vocab.doc_freq):
             assert type(vocab.idf_table[i]) is float
             assert vocab.idf_table[i] == math.log((1 + n) / (1 + df)) + 1.0
+
+
+def assert_matrix_is_stacked_vectors(token_docs, vocab):
+    """``tfidf_matrix`` equals the stacked per-document vectors bit for bit."""
+    expected = stack_dense([tfidf_vector(t, vocab) for t in token_docs], vocab.size)
+    got = tfidf_matrix(token_docs, vocab)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_tfidf_matrix_is_stacked_vectors_on_seed42_training_docs(corpus_42):
+    root, manifest = corpus_42
+    token_docs = [
+        document_tokens(load_document(root, rec, "ocr").text)
+        for rec in manifest["documents"]
+        if rec["split"] == "train"
+    ]
+    for n_range in ((2, 3), (1,)):
+        assert_matrix_is_stacked_vectors(token_docs, fit_vocab(token_docs, n_range))
+
+
+@pytest.mark.parametrize("n_range", [(1,), (2, 3)])
+def test_tfidf_matrix_edge_rows_are_stacked_vectors(n_range):
+    corpus = [["a", "b", "c", "a", "b"], ["b", "c", "d"], ["a", "a", "a"]]
+    vocab = fit_vocab(corpus, n_range)
+    token_docs = [
+        [],  # empty token list
+        ["x", "y", "z", "w"],  # only unseen n-grams: a zero row
+        ["a", "b", "a", "b", "a", "b", "c"],  # repeated n-grams
+        ["a", "a", "a", "a"],
+        ["d"],
+    ]
+    assert_matrix_is_stacked_vectors(token_docs, vocab)
+    assert not tfidf_matrix(token_docs[:2], vocab).any()
+
+
+def test_tfidf_matrix_randomized_and_degenerate_shapes():
+    rng = random.Random(17)
+    for _ in range(100):
+        corpus = [
+            [rng.choice("abcdef") for _ in range(rng.randint(0, 8))]
+            for _ in range(rng.randint(1, 8))
+        ]
+        docs = [
+            [rng.choice("abcdefxy") for _ in range(rng.randint(0, 12))]
+            for _ in range(rng.randint(0, 6))
+        ]
+        assert_matrix_is_stacked_vectors(docs, fit_vocab(corpus, {1, 2, 3}))
+    assert tfidf_matrix([], fit_vocab([["a"]], {1})).shape == (0, 1)
+    assert tfidf_matrix([["a"]], fit_vocab([[]], {1})).shape == (1, 0)
 
 
 def test_tfidf_no_known_ngrams_gives_zero_vector():
