@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .ioutil import read_lines
 from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
 from .vectorize import Vocabulary, fit_vocab, norm, tfidf_vector
 
@@ -154,13 +154,7 @@ def load_bank(source, stopwords=None) -> ExampleBank:
 
 
 def _read_bank_records(source) -> list[tuple[str, str, str]]:
-    if isinstance(source, (str, Path)):
-        try:
-            lines = Path(source).read_text("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise BankFormatError(f"bank is not UTF-8 ({exc})") from None
-    else:
-        lines = [str(line) for line in source]
+    lines = read_lines(source, BankFormatError, "bank")
     records = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._base import ParamsMixin, check_is_fitted
+from .ioutil import read_json
 
 MODEL_MAGIC = "softmax-linear"
 MODEL_VERSION = 1
@@ -286,26 +287,18 @@ def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxCl
     Pass ``expected_vocab_hash`` (a ``vocab_sha256`` or the featurizer's hash)
     to reject a model that was trained against a different feature space.
     """
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ModelFormatError(f"unreadable model payload: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_MAGIC:
-        raise ModelFormatError("not a softmax-linear model file")
-    if payload.get("version") != MODEL_VERSION:
-        raise ModelFormatError(f"unsupported model version {payload.get('version')!r}")
+    payload = read_json(data, ModelFormatError, "model payload", MODEL_MAGIC, MODEL_VERSION)
     recorded = payload.get("sha256", "")
     if recorded != _payload_digest({**payload, "sha256": ""}):
         raise ModelFormatError("model checksum mismatch (corrupt payload)")
     _check_header(payload)
+    params = check_params(payload.get("params"), ModelFormatError)
     if expected_vocab_hash is not None and payload["vocab_hash"] != expected_vocab_hash:
         raise VocabMismatchError(
             "model was trained against a different vocabulary "
             f"({payload['vocab_hash'][:12]}... != {expected_vocab_hash[:12]}...)"
         )
-    model = SoftmaxClassifier(**{
-        k: v for k, v in payload["params"].items() if k not in _LEGACY_PARAM_TYPES
-    })
+    model = SoftmaxClassifier(**params)
     model.classes_ = tuple(payload["classes"])
     model.n_features_ = payload["n_features"]
     model.feature_kind_ = payload["feature_kind"]
@@ -329,7 +322,6 @@ _HEADER_TYPES = {
     "n_features": int,
     "feature_kind": str,
     "vocab_hash": str,
-    "params": dict,
     "weights": list,
 }
 _PARAM_TYPES = {
@@ -345,24 +337,33 @@ _LEGACY_PARAM_TYPES = {"learning_rate": (int, float)}
 def _check_header(payload: dict) -> None:
     """Reject a checksum-valid payload whose header fields are missing or
     mistyped (a string ``classes`` or weight row would otherwise split into
-    characters, and a mistyped param would fail only at the first fit)."""
+    characters)."""
     for key, kind in _HEADER_TYPES.items():
         if not _is_a(payload.get(key), kind):
             raise ModelFormatError(
                 f"model field {key!r} missing or not a {kind.__name__}"
             )
-    for key, value in payload["params"].items():
-        kind = _PARAM_TYPES.get(key) or _LEGACY_PARAM_TYPES.get(key)
-        if kind is None:
-            raise ModelFormatError(f"unknown training param {key!r}")
-        if not _is_a(value, kind):
-            raise ModelFormatError(f"param {key!r} is a {type(value).__name__}")
     if not all(isinstance(c, str) for c in payload["classes"]):
         raise ModelFormatError("model classes must be strings")
     if not all(isinstance(row, list) for row in payload["weights"]):
         raise ModelFormatError("model weight rows must be lists")
     if payload["n_features"] < 0:
         raise ModelFormatError("negative n_features")
+
+
+def check_params(params, error, kinds=_PARAM_TYPES) -> dict:
+    """``params`` without the legacy ``learning_rate``, which is type-checked
+    and dropped. A non-object, a key outside ``kinds`` or a value not of its
+    type (``true``/``false`` are not numbers) raises ``error(message)``."""
+    if not isinstance(params, dict):
+        raise error("'params' must be an object")
+    for key, value in params.items():
+        kind = kinds.get(key) or _LEGACY_PARAM_TYPES.get(key)
+        if kind is None:
+            raise error(f"unknown training param {key!r}")
+        if not _is_a(value, kind):
+            raise error(f"param {key!r} has a bad value {value!r}")
+    return {k: v for k, v in params.items() if k not in _LEGACY_PARAM_TYPES}
 
 
 def _is_a(value, kind) -> bool:

@@ -34,7 +34,7 @@ from .drafting import (
 )
 from .ensemble import EnsembleDocumentClassifier
 from .evaluation import evaluate_attacks, evaluate_documents
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_json, atomic_write_text, read_json
 from .text import load_stopwords
 
 
@@ -42,15 +42,13 @@ class UsageError(Exception):
     """Bad invocation detected after argparse (e.g. config file contents)."""
 
 
-def _checked_tau(value) -> float:
-    """The resolved tau (flag or config file) as a float in [0, 1]."""
+def _tau_value(text: str) -> float:
     try:
-        tau = float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"invalid tau {value!r}") from None
-    if isinstance(value, bool) or not 0.0 <= tau <= 1.0:
-        raise UsageError(f"tau must be in [0, 1], got {value!r}")
-    return tau
+        if 0.0 <= (tau := float(text)) <= 1.0:
+            return tau
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"tau must be a number in [0, 1], got {text!r}")
 
 
 def _date_value(text: str) -> date:
@@ -72,16 +70,54 @@ def _ngrams_value(text: str) -> tuple[int, ...]:
     return values
 
 
+def _choice_value(*choices: str):
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(f"{text!r} is not one of {', '.join(choices)}")
+        return text
+
+    convert.choices = choices  # listed in --help
+    return convert
+
+
+# The converter of each option's text: argparse applies it to the flag, and
+# _config_value to the --config value.
+_OPTION_TYPES = {
+    "seed": int, "docs_per_class": int, "n_rfes": int,
+    "ocr_noise_rate": float, "train_fraction": float,
+    "channel": _choice_value("ocr", "clean"), "split": _choice_value("train", "test", "all"),
+    "ngrams": _ngrams_value, "l2": float, "max_iters": int, "grad_tol": float,
+    "tau": _tau_value, "today": _date_value,
+}
+
+
+def _config_value(key: str, value):
+    """A --config value under its flag's rule: the flag's text, a JSON number
+    for a number option (not ``true``/``false``) or a list of integers for
+    ``ngrams``, put through the flag's converter."""
+    convert = _OPTION_TYPES.get(key)
+    if convert is None:
+        return value
+    if convert is _ngrams_value and isinstance(value, list):
+        value = ",".join(map(str, value))
+    elif convert in (int, float, _tau_value) and isinstance(value, (int, float)):
+        value = str(value)
+    try:
+        if not isinstance(value, str):
+            raise ValueError(f"{value!r} is not a valid value")
+        return convert(value)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from None
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
-        payload = json.loads(Path(path).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = Path(path).read_bytes()
+    except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return payload
+    return read_json(data, UsageError, f"config file {path}")
 
 
 def _resolve(args, defaults: dict) -> dict:
@@ -94,7 +130,7 @@ def _resolve(args, defaults: dict) -> dict:
         if flag is not None:
             resolved[key] = flag
         elif key in file_config:
-            resolved[key] = file_config[key]
+            resolved[key] = _config_value(key, file_config[key])
         else:
             resolved[key] = default
     payload = json.dumps(resolved, sort_keys=True, default=str)
@@ -154,10 +190,10 @@ def _cmd_train_docs(args) -> int:
     doc_records, docs = _load_split(args.corpus, opts["split"], opts["channel"])
     labels = [rec["label"] for rec in doc_records]
     model = EnsembleDocumentClassifier(
-        n_range=tuple(opts["ngrams"]),
-        l2=float(opts["l2"]),
-        max_iters=int(opts["max_iters"]),
-        grad_tol=float(opts["grad_tol"]),
+        n_range=opts["ngrams"],
+        l2=opts["l2"],
+        max_iters=opts["max_iters"],
+        grad_tol=opts["grad_tol"],
     ).fit(docs, labels)
     model.save(args.out)
     print(
@@ -228,8 +264,7 @@ def _rfe_inputs(input_path: Path) -> list[tuple[str, Path]]:
 
 
 def _cmd_detect(args) -> int:
-    opts = _resolve(args, {"tau": DEFAULT_TAU})
-    tau = _checked_tau(opts["tau"])
+    tau = _resolve(args, {"tau": DEFAULT_TAU})["tau"]
     bank = load_bank(args.bank)
     stopwords = load_stopwords()
     jobs = _rfe_inputs(Path(args.input))
@@ -245,10 +280,6 @@ def _cmd_detect(args) -> int:
 
 def _cmd_draft(args) -> int:
     opts = _resolve(args, {"tau": DEFAULT_TAU, "today": None})
-    tau = _checked_tau(opts["tau"])
-    today = opts["today"]
-    if isinstance(today, str):
-        today = date.fromisoformat(today)
     bank = load_bank(args.bank)
     store = BeneficiaryStore.load(args.store)
     library = load_template_library(args.templates)
@@ -258,15 +289,12 @@ def _cmd_draft(args) -> int:
         bank,
         store,
         library,
-        tau=tau,
+        tau=opts["tau"],
         patterns=patterns,
-        today=today,
+        today=opts["today"],
     )
     atomic_write_text(args.out, draft.render())
-    atomic_write_text(
-        str(args.out) + ".manifest.json",
-        json.dumps(draft.manifest.as_record(), sort_keys=True, indent=2) + "\n",
-    )
+    atomic_write_json(str(args.out) + ".manifest.json", draft.manifest.as_record())
     print(
         f"draft {draft.manifest.status}"
         + (
@@ -293,7 +321,7 @@ def _cmd_eval_docs(args) -> int:
 
 def _cmd_eval_attacks(args) -> int:
     opts = _resolve(args, {"tau": DEFAULT_TAU, "attack": "specialty-occupation"})
-    tau = _checked_tau(opts["tau"])
+    tau = opts["tau"]
     corpus_dir = Path(args.corpus)
     manifest = load_manifest(corpus_dir)
     bank_path = args.bank or corpus_dir / manifest["paths"]["bank"]
@@ -340,34 +368,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def option(p, flag, dest=None):
+        """A flag whose text goes through the option's converter."""
+        dest = dest or flag[2:]
+        kind = _OPTION_TYPES[dest]
+        p.add_argument(flag, dest=dest, type=kind, choices=getattr(kind, "choices", None))
+
     p = sub.add_parser("gen-corpus", help="generate a seeded synthetic corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--docs-per-class", dest="docs_per_class", type=int, default=None)
-    p.add_argument("--rfes", dest="n_rfes", type=int, default=None)
-    p.add_argument("--noise", dest="ocr_noise_rate", type=float, default=None)
-    p.add_argument(
-        "--train-fraction", dest="train_fraction", type=float, default=None
-    )
+    option(p, "--seed")
+    option(p, "--docs-per-class", dest="docs_per_class")
+    option(p, "--rfes", dest="n_rfes")
+    option(p, "--noise", dest="ocr_noise_rate")
+    option(p, "--train-fraction", dest="train_fraction")
     p.add_argument("--config", default=None, help="JSON config file")
     p.set_defaults(handler=_cmd_gen_corpus)
 
     p = sub.add_parser("train-docs", help="train the document ensemble")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="bundle output directory")
-    p.add_argument("--channel", choices=("ocr", "clean"), default=None)
-    p.add_argument("--split", choices=("train", "test", "all"), default=None)
-    p.add_argument("--ngrams", type=_ngrams_value, default=None)
-    p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float, default=None)
+    option(p, "--channel")
+    option(p, "--split")
+    option(p, "--ngrams")
+    option(p, "--l2")
+    option(p, "--max-iters", dest="max_iters")
+    option(p, "--grad-tol", dest="grad_tol")
     p.add_argument("--config", default=None)
     p.set_defaults(handler=_cmd_train_docs)
 
     p = sub.add_parser("classify", help="classify documents with a trained bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--input", required=True, help="corpus dir or directory of docs")
-    p.add_argument("--channel", choices=("ocr", "clean"), default=None)
+    option(p, "--channel")
     p.add_argument("--out", default=None, help="JSONL output (default stdout)")
     p.add_argument(
         "--move",
@@ -380,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="detect attack types in RFE text")
     p.add_argument("--bank", required=True)
     p.add_argument("--input", required=True, help="RFE .txt, directory, or corpus")
-    p.add_argument("--tau", type=float, default=None)
+    option(p, "--tau")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(handler=_cmd_detect)
@@ -392,16 +424,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", default=None)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--today", type=_date_value, default=None)
+    option(p, "--tau")
+    option(p, "--today")
     p.add_argument("--config", default=None)
     p.set_defaults(handler=_cmd_draft)
 
     p = sub.add_parser("eval-docs", help="per-class accuracy on a corpus")
     p.add_argument("--bundle", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--split", choices=("train", "test", "all"), default=None)
-    p.add_argument("--channel", choices=("ocr", "clean"), default=None)
+    option(p, "--split")
+    option(p, "--channel")
     p.add_argument("--json", default=None, help="write records to file ('-' stdout)")
     p.set_defaults(handler=_cmd_eval_docs)
 
@@ -409,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--bank", default=None, help="bank override (default: corpus bank)")
     p.add_argument("--attack", default=None)
-    p.add_argument("--tau", type=float, default=None)
+    option(p, "--tau")
     p.add_argument("--json", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(handler=_cmd_eval_attacks)

@@ -25,12 +25,16 @@ import numpy as np
 
 from .ensemble import Document
 from .image import PageImage, encode_pgm, read_pgm
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text, read_json
 
 MANIFEST_MAGIC = "rfe-corpus-manifest"
 MANIFEST_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
+
+
+class CorpusFormatError(ValueError):
+    """Malformed manifest or ``doc.json``, or a file one names is unreadable."""
 
 
 class SeededRng:
@@ -577,10 +581,7 @@ def generate_corpus(config: CorpusConfig, out_dir) -> dict:
         "documents": documents,
         "rfes": rfes,
     }
-    atomic_write_text(
-        out_dir / "manifest.json",
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-    )
+    atomic_write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
@@ -617,19 +618,9 @@ def _generate_documents(config: CorpusConfig, out_dir: Path, root: SeededRng) ->
             degraded = corrupt_text(clean, config.ocr_noise_rate, rng.child("noise"))
             atomic_write_text(doc_dir / "clean.txt", clean)
             atomic_write_text(doc_dir / "ocr.txt", degraded)
-            atomic_write_text(
+            atomic_write_json(
                 doc_dir / "doc.json",
-                json.dumps(
-                    {
-                        "id": doc_id,
-                        "pages": page_files,
-                        "text": "ocr.txt",
-                        "clean_text": "clean.txt",
-                    },
-                    sort_keys=True,
-                    indent=2,
-                )
-                + "\n",
+                {"id": doc_id, "pages": page_files, "text": "ocr.txt", "clean_text": "clean.txt"},
             )
             records.append(
                 {
@@ -747,21 +738,57 @@ def _write_template_library(template_dir: Path) -> None:
             }
         )
     manifest = {"format": "template-library", "version": 1, "templates": entries}
-    atomic_write_text(
-        template_dir / "templates.json",
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-    )
+    atomic_write_json(template_dir / "templates.json", manifest)
 
 
 # --- manifest consumers ------------------------------------------------------
 
+_PATH = "path"
+
+
+def _valid(value, kind) -> bool:
+    """Whether ``value`` is of ``kind``: ``str`` a string, ``_PATH`` a
+    relative path with no ``..`` part (so it stays inside the directory it is
+    joined to; checked on the string alone), ``[kind]`` a list of that kind."""
+    if kind is str:
+        return isinstance(value, str)
+    if kind is _PATH:
+        return (
+            isinstance(value, str) and value != "" and "\0" not in value
+            and not value.startswith("/") and ".." not in value.split("/")
+        )
+    return isinstance(value, list) and all([_valid(v, kind[0]) for v in value])
+
+
+# The keys that the readers use, each with the kind of its value.
+_PATHS_FIELDS = dict.fromkeys(("bank", "store", "templates", "patterns"), _PATH)
+_DOCUMENT_FIELDS = {"id": str, "label": str, "split": str, "dir": _PATH, "pages": [_PATH],
+                    "clean_text": _PATH, "ocr_text": _PATH}
+_RFE_FIELDS = {"id": str, "file": _PATH, "attacks": [str]}
+_DOC_JSON_FIELDS = {"id": str, "pages": [_PATH], "text": _PATH, "clean_text": _PATH}
+
+
+def _check_fields(record, fields: dict, where: str) -> None:
+    if not isinstance(record, dict):
+        raise CorpusFormatError(f"{where} is not an object")
+    for key, kind in fields.items():
+        if not _valid(record.get(key), kind):
+            raise CorpusFormatError(f"{where}: {key!r} missing or malformed")
+
+
 def load_manifest(corpus_dir) -> dict:
+    """Read ``manifest.json``; a malformed one raises :class:`CorpusFormatError`.
+    Every path it names must be relative with no ``..`` part."""
     path = Path(corpus_dir) / "manifest.json"
-    manifest = json.loads(path.read_text("utf-8"))
-    if manifest.get("format") != MANIFEST_MAGIC:
-        raise ValueError(f"{path} is not a corpus manifest")
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"unsupported manifest version {manifest.get('version')!r}")
+    manifest = read_json(
+        path.read_bytes(), CorpusFormatError, str(path), MANIFEST_MAGIC, MANIFEST_VERSION
+    )
+    _check_fields(manifest.get("paths"), _PATHS_FIELDS, f"{path}: 'paths'")
+    for key, fields in (("documents", _DOCUMENT_FIELDS), ("rfes", _RFE_FIELDS)):
+        if not isinstance(manifest.get(key), list):
+            raise CorpusFormatError(f"{path}: {key!r} must be a list")
+        for i, record in enumerate(manifest[key]):
+            _check_fields(record, fields, f"{path}: {key}[{i}]")
     return manifest
 
 
@@ -773,19 +800,28 @@ def load_document(corpus_dir, doc_record: dict, channel: str = "ocr") -> Documen
 
 
 def load_document_dir(doc_dir, channel: str = "ocr") -> Document:
-    """Materialize a standalone document directory written by the generator."""
-    doc_dir = Path(doc_dir)
-    meta = json.loads((doc_dir / "doc.json").read_text("utf-8"))
-    return _read_document(doc_dir, meta, channel, "text")
+    """Materialize a standalone document directory written by the generator;
+    its ``doc.json`` follows the manifest's rules."""
+    path = Path(doc_dir) / "doc.json"
+    meta = read_json(path.read_bytes(), CorpusFormatError, str(path))
+    _check_fields(meta, _DOC_JSON_FIELDS, str(path))
+    return _read_document(path.parent, meta, channel, "text")
 
 
 def _read_document(doc_dir: Path, meta: dict, channel: str, ocr_key: str) -> Document:
     """Pages and one text channel of a document; ``meta`` names its files (the
-    OCR text under ``ocr_key``, which differs between manifest and doc.json)."""
+    OCR text under ``ocr_key``, which differs between manifest and doc.json).
+    A named file that cannot be read raises :class:`CorpusFormatError`."""
     if channel not in ("ocr", "clean"):
         raise ValueError(f"unknown text channel {channel!r}")
-    pages = tuple(read_pgm(doc_dir / name) for name in meta["pages"])
-    text_file = meta[ocr_key if channel == "ocr" else "clean_text"]
-    return Document(
-        doc_id=meta["id"], pages=pages, text=(doc_dir / text_file).read_text("utf-8")
-    )
+    pages = tuple(_read(doc_dir / name, read_pgm) for name in meta["pages"])
+    text_path = doc_dir / meta[ocr_key if channel == "ocr" else "clean_text"]
+    text = _read(text_path, lambda path: path.read_text("utf-8"))
+    return Document(doc_id=meta["id"], pages=pages, text=text)
+
+
+def _read(path: Path, read):
+    try:
+        return read(path)
+    except (OSError, UnicodeError) as exc:
+        raise CorpusFormatError(f"cannot read {path}: {exc}") from None

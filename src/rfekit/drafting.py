@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .attacks import DEFAULT_TAU, AttackReport, ExampleBank, detect_rfe
-from .ioutil import is_bare_file_name
+from .ioutil import is_bare_file_name, read_json, read_lines
 
 RFE_FIELD_NAMES = (
     "case_number",
@@ -129,31 +129,17 @@ class Template:
 
 
 def load_field_patterns(source=None) -> dict[str, re.Pattern]:
-    """Compile the field-pattern file (defaults to the one shipped in-package).
+    """Compile the field-pattern file at path ``source``, or in the bytes
+    ``source`` (defaults to the one shipped in-package).
 
     Each pattern must contain exactly one capture group; matching is
     line-anchored (MULTILINE).
     """
-    try:
-        if source is None:
-            raw = (
-                resources.files("rfekit.data")
-                .joinpath("field_patterns.json")
-                .read_text("utf-8")
-            )
-        elif isinstance(source, (str, Path)):
-            raw = Path(source).read_text("utf-8")
-        else:
-            raw = source.decode("utf-8") if isinstance(source, bytes) else str(source)
-        payload = json.loads(raw)
-    except (ValueError, RecursionError) as exc:
-        raise PatternFormatError(f"invalid pattern file: {exc}") from None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != "field-patterns"
-        or payload.get("version") != 1
-    ):
-        raise PatternFormatError("not a version-1 field-patterns file")
+    if source is None:
+        data = resources.files("rfekit.data").joinpath("field_patterns.json").read_bytes()
+    else:
+        data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    payload = read_json(data, PatternFormatError, "pattern file", "field-patterns", 1)
     entries = payload.get("patterns", {})
     if not isinstance(entries, dict):
         raise PatternFormatError("'patterns' must map field names to regexes")
@@ -231,13 +217,7 @@ class BeneficiaryStore:
         the decoder's limits) and a record without the five fields all raise
         :class:`StoreFormatError`.
         """
-        if isinstance(source, (str, Path)):
-            try:
-                lines = Path(source).read_text("utf-8").splitlines()
-            except UnicodeDecodeError as exc:
-                raise StoreFormatError(f"store is not UTF-8 ({exc})") from None
-        else:
-            lines = [str(line) for line in source]
+        lines = read_lines(source, StoreFormatError, "store")
         records = []
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
@@ -269,19 +249,11 @@ def load_template_library(directory) -> tuple[Template, ...]:
     library directory.
     """
     directory = Path(directory)
-    manifest_path = directory / "templates.json"
     try:
-        manifest = json.loads(manifest_path.read_text("utf-8"))
+        data = (directory / "templates.json").read_bytes()
     except FileNotFoundError:
         raise TemplateFormatError(f"no templates.json in {directory}") from None
-    except (ValueError, RecursionError) as exc:
-        raise TemplateFormatError(f"invalid templates.json: {exc}") from None
-    if (
-        not isinstance(manifest, dict)
-        or manifest.get("format") != "template-library"
-        or manifest.get("version") != 1
-    ):
-        raise TemplateFormatError("not a version-1 template-library manifest")
+    manifest = read_json(data, TemplateFormatError, "templates.json", "template-library", 1)
     entries = manifest.get("templates", [])
     if not isinstance(entries, list):
         raise TemplateFormatError("'templates' must be a list")

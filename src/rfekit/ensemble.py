@@ -10,7 +10,6 @@ whole computation is returned as an auditable trace.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,15 +18,15 @@ import numpy as np
 
 from ._base import ParamsMixin, check_is_fitted
 from .classify import (
-    _LEGACY_PARAM_TYPES,
     _PARAM_TYPES,
     SoftmaxClassifier,
     _is_a,
+    check_params,
     load_model,
     save_model,
 )
 from .image import FEATURIZER_VERSION, PageImage, featurizer_sha256, image_features
-from .ioutil import atomic_write_bytes, atomic_write_text, is_bare_file_name
+from .ioutil import atomic_write_bytes, atomic_write_json, is_bare_file_name, read_json
 from .text import normalize, stopwords_sha256, tokenize
 from .vectorize import (
     Vocabulary,
@@ -48,8 +47,7 @@ _BUNDLE_FILES = {
     "text_model": "text-model.json",
     "image_model": "image-model.json",
 }
-# Types of the manifest params: the constructor's, plus legacy v1 params.
-_BUNDLE_PARAM_TYPES = {"n_range": list, **_PARAM_TYPES, **_LEGACY_PARAM_TYPES}
+_BUNDLE_PARAM_TYPES = {"n_range": list, **_PARAM_TYPES}
 
 
 @dataclass(frozen=True)
@@ -295,8 +293,7 @@ class EnsembleDocumentClassifier(ParamsMixin):
             "stopwords_sha256": stopwords_sha256(),
             "vocab_sha256": hashlib.sha256(self.vocab_bytes_).hexdigest(),
         }
-        manifest_text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        atomic_write_text(bundle_dir / "bundle.json", manifest_text)
+        atomic_write_json(bundle_dir / "bundle.json", manifest)
 
     @classmethod
     def load(cls, bundle_dir) -> "EnsembleDocumentClassifier":
@@ -315,18 +312,11 @@ class EnsembleDocumentClassifier(ParamsMixin):
         def invalid(reason: str) -> ValueError:
             return ValueError(f"bundle {bundle_dir}: {reason}")
 
-        try:
-            manifest = json.loads((bundle_dir / "bundle.json").read_text("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise invalid(f"unreadable bundle.json ({exc})") from None
-        if not isinstance(manifest, dict) or manifest.get("format") != BUNDLE_MAGIC:
-            raise invalid("not a document-ensemble bundle")
-        if manifest.get("version") != BUNDLE_VERSION:
-            raise invalid(f"unsupported bundle version {manifest.get('version')!r}")
-        for key in ("files", "classes"):
-            if key not in manifest:
-                raise invalid(f"bundle.json has no {key!r}")
-        files = manifest["files"]
+        manifest = read_json(
+            (bundle_dir / "bundle.json").read_bytes(), invalid, "bundle.json",
+            BUNDLE_MAGIC, BUNDLE_VERSION,
+        )
+        files = manifest.get("files")
         if not isinstance(files, dict) or set(_BUNDLE_FILES) - set(files):
             raise invalid(f"'files' must name {sorted(_BUNDLE_FILES)}")
         if not all(is_bare_file_name(name) for name in files.values()):
@@ -335,20 +325,12 @@ class EnsembleDocumentClassifier(ParamsMixin):
             raise invalid(
                 "recorded stopwords_sha256 does not match the shipped stopword list"
             )
-        params = manifest.get("params", {})
-        if not isinstance(params, dict):
-            raise invalid("'params' must be an object")
-        for key, value in params.items():
-            kind = _BUNDLE_PARAM_TYPES.get(key)
-            if kind is None:
-                raise invalid(f"unknown param {key!r}")
-            if not _is_a(value, kind) or (key == "n_range" and not (
-                value and all(_is_a(n, int) and n >= 1 for n in value)
-            )):
-                raise invalid(f"param {key!r} has a bad value {value!r}")
-        params.pop("learning_rate", None)  # legacy v1 param, unused by Newton-CG
+        params = check_params(manifest.get("params", {}), invalid, _BUNDLE_PARAM_TYPES)
         if "n_range" in params:
-            params["n_range"] = tuple(params["n_range"])
+            n_range = params["n_range"]
+            if not (n_range and all(_is_a(n, int) and n >= 1 for n in n_range)):
+                raise invalid(f"param 'n_range' has a bad value {n_range!r}")
+            params["n_range"] = tuple(n_range)
 
         def read(part, load, **kwargs):
             try:
@@ -366,7 +348,7 @@ class EnsembleDocumentClassifier(ParamsMixin):
         est.image_model_ = read(
             "image_model", load_model, expected_vocab_hash=featurizer_sha256()
         )
-        classes = manifest["classes"]
+        classes = manifest.get("classes")
         if not (
             isinstance(classes, list)
             and all(isinstance(c, str) for c in classes)

@@ -1,8 +1,10 @@
-"""Atomic file writes and the bare-file-name rule shared by the loaders and writers."""
+"""The JSON container convention, atomic file writes and the bare-file-name
+rule, shared by every loader and writer."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 from pathlib import Path
 
@@ -33,6 +35,38 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_json(path, obj) -> None:
+    """Write ``obj`` as JSON: sorted keys, 2-space indent, trailing newline."""
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def read_json(data: bytes, error, what: str, magic=None, version=None) -> dict:
+    """The JSON object in the UTF-8 bytes ``data``. A decode failure of any
+    kind, a value that is not an object and, given ``magic``, a ``format`` or
+    ``version`` other than ``magic`` and ``version`` raise ``error(message)``,
+    the message naming the document ``what``."""
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"unreadable {what} ({exc})") from None
+    if not isinstance(payload, dict):
+        raise error(f"{what} is not a JSON object")
+    if magic is not None and (payload.get("format"), payload.get("version")) != (magic, version):
+        raise error(f"{what} is not a version-{version} {magic} file")
+    return payload
+
+
+def read_lines(source, error, what: str) -> list[str]:
+    """The lines of the UTF-8 file at path ``source``, or of an iterable of
+    lines; a file that is not UTF-8 raises ``error(message)``."""
+    if not isinstance(source, (str, Path)):
+        return [str(line) for line in source]
+    try:
+        return Path(source).read_text("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8 ({exc})") from None
 
 
 def is_bare_file_name(name) -> bool:

@@ -11,7 +11,6 @@ L2-normalized (or exactly zero when no fitted n-gram occurs).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -224,11 +223,6 @@ def load_vocab(data: bytes) -> Vocabulary:
         return Vocabulary(ngram_to_index, tuple(doc_freq), corpus_size, n_range)
     except OverflowError:
         raise VocabularyFormatError(f"corpus_size {corpus_size} is too large") from None
-
-
-def vocab_sha256(vocab: Vocabulary) -> str:
-    """Content hash of the canonical serialization; recorded by trained models."""
-    return hashlib.sha256(save_vocab(vocab)).hexdigest()
 
 
 def _header_value(line: str, key: str) -> str:

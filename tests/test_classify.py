@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -15,7 +16,7 @@ from rfekit.classify import (
     save_model,
     softmax,
 )
-from rfekit.vectorize import fit_vocab, stack_dense, tfidf_vector, vocab_sha256
+from rfekit.vectorize import fit_vocab, save_vocab, stack_dense, tfidf_vector
 
 
 def finite_difference_gradient(weights, X, y_index, l2, h=1e-5):
@@ -236,13 +237,16 @@ def test_model_vocab_hash_mismatch():
     vocab_b = fit_vocab([["x", "z"]], {1})
     X = stack_dense([tfidf_vector(["x"], vocab_a), tfidf_vector(["y"], vocab_a)],
                     vocab_a.size)
+    hash_a, hash_b = (
+        hashlib.sha256(save_vocab(v)).hexdigest() for v in (vocab_a, vocab_b)
+    )
     clf = SoftmaxClassifier(max_iters=1).fit(
-        X, ["a", "b"], feature_kind="sparse", vocab_hash=vocab_sha256(vocab_a)
+        X, ["a", "b"], feature_kind="sparse", vocab_hash=hash_a
     )
     data = save_model(clf)
-    assert load_model(data, expected_vocab_hash=vocab_sha256(vocab_a)).classes_ == ("a", "b")
+    assert load_model(data, expected_vocab_hash=hash_a).classes_ == ("a", "b")
     with pytest.raises(VocabMismatchError):
-        load_model(data, expected_vocab_hash=vocab_sha256(vocab_b))
+        load_model(data, expected_vocab_hash=hash_b)
 
 
 def test_estimator_params_api():

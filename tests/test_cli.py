@@ -346,6 +346,67 @@ def test_bad_config_tau_exits_2(tmp_path, capsys, command, tau):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("train-docs", {"max_iters": True}, "max_iters"),
+        ("train-docs", {"max_iters": 2.9}, "max_iters"),
+        ("train-docs", {"max_iters": "2.9"}, "max_iters"),
+        ("train-docs", {"l2": "abc"}, "l2"),
+        ("train-docs", {"l2": False}, "l2"),
+        ("train-docs", {"grad_tol": [1]}, "grad_tol"),
+        ("train-docs", {"ngrams": 5}, "ngrams"),
+        ("train-docs", {"ngrams": [2, True]}, "ngrams"),
+        ("train-docs", {"ngrams": [0, 1]}, "ngrams"),
+        ("train-docs", {"channel": "bogus"}, "channel"),
+        ("train-docs", {"split": 1}, "split"),
+        ("draft", {"today": 5}, "today"),
+        ("draft", {"today": "2021-13-01"}, "today"),
+        ("gen-corpus", {"docs_per_class": 2.5}, "docs_per_class"),
+        ("gen-corpus", {"seed": True}, "seed"),
+    ],
+)
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, config, key):
+    """A config value obeys its flag's rule: no bool or fraction for an
+    integer, no text that the flag would refuse."""
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    args = {
+        "train-docs": ["--corpus", str(tmp_path / "c"), "--out", str(out)],
+        "draft": ["--bank", "b", "--store", "s", "--templates", "t",
+                  "--input", "i", "--out", str(out)],
+        "gen-corpus": ["--out", str(out)],
+    }[command]
+    assert run([command, *args, "--config", str(tmp_path / "config.json")]) == 2
+    assert f"usage error: config key {key!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "data", [b"\xff\xfe{}", b"[" * 100_000, b"[]"], ids=["not-utf-8", "deep", "list"]
+)
+def test_unreadable_config_file_exits_2(tmp_path, capsys, data):
+    (tmp_path / "config.json").write_bytes(data)
+    argv = ["detect", "--bank", "b", "--input", "i", "--config", str(tmp_path / "config.json")]
+    assert run(argv) == 2
+    assert "usage error: " in capsys.readouterr().err
+
+
+def test_config_values_in_flag_text_list_and_number_forms(tmp_path, capsys):
+    corpus = gen_small_corpus(tmp_path, docs=2)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ngrams": [1, 2], "l2": "0.01", "max_iters": 30}))
+    bundle = tmp_path / "bundle"
+    argv = ["train-docs", "--corpus", str(corpus), "--out", str(bundle)]
+    assert run([*argv, "--config", str(config)]) == 0
+    params = json.loads((bundle / "bundle.json").read_text())["params"]
+    assert params == {"n_range": [1, 2], "l2": 0.01, "max_iters": 30, "grad_tol": 1e-6}
+    config.write_text(json.dumps({"ngrams": "1,2", "l2": 0.01, "max_iters": "30"}))
+    assert run([*argv, "--config", str(config)]) == 0
+    assert json.loads((bundle / "bundle.json").read_text())["params"] == params
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("clash", ["existing-target", "duplicate-target"])
 def test_classify_move_clash_moves_nothing(tmp_path, trained_bundle, clash):
     import shutil
@@ -426,3 +487,79 @@ def test_detect_draft_and_evaluate_agree_on_every_rfe(tmp_path, capsys):
     for attack in bank.attack_ids:
         counts, _ = evaluate_attacks(bank, pairs, attack)
         assert (counts.fp, counts.fn) == (0, 0), attack
+
+
+def test_classify_move_rerun_after_interrupted_move_finishes(
+    tmp_path, trained_bundle, corpus_42, capsys
+):
+    """A run stopped after moving two of an inbox's documents is finished by
+    a rerun; against a corpus the rerun fails, because its manifest still
+    names the moved directories."""
+    import shutil
+
+    corpus, bundle = trained_bundle
+    root, manifest = corpus_42
+    inbox, dest = tmp_path / "inbox", tmp_path / "sorted"
+    for rec in manifest["documents"][::13]:
+        shutil.copytree(root / rec["dir"], inbox / rec["id"])
+    traces = tmp_path / "traces.jsonl"
+    argv = ["classify", "--bundle", str(bundle), "--input", str(inbox)]
+    assert run([*argv, "--out", str(traces)]) == 0
+    predicted = {
+        r["id"]: r["predicted"] for r in map(json.loads, traces.read_text().splitlines())
+    }
+    assert len(predicted) == 8 and len(set(predicted.values())) == 2
+    for doc_id in sorted(predicted)[:2]:
+        (dest / predicted[doc_id]).mkdir(parents=True, exist_ok=True)
+        shutil.move(str(inbox / doc_id), str(dest / predicted[doc_id] / doc_id))
+
+    assert run([*argv, "--move", str(dest)]) == 0
+    assert list(inbox.iterdir()) == []
+    assert sorted(p.relative_to(dest) for p in dest.glob("*/*")) == sorted(
+        Path(label, doc_id) for doc_id, label in predicted.items()
+    )
+
+    records = json.loads((corpus / "manifest.json").read_text())["documents"]
+    for rec in records[:2]:
+        shutil.move(str(corpus / rec["dir"]), str(tmp_path / rec["id"]))
+    argv = ["classify", "--bundle", str(bundle), "--input", str(corpus)]
+    assert run([*argv, "--move", str(tmp_path / "sorted-corpus")]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, edit",
+    [
+        ("eval-attacks", lambda m: m.pop("paths")),
+        ("eval-attacks", lambda m: m["rfes"][0].update(file="/etc/hostname")),
+        ("detect", lambda m: m["rfes"][0].update(file="../corpus/rfes/rfe-0000.txt")),
+        ("train-docs", lambda m: m["documents"][0].pop("dir")),
+        ("train-docs", lambda m: m["documents"][0].update(dir="../corpus/docs/doc-0001")),
+        ("eval-docs", lambda m: m["documents"][-1].pop("label")),
+    ],
+    ids=["no-paths", "rfe-absolute", "rfe-dotdot", "no-dir", "dir-dotdot", "no-label"],
+)
+def test_malformed_manifest_exits_1_naming_it(tmp_path, trained_bundle, capsys, command, edit):
+    corpus, bundle = trained_bundle
+    path = corpus / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    args = {
+        "eval-attacks": ["--corpus", str(corpus)],
+        "detect": ["--bank", str(corpus / "bank.jsonl"), "--input", str(corpus)],
+        "train-docs": ["--corpus", str(corpus), "--out", str(tmp_path / "b2")],
+        "eval-docs": ["--bundle", str(bundle), "--corpus", str(corpus)],
+    }[command]
+    assert run([command, *args]) == 1
+    assert f"error: {path}" in capsys.readouterr().err
+
+
+def test_classify_doc_json_without_pages_exits_1_naming_it(tmp_path, trained_bundle, capsys):
+    corpus, bundle = trained_bundle
+    doc_dir = corpus / json.loads((corpus / "manifest.json").read_text())["documents"][0]["dir"]
+    meta = json.loads((doc_dir / "doc.json").read_text())
+    del meta["pages"]
+    (doc_dir / "doc.json").write_text(json.dumps(meta))
+    assert run(["classify", "--bundle", str(bundle), "--input", str(corpus)]) == 1
+    assert f"error: {doc_dir / 'doc.json'}: 'pages'" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from rfekit.corpus import (
     BANK_SENTENCES,
     CorpusConfig,
+    CorpusFormatError,
     SeededRng,
     corrupt_text,
     generate_corpus,
@@ -251,3 +253,126 @@ def test_document_loaders_reject_unknown_channel(tmp_path):
         load_document(tmp_path, record, "bogus")
     with pytest.raises(ValueError, match="unknown text channel"):
         load_document_dir(tmp_path / record["dir"], "bogus")
+
+
+def _edit_json(path, edit):
+    data = json.loads(path.read_text("utf-8"))
+    edit(data)
+    path.write_text(json.dumps(data), "utf-8")
+
+
+def _set(key, value, record=None):
+    def edit(data):
+        (data if record is None else data[record][0])[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.pop("paths"),
+        lambda m: m["paths"].pop("bank"),
+        _set("paths", ["bank.jsonl"]),
+        lambda m: m["paths"].update(bank="/etc/hostname"),
+        lambda m: m["paths"].update(templates="../templates"),
+        _set("documents", {}),
+        lambda m: m.pop("rfes"),
+        lambda m: m["documents"].append("docs/doc-0000"),
+        lambda m: m["documents"][0].pop("dir"),
+        _set("dir", "../other/docs/doc-0000", "documents"),
+        _set("dir", "docs/../../doc-0000", "documents"),
+        _set("dir", "/tmp", "documents"),
+        _set("dir", "", "documents"),
+        _set("dir", "docs/doc\u0000", "documents"),
+        _set("pages", "page-0.pgm", "documents"),
+        _set("pages", ["page-0.pgm", None], "documents"),
+        _set("pages", ["../doc-0001/page-0.pgm"], "documents"),
+        _set("ocr_text", "/etc/hostname", "documents"),
+        _set("label", 1, "documents"),
+        lambda m: m["documents"][0].pop("split"),
+        _set("file", "/etc/hostname", "rfes"),
+        _set("file", "rfes/../../outside.txt", "rfes"),
+        _set("attacks", "specialty-occupation", "rfes"),
+        _set("id", None, "rfes"),
+        _set("version", 2),
+        _set("format", "other"),
+    ],
+    ids=[
+        "no-paths", "no-bank", "paths-list", "bank-absolute", "templates-dotdot",
+        "documents-object", "no-rfes", "document-string", "no-dir", "dir-dotdot",
+        "dir-inner-dotdot", "dir-absolute", "dir-empty", "dir-nul", "pages-string",
+        "page-null", "page-dotdot", "ocr-absolute", "label-int", "no-split",
+        "rfe-absolute", "rfe-dotdot", "attacks-string", "rfe-id-null", "version",
+        "format",
+    ],
+)
+def test_malformed_manifest_raises_corpus_format_error(tmp_path, edit):
+    generate_corpus(small_config(), tmp_path)
+    _edit_json(tmp_path / "manifest.json", edit)
+    with pytest.raises(CorpusFormatError, match=re.escape(str(tmp_path / "manifest.json"))):
+        load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{}", b"{not json", b"[]", b"[" * 100_000, b"1" + b"0" * 5000],
+    ids=["not-utf-8", "not-json", "list", "deep", "5000-digit-int"],
+)
+def test_unreadable_manifest_and_doc_json_raise_corpus_format_error(tmp_path, data):
+    manifest = generate_corpus(small_config(), tmp_path)
+    doc_dir = tmp_path / manifest["documents"][0]["dir"]
+    (tmp_path / "manifest.json").write_bytes(data)
+    (doc_dir / "doc.json").write_bytes(data)
+    with pytest.raises(CorpusFormatError, match="manifest.json"):
+        load_manifest(tmp_path)
+    with pytest.raises(CorpusFormatError, match="doc.json"):
+        load_document_dir(doc_dir)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("pages"),
+        _set("pages", ["page-0.pgm", 0]),
+        _set("pages", ["/etc/hostname"]),
+        _set("text", "../doc-0001/ocr.txt"),
+        _set("clean_text", None),
+        _set("id", 7),
+    ],
+    ids=["no-pages", "page-int", "page-absolute", "text-dotdot", "clean-null", "id-int"],
+)
+def test_malformed_doc_json_raises_corpus_format_error(tmp_path, edit):
+    manifest = generate_corpus(small_config(), tmp_path)
+    doc_dir = tmp_path / manifest["documents"][0]["dir"]
+    _edit_json(doc_dir / "doc.json", edit)
+    with pytest.raises(CorpusFormatError, match=re.escape(str(doc_dir / "doc.json"))):
+        load_document_dir(doc_dir)
+
+
+@pytest.mark.parametrize(
+    "damage", ["missing-page", "unencodable-page-name", "text-not-utf-8", "text-is-dir"]
+)
+def test_unreadable_named_file_raises_corpus_format_error_naming_it(tmp_path, damage):
+    manifest = generate_corpus(small_config(), tmp_path)
+    record = manifest["documents"][0]
+    doc_dir = tmp_path / record["dir"]
+    if damage == "missing-page":
+        broken = doc_dir / record["pages"][0]
+        broken.unlink()
+    elif damage == "unencodable-page-name":
+        broken = doc_dir / "page-\ud800.pgm"
+        for path, key in ((tmp_path / "manifest.json", "documents"), (doc_dir / "doc.json", None)):
+            _edit_json(path, _set("pages", [broken.name], key))
+    else:
+        broken = doc_dir / record["ocr_text"]
+        broken.unlink()
+        if damage == "text-is-dir":
+            broken.mkdir()
+        else:
+            broken.write_bytes(b"\xff\xfe")
+    match = f"cannot read {re.escape(str(broken))}"
+    with pytest.raises(CorpusFormatError, match=match):
+        load_document(tmp_path, load_manifest(tmp_path)["documents"][0])
+    with pytest.raises(CorpusFormatError, match=match):
+        load_document_dir(doc_dir)

@@ -14,7 +14,14 @@ import pytest
 
 from rfekit.attacks import BankFormatError, ExampleBank, load_bank
 from rfekit.classify import ModelFormatError, SoftmaxClassifier, load_model
-from rfekit.corpus import CorpusConfig, generate_corpus, load_document
+from rfekit.corpus import (
+    CorpusConfig,
+    CorpusFormatError,
+    generate_corpus,
+    load_document,
+    load_document_dir,
+    load_manifest,
+)
 from rfekit.drafting import (
     BENEFICIARY_FIELD_NAMES,
     BeneficiaryRecord,
@@ -262,6 +269,52 @@ def test_template_manifest_mutants_raise_only_template_format_error(
         ])
         with pytest.raises(TemplateFormatError, match="not a file name"):
             load(json.dumps(mutant).encode("utf-8"))
+
+
+def test_corpus_manifest_mutants_raise_only_corpus_format_error(corpus_42, tmp_path):
+    """Mutants of the seed-42 manifest.json; each document record a mutant
+    changed is loaded from the corpus on both channels. Only
+    CorpusFormatError escapes, or PgmError for a page that names a file that
+    is not a PGM image."""
+    root, _ = corpus_42
+    original = (root / "manifest.json").read_bytes()
+    unchanged = {json.dumps(r, sort_keys=True) for r in json.loads(original)["documents"]}
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(MUTANTS):
+        (tmp_path / "manifest.json").write_bytes(mutate(original, rng))
+        try:
+            manifest = load_manifest(tmp_path)
+            for record in manifest["documents"]:
+                if json.dumps(record, sort_keys=True) not in unchanged:
+                    outcomes.add("changed")
+                    for channel in ("ocr", "clean"):
+                        load_document(root, record, channel)
+        except (CorpusFormatError, PgmError) as exc:
+            outcomes.add(type(exc))
+            continue
+        outcomes.add("ok")
+    assert {"ok", "changed", CorpusFormatError} <= outcomes
+
+
+def test_doc_json_mutants_raise_only_corpus_format_error(corpus_42, tmp_path):
+    root, manifest = corpus_42
+    source = root / manifest["documents"][0]["dir"]
+    for path in source.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    original = (source / "doc.json").read_bytes()
+    rng = random.Random(37)
+    outcomes = set()
+    for _ in range(MUTANTS):
+        (tmp_path / "doc.json").write_bytes(mutate(original, rng))
+        try:
+            for channel in ("ocr", "clean"):
+                load_document_dir(tmp_path, channel)
+        except (CorpusFormatError, PgmError) as exc:
+            outcomes.add(type(exc))
+            continue
+        outcomes.add("ok")
+    assert {"ok", CorpusFormatError} <= outcomes
 
 
 def test_store_records_are_immutable_named_tuples(rfe_corpus_42):

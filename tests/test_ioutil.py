@@ -1,10 +1,12 @@
+import ast
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
 from rfekit import ioutil
-from rfekit.ioutil import atomic_write_bytes, atomic_write_text
+from rfekit.ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text, read_json
 
 
 def test_write_creates_parents_and_leaves_no_temp(tmp_path):
@@ -71,3 +73,78 @@ def test_file_mode_follows_umask(tmp_path):
     target = tmp_path / "out"
     atomic_write_bytes(target, b"x")
     assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_atomic_write_json_bytes(tmp_path):
+    atomic_write_json(tmp_path / "out.json", {"b": 1, "a": [1, "\u00e9"]})
+    assert (tmp_path / "out.json").read_bytes() == (
+        b'{\n  "a": [\n    1,\n    "\\u00e9"\n  ],\n  "b": 1\n}\n'
+    )
+
+
+class Malformed(ValueError):
+    pass
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff{}", "unreadable doc"),
+        (b"{not json", "unreadable doc"),
+        (b"[" * 100_000, "unreadable doc"),
+        (b"1" + b"0" * 5000, "unreadable doc"),
+        (b"[]", "doc is not a JSON object"),
+        (b'{"format": "f"}', "doc is not a version-1 f file"),
+        (b'{"format": "g", "version": 1}', "doc is not a version-1 f file"),
+        (b'{"format": "f", "version": 2}', "doc is not a version-1 f file"),
+    ],
+)
+def test_read_json_failures_raise_the_given_error(data, message):
+    with pytest.raises(Malformed, match=message):
+        read_json(data, Malformed, "doc", "f", 1)
+
+
+def test_read_json_returns_the_object():
+    assert read_json(b'{"format": "f", "version": 1, "x": [1]}', Malformed, "doc", "f", 1) == {
+        "format": "f", "version": 1, "x": [1],
+    }
+    assert read_json(b'{"x": 1}', Malformed, "doc") == {"x": 1}
+
+
+# The two per-line decode loops keep their own messages (the store's are
+# pinned exactly by the store fuzz test).
+PER_LINE_DECODERS = {("attacks.py", "_read_bank_records"), ("drafting.py", "BeneficiaryStore.load")}
+
+
+def test_json_documents_are_read_and_written_only_through_ioutil():
+    """Outside ioutil.py, no rfekit module decodes JSON (but the two per-line
+    loops) or writes indented JSON documents itself."""
+    found = []
+    for path in sorted(Path(ioutil.__file__).parent.glob("*.py")):
+        if path.name == "ioutil.py":
+            continue
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}" if where else node.name
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append((path.name, where, "from json import"))
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+            ):
+                call = node.func.attr
+                if call in ("load", "loads") and (path.name, where) not in PER_LINE_DECODERS:
+                    found.append((path.name, where, call))
+                if call in ("dump", "dumps") and any(
+                    k.arg == "indent" and getattr(k.value, "value", None) == 2
+                    for k in node.keywords
+                ):
+                    found.append((path.name, where, f"{call}(indent=2)"))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(path.read_text("utf-8")), "")
+    assert found == []
