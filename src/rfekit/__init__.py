@@ -45,7 +45,7 @@ from .vectorize import (
     fit_vocab,
     ngrams,
     stack_dense,
-    tfidf_matrix,
+    tfidf_coo,
     tfidf_vector,
 )
 
@@ -102,7 +102,7 @@ __all__ = [
     "similarity_matrix",
     "split_sentences",
     "stack_dense",
-    "tfidf_matrix",
+    "tfidf_coo",
     "tfidf_vector",
     "tokenize",
 ]

@@ -59,9 +59,11 @@ class SoftmaxClassifier(ParamsMixin):
     """sklearn-style estimator: ``fit(X, y)``, ``predict_proba``, ``predict``.
 
     X is a 2-D numeric array (rows are samples); y is a sequence of class
-    labels. Class order is frozen at fit time (pass ``classes`` to pin it
-    explicitly; defaults to sorted unique labels) and argmax ties resolve to
-    the earliest class in that order.
+    labels. :meth:`fit_gram` trains from X's Gram matrix and right product
+    instead, for a design too large to hold densely. Class order is frozen
+    at fit time (pass ``classes`` to pin it explicitly; defaults to sorted
+    unique labels) and argmax ties resolve to the earliest class in that
+    order.
     """
 
     def __init__(self, l2=1e-3, max_iters=2000, grad_tol=1e-6):
@@ -71,10 +73,22 @@ class SoftmaxClassifier(ParamsMixin):
 
     def fit(self, X, y, classes: Sequence[str] | None = None,
             feature_kind: str = "dense", vocab_hash: str = ""):
+        """Fit on the 2-D design X: :meth:`fit_gram` with ``K = X @ X.T``."""
         X = _as_design_input(X)
+        return self.fit_gram(
+            X @ X.T, lambda G: G @ X, y, classes, feature_kind, vocab_hash
+        )
+
+    def fit_gram(self, K, project, y, classes: Sequence[str] | None = None,
+                 feature_kind: str = "dense", vocab_hash: str = ""):
+        """Fit on a design X given only through its Gram matrix ``K = X @ X.T``
+        (n x n) and its right product ``project(G) = G @ X`` for
+        (n_classes, n) arrays G. ``n_features_`` is the width of that
+        product, so X itself is never needed (see :func:`coo_gram` and
+        :func:`coo_matmul` for a design held as its nonzeros)."""
         labels = list(y)
-        if X.shape[0] != len(labels):
-            raise ValueError(f"{X.shape[0]} rows but {len(labels)} labels")
+        if K.shape != (len(labels), len(labels)):
+            raise ValueError(f"{K.shape[0]} rows but {len(labels)} labels")
         if not labels:
             raise ValueError("empty training set")
         self.classes_ = tuple(classes) if classes is not None else tuple(
@@ -97,10 +111,11 @@ class SoftmaxClassifier(ParamsMixin):
         y_index = np.array([index[lab] for lab in labels])
 
         coef, bias, self.n_iter_, self.converged_, self.grad_max_ = _newton_cg_gram(
-            X, y_index, len(self.classes_), self.l2, self.max_iters, self.grad_tol,
+            K, project, y_index, len(self.classes_), self.l2, self.max_iters,
+            self.grad_tol,
         )
-        self.weights_ = np.hstack([coef @ X, bias[:, None]])
-        self.n_features_ = X.shape[1]
+        self.weights_ = np.hstack([project(coef), bias[:, None]])
+        self.n_features_ = self.weights_.shape[1] - 1
         self.feature_kind_ = feature_kind
         self.vocab_hash_ = vocab_hash
         return self
@@ -122,18 +137,58 @@ class SoftmaxClassifier(ParamsMixin):
         return [self.classes_[i] for i in probs.argmax(axis=1)]
 
 
+# Floats in coo_gram's scatter buffer: 1 MiB, whatever the design's width.
+_GRAM_BUFFER_FLOATS = 2**17
+
+
+def coo_gram(row, col, value, n_rows: int) -> np.ndarray:
+    """``X @ X.T`` of the n_rows-row design X whose nonzeros are
+    ``(row, col, value)`` (at most one entry per (row, col)).
+
+    X is never formed: the entries are taken in blocks of
+    ``2**17 // n_rows`` consecutive columns, each block is scattered into a
+    zeroed n_rows x block buffer, and ``buf @ buf.T`` is added to K. Time
+    grows with n_rows**2 times the number of columns spanned, memory with
+    n_rows**2 plus the nonzeros.
+    """
+    width = max(1, _GRAM_BUFFER_FLOATS // max(n_rows, 1))
+    K = np.zeros((n_rows, n_rows))
+    buf = np.zeros((n_rows, width))
+    order = np.argsort(col, kind="stable")
+    row, value = row[order], value[order]
+    block, offset = np.divmod(col[order], width)
+    starts = np.flatnonzero(np.diff(block, prepend=-1)).tolist()
+    for a, b in zip(starts, starts[1:] + [row.size]):
+        r, c = row[a:b], offset[a:b]
+        buf[r, c] = value[a:b]
+        K += buf @ buf.T
+        buf[r, c] = 0.0
+    return K
+
+
+def coo_matmul(G, row, col, value, n_cols: int) -> np.ndarray:
+    """``G @ X`` for (k, n) ``G`` and the n x n_cols design X whose nonzeros
+    are ``(row, col, value)``: one ``np.bincount`` over the nonzeros per row
+    of G, so X is never formed."""
+    out = np.empty((len(G), n_cols))
+    for k, g in enumerate(G):
+        out[k] = np.bincount(col, weights=g[row] * value, minlength=n_cols)
+    return out
+
+
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking search
 _MAX_HALVINGS = 60
 
 
-def _newton_cg_gram(X, y_index, n_classes, l2, max_iters, grad_tol):
+def _newton_cg_gram(K, project, y_index, n_classes, l2, max_iters, grad_tol):
     """Truncated-Newton (Newton-CG) minimization of the loss of
     :func:`loss_and_gradient`, run in Gram (representer) form.
 
     Weights start at zero and only the weights (not the bias) are penalized,
     so every gradient and Newton step lies in the row span of X and every
-    iterate is ``W = A @ X`` for (n_classes, n) coefficients A. The Gram
-    matrix ``K = X @ X.T`` is built and eigendecomposed once,
+    iterate is ``W = A @ X`` for (n_classes, n) coefficients A. X enters only
+    through ``project(G) = G @ X`` and the Gram matrix ``K = X @ X.T``,
+    which is eigendecomposed once,
     ``K = Q @ diag(lam) @ Q.T``, and the loop runs on ``V = A @ Q @
     diag(sqrt(lam))`` over the n x r features ``F = Q @ diag(sqrt(lam))``:
     the scores are ``F @ V.T + b`` and the penalty is ``l2/2 * ||V||^2``. So
@@ -144,7 +199,8 @@ def _newton_cg_gram(X, y_index, n_classes, l2, max_iters, grad_tol):
     CG would grow A without bound.
 
     Each outer step checks the exact primal stop rule
-    ``max(|grad_bias|, |g @ X|) < grad_tol`` with ``g = delta.T / n + l2 * A``,
+    ``max(|grad_bias|, |project(g)|) < grad_tol`` with
+    ``g = delta.T / n + l2 * A``,
     takes a Newton step from :func:`_newton_direction`, and backtracks from
     t = 1 by halving until the Armijo condition holds (Lin, Weng & Keerthi,
     JMLR 2008; Nocedal & Wright, *Numerical Optimization*, ch. 7).
@@ -154,9 +210,9 @@ def _newton_cg_gram(X, y_index, n_classes, l2, max_iters, grad_tol):
     grad_max is the primal max|grad| at the returned point. A step that finds
     no decrease ends the loop unconverged.
     """
-    n = X.shape[0]
+    n = K.shape[0]
     rows = np.arange(n)
-    lam, basis = np.linalg.eigh(X @ X.T)
+    lam, basis = np.linalg.eigh(K)
     keep = lam > lam[-1] * n * np.finfo(float).eps
     root, basis = np.sqrt(lam[keep]), basis[:, keep]
     features = basis * root
@@ -170,7 +226,7 @@ def _newton_cg_gram(X, y_index, n_classes, l2, max_iters, grad_tol):
         grad_bias = delta.sum(axis=0) / n
         grad_max = float(np.maximum(  # NaN-propagating, unlike builtin max
             np.abs(grad_bias).max(),
-            np.abs((delta.T / n + l2 * coef) @ X).max(initial=0.0),
+            np.abs(project(delta.T / n + l2 * coef)).max(initial=0.0),
         ))
         if not np.isfinite(grad_max):
             raise FloatingPointError("training diverged: non-finite gradient")
@@ -264,9 +320,16 @@ def _as_design_input(X) -> np.ndarray:
 
 
 def save_model(model: SoftmaxClassifier) -> bytes:
-    """Versioned structured-text container; weights as hex floats (bit-exact)."""
+    """Versioned structured-text container; weights as hex floats (bit-exact).
+
+    The bytes are ``json.dumps(payload, sort_keys=True, indent=1)``, and
+    ``sha256`` is :func:`_payload_digest` of the payload with ``sha256``
+    empty. Both texts are built here from the hex rows with ``str.join``
+    (``"weights"`` sorts last), because the indenting JSON encoder runs in
+    pure Python. Every row holds at least the bias, so none is empty.
+    """
     check_is_fitted(model, "weights_")
-    payload = {
+    header = {
         "format": MODEL_MAGIC,
         "version": MODEL_VERSION,
         "classes": list(model.classes_),
@@ -274,11 +337,19 @@ def save_model(model: SoftmaxClassifier) -> bytes:
         "feature_kind": model.feature_kind_,
         "vocab_hash": model.vocab_hash_,
         "params": model.get_params(),
-        "weights": [list(map(float.hex, row)) for row in model.weights_.tolist()],
         "sha256": "",
     }
-    payload["sha256"] = _payload_digest(payload)
-    return json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
+    rows = [list(map(float.hex, row)) for row in model.weights_.tolist()]
+    canonical = '%s, "weights": [%s]}' % (
+        json.dumps(header, sort_keys=True)[:-1],
+        ", ".join('["' + '", "'.join(row) + '"]' for row in rows),
+    )
+    header["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    text = '%s,\n "weights": [\n%s\n ]\n}' % (
+        json.dumps(header, sort_keys=True, indent=1)[:-2],
+        ",\n".join('  [\n   "' + '",\n   "'.join(row) + '"\n  ]' for row in rows),
+    )
+    return text.encode("utf-8")
 
 
 def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxClassifier:

@@ -122,8 +122,16 @@ def _load_config_file(path) -> dict:
 
 def _resolve(args, defaults: dict) -> dict:
     """flags > --config file > defaults, keyed by the defaults dict; the result
-    is echoed to stderr with its content hash."""
+    is echoed to stderr with its content hash. A config key outside the
+    defaults dict is a usage error, so a misspelt key cannot fall back to the
+    default unnoticed."""
     file_config = _load_config_file(getattr(args, "config", None))
+    unknown = sorted(set(file_config) - set(defaults))
+    if unknown:
+        raise UsageError(
+            f"unknown config key(s) {', '.join(map(repr, unknown))} for {args.command};"
+            f" it reads {', '.join(map(repr, sorted(defaults)))}"
+        )
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
@@ -138,6 +146,15 @@ def _resolve(args, defaults: dict) -> dict:
     print(f"[rfekit] {args.command} config sha256={digest[:16]} {payload}",
           file=sys.stderr)
     return resolved
+
+
+def _read_rfe(path) -> str:
+    """The text of the RFE file at ``path``; a file that cannot be read or is
+    not UTF-8 stops the run (exit 1) with a message naming it."""
+    try:
+        return Path(path).read_text("utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise RuntimeError(f"cannot read RFE {path} as UTF-8 text: {exc}") from None
 
 
 def _emit_records(records, out_path) -> None:
@@ -272,7 +289,7 @@ def _cmd_detect(args) -> int:
         raise UsageError(f"no RFE text files under {args.input}")
     records = []
     for rfe_id, path in jobs:
-        report = detect_rfe(path.read_text("utf-8"), bank, tau, stopwords)
+        report = detect_rfe(_read_rfe(path), bank, tau, stopwords)
         records.append({"id": rfe_id, **report.as_record()})
     _emit_records(records, args.out)
     return 0
@@ -285,7 +302,7 @@ def _cmd_draft(args) -> int:
     library = load_template_library(args.templates)
     patterns = load_field_patterns(args.patterns) if args.patterns else None
     draft = draft_response(
-        Path(args.input).read_text("utf-8"),
+        _read_rfe(args.input),
         bank,
         store,
         library,
@@ -327,11 +344,7 @@ def _cmd_eval_attacks(args) -> int:
     bank_path = args.bank or corpus_dir / manifest["paths"]["bank"]
     bank = load_bank(bank_path)
     pairs = [
-        (
-            (corpus_dir / rec["file"]).read_text("utf-8"),
-            rec["attacks"],
-        )
-        for rec in manifest["rfes"]
+        (_read_rfe(corpus_dir / rec["file"]), rec["attacks"]) for rec in manifest["rfes"]
     ]
     if not pairs:
         raise UsageError(f"corpus {args.corpus} has no RFEs")

@@ -22,6 +22,8 @@ from .classify import (
     SoftmaxClassifier,
     _is_a,
     check_params,
+    coo_gram,
+    coo_matmul,
     load_model,
     save_model,
 )
@@ -34,7 +36,7 @@ from .vectorize import (
     load_vocab,
     save_vocab,
     stack_dense,
-    tfidf_matrix,
+    tfidf_coo,
     tfidf_vector,
 )
 
@@ -232,8 +234,11 @@ class EnsembleDocumentClassifier(ParamsMixin):
         token_docs = [document_tokens(d.text) for d in docs]
         self.vocabulary_ = fit_vocab(token_docs, self.n_range)
         self.vocab_bytes_ = save_vocab(self.vocabulary_)
-        self.text_model_ = self._head().fit(
-            tfidf_matrix(token_docs, self.vocabulary_),
+        row, col, value = tfidf_coo(token_docs, self.vocabulary_)
+        n_cols = self.vocabulary_.size
+        self.text_model_ = self._head().fit_gram(
+            coo_gram(row, col, value, len(docs)),
+            lambda G: coo_matmul(G, row, col, value, n_cols),
             labels,
             classes=self.classes_,
             feature_kind="sparse",

@@ -109,10 +109,11 @@ def tfidf_vector(tokens: list[str], vocab: Vocabulary) -> tuple[tuple[int, float
     return tuple((i, w / length) for i, w in weighted)
 
 
-def tfidf_matrix(token_docs, vocab: Vocabulary) -> np.ndarray:
-    """Dense ``(len(token_docs), vocab.size)`` array of the documents' tf-idf
-    vectors: row r equals ``tfidf_vector(token_docs[r], vocab)`` densified by
-    :func:`stack_dense`, bit for bit.
+def tfidf_coo(token_docs, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros ``(row, col, value)`` of the documents' tf-idf design,
+    sorted by row and then by column: the entries of row r are
+    ``tfidf_vector(token_docs[r], vocab)``, bit for bit. The design itself,
+    ``len(token_docs)`` x ``vocab.size``, is never formed.
 
     Each document's n-grams are mapped to columns once; the (row, column)
     pairs are then counted and weighted with numpy. A row's length is the
@@ -129,18 +130,14 @@ def tfidf_matrix(token_docs, vocab: Vocabulary) -> np.ndarray:
         found = [i for i in map(lookup, ngrams(tokens, vocab.n_range)) if i is not None]
         col_ids.extend(found)
         doc_ids.extend([doc] * len(found))
-    out = np.zeros((n_docs, vocab.size))
-    if not col_ids:
-        return out
-    pairs = np.array(doc_ids, dtype=np.int64) * vocab.size + np.array(col_ids)
+    pairs = np.array(doc_ids, dtype=np.int64) * vocab.size + np.array(col_ids, dtype=np.int64)
     keys, counts = np.unique(pairs, return_counts=True)
     row, col = np.divmod(keys, vocab.size)  # sorted by row, then by column
     weights = counts * np.frombuffer(vocab.idf_table)[col]
     squares = (weights * weights).tolist()
     bounds = np.searchsorted(row, np.arange(n_docs + 1)).tolist()
     lengths = np.array([math.sqrt(sum(squares[a:b])) for a, b in zip(bounds, bounds[1:])])
-    out[row, col] = weights / lengths[row]
-    return out
+    return row, col, weights / lengths[row]
 
 
 def cosine(u, v) -> float:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from rfekit.classify import (
     SoftmaxClassifier,
     VocabMismatchError,
     _payload_digest,
+    coo_gram,
+    coo_matmul,
     load_model,
     loss_and_gradient,
     save_model,
@@ -348,13 +351,23 @@ def _old_save_model_weights(model):
 
 def test_save_model_weight_encoding_unchanged():
     X, y = _tfidf_with_zero_row()
-    clf = SoftmaxClassifier().fit(X, y)
-    payload = json.loads(save_model(clf))
-    payload["weights"] = _old_save_model_weights(clf)
-    payload["sha256"] = ""
-    payload["sha256"] = _payload_digest(payload)
-    old_bytes = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
-    assert save_model(clf) == old_bytes
+    three_classes = SoftmaxClassifier().fit(X, y)
+    one_column = SoftmaxClassifier().fit(np.zeros((2, 0)), ["a", "b"])
+    special = SoftmaxClassifier(max_iters=1).fit(np.eye(3), ["a", "b", "c"])
+    special.weights_ = np.array([
+        [0.0, -0.0, 5e-324, 1e300],
+        [-1e300, 2.2250738585072014e-308 / 3, 1 / 3, -2.5],
+        [1.0, -0.0, 0.0, float.fromhex("0x1.fffffffffffffp+1023")],
+    ])
+    for clf in (three_classes, one_column, special):
+        payload = json.loads(save_model(clf))
+        payload["weights"] = _old_save_model_weights(clf)
+        payload["sha256"] = ""
+        payload["sha256"] = _payload_digest(payload)
+        old_bytes = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
+        assert save_model(clf) == old_bytes
+        assert load_model(old_bytes).weights_.tobytes() == clf.weights_.tobytes()
+    assert one_column.weights_.shape == (2, 1)
 
 
 DROP = object()
@@ -403,3 +416,90 @@ def test_resigned_malformed_header_rejected(changes):
     payload["sha256"] = _payload_digest(payload)
     with pytest.raises(ModelFormatError):
         load_model(json.dumps(payload).encode("utf-8"), expected_vocab_hash="")
+
+
+def _sparse_design(n, d, per_row, seed, n_classes=3):
+    """A random n x d design as ``(X, (row, col, value))``, rows sorted by
+    (row, col), ``per_row`` nonzeros in each row except an all-zero row 0."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((n, d))
+    for r in range(1, n):
+        X[r, rng.choice(d, size=per_row, replace=False)] = rng.normal(size=per_row)
+    row, col = np.nonzero(X)
+    y = [f"c{i % n_classes}" for i in range(n)]
+    return X, (row, col, X[row, col]), y
+
+
+_SPARSE_CASES = [(5, 7, 3), (40, 10_000, 1), (300, 2_000, 40), (1, 3, 2), (2_000, 150, 5)]
+
+
+@pytest.mark.parametrize("n, d, per_row", _SPARSE_CASES)
+def test_coo_gram_and_matmul_match_the_dense_products(n, d, per_row):
+    """Block-built K against ``X @ X.T`` (several column blocks once
+    n * d > 2**17) and bincount ``G @ X`` against the dense product."""
+    X, (row, col, value), _ = _sparse_design(n, d, per_row, seed=n + d)
+    K = coo_gram(row, col, value, n)
+    assert K.shape == (n, n)
+    assert np.abs(K - X @ X.T).max() <= 1e-13 * np.abs(X @ X.T).max()
+    G = np.random.default_rng(d).normal(size=(3, n))
+    GX = coo_matmul(G, row, col, value, d)
+    assert GX.shape == (3, d)
+    assert np.abs(GX - G @ X).max() <= 1e-13 * np.abs(G @ X).max()
+    assert not coo_gram(row[:0], col[:0], value[:0], n).any()
+
+
+@pytest.mark.parametrize(
+    "n, d, per_row, l2",
+    [
+        (12, 50, 4, 1e-3),
+        (12, 50, 4, 0.0),
+        (40, 10_000, 3, 1e-3),
+        (40, 10_000, 3, 0.0),
+        # Unpenalized, this separable design has its optimum at infinity, and
+        # where the stop rule halts depends on round-off: l2 > 0 only.
+        (300, 2_000, 40, 1e-3),
+        (200, 30, 3, 1e-3),
+        (200, 30, 3, 0.0),  # n > d: a finite unpenalized optimum
+    ],
+)
+def test_sparse_fit_matches_dense_fit(n, d, per_row, l2):
+    X, (row, col, value), y = _sparse_design(n, d, per_row, seed=7 * n + d)
+    dense = SoftmaxClassifier(l2=l2).fit(X, y, feature_kind="sparse")
+    sparse = SoftmaxClassifier(l2=l2).fit_gram(
+        coo_gram(row, col, value, n),
+        lambda G: coo_matmul(G, row, col, value, d),
+        y,
+        feature_kind="sparse",
+    )
+    assert dense.converged_
+    assert (sparse.n_iter_, sparse.converged_) == (dense.n_iter_, dense.converged_)
+    assert sparse.weights_.shape == dense.weights_.shape == (3, d + 1)
+    assert sparse.n_features_ == d
+    assert np.abs(sparse.weights_ - dense.weights_).max() <= 1e-12
+    assert sparse.predict(X) == dense.predict(X)
+
+
+def test_fit_gram_rejects_a_gram_matrix_of_the_wrong_size():
+    with pytest.raises(ValueError, match="3 rows but 2 labels"):
+        SoftmaxClassifier().fit_gram(np.eye(3), lambda G: G, ["a", "b"])
+
+
+def test_sparse_fit_never_allocates_the_dense_design():
+    """A 50 x 200,000 design with 20 nonzeros a row trains with a traced peak
+    below a quarter of its dense size (80 MB)."""
+    n, d, per_row = 50, 200_000, 20
+    rng = np.random.default_rng(5)
+    row = np.repeat(np.arange(n), per_row)
+    col = np.concatenate([np.sort(rng.choice(d, per_row, replace=False)) for _ in range(n)])
+    value = rng.random(n * per_row) + 0.5
+    y = [f"c{i % 3}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        clf = SoftmaxClassifier().fit_gram(
+            coo_gram(row, col, value, n), lambda G: coo_matmul(G, row, col, value, d), y
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clf.converged_ and clf.weights_.shape == (3, d + 1)
+    assert peak < n * d * 8 / 4

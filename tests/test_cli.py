@@ -383,6 +383,51 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, conf
 
 
 @pytest.mark.parametrize(
+    "command, config, unknown",
+    [
+        ("detect", {"tua": 0.9, "max_iter": 5}, ["max_iter", "tua"]),
+        ("detect", {"tau": 0.5, "ngrams": [1]}, ["ngrams"]),
+        ("draft", {"channel": "ocr"}, ["channel"]),
+        ("eval-attacks", {"l2": 0.1}, ["l2"]),
+        ("train-docs", {"tau": 0.5}, ["tau"]),
+        ("gen-corpus", {"seed": 3, "split": "train"}, ["split"]),
+    ],
+)
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, config, unknown):
+    """A key the command does not read is a usage error, not a silent
+    fallback to the default, raised before anything is read or written."""
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    args = {
+        "detect": ["--bank", "b", "--input", "i", "--out", str(out)],
+        "draft": ["--bank", "b", "--store", "s", "--templates", "t",
+                  "--input", "i", "--out", str(out)],
+        "eval-attacks": ["--corpus", str(tmp_path / "c"), "--json", str(out)],
+        "train-docs": ["--corpus", str(tmp_path / "c"), "--out", str(out)],
+        "gen-corpus": ["--out", str(out)],
+    }[command]
+    assert run([command, *args, "--config", str(tmp_path / "config.json")]) == 2
+    named = ", ".join(map(repr, unknown))
+    assert f"usage error: unknown config key(s) {named} for {command};" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_gen_corpus_config_reads_the_keys_without_a_flag(tmp_path, capsys):
+    from rfekit.corpus import CorpusConfig
+
+    defaults = CorpusConfig().as_dict()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "classes": defaults["classes"][:1], "attack_mix": defaults["attack_mix"],
+        "docs_per_class": 2, "n_rfes": 2,
+    }))
+    assert run(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(config)]) == 0
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert len(manifest["documents"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "data", [b"\xff\xfe{}", b"[" * 100_000, b"[]"], ids=["not-utf-8", "deep", "list"]
 )
 def test_unreadable_config_file_exits_2(tmp_path, capsys, data):
@@ -563,3 +608,28 @@ def test_classify_doc_json_without_pages_exits_1_naming_it(tmp_path, trained_bun
     (doc_dir / "doc.json").write_text(json.dumps(meta))
     assert run(["classify", "--bundle", str(bundle), "--input", str(corpus)]) == 1
     assert f"error: {doc_dir / 'doc.json'}: 'pages'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "draft", "eval-attacks"])
+@pytest.mark.parametrize("fault", ["not-utf-8", "directory"])
+def test_unreadable_rfe_exits_1_naming_the_file(tmp_path, capsys, command, fault):
+    corpus = gen_small_corpus(tmp_path, docs=0)
+    rfe = corpus / json.loads((corpus / "manifest.json").read_text())["rfes"][0]["file"]
+    rfe.unlink()
+    if fault == "not-utf-8":
+        rfe.write_bytes(b"Dear sir \xff\xfe")
+    else:
+        rfe.mkdir()
+    args = {
+        "detect": ["--bank", str(corpus / "bank.jsonl"), "--input", str(corpus)],
+        "draft": [
+            "--bank", str(corpus / "bank.jsonl"),
+            "--store", str(corpus / "beneficiaries.jsonl"),
+            "--templates", str(corpus / "templates"),
+            "--input", str(rfe), "--out", str(tmp_path / "draft.txt"),
+        ],
+        "eval-attacks": ["--corpus", str(corpus)],
+    }[command]
+    assert run([command, *args]) == 1
+    assert f"error: cannot read RFE {rfe} as UTF-8 text: " in capsys.readouterr().err
+    assert not (tmp_path / "draft.txt").exists()

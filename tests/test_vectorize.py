@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rfekit.corpus import load_document
@@ -15,7 +16,7 @@ from rfekit.vectorize import (
     norm,
     save_vocab,
     stack_dense,
-    tfidf_matrix,
+    tfidf_coo,
     tfidf_vector,
 )
 
@@ -112,15 +113,21 @@ def test_idf_table_is_the_smoothed_formula_as_plain_floats():
             assert vocab.idf_table[i] == math.log((1 + n) / (1 + df)) + 1.0
 
 
-def assert_matrix_is_stacked_vectors(token_docs, vocab):
-    """``tfidf_matrix`` equals the stacked per-document vectors bit for bit."""
+def assert_coo_is_stacked_vectors(token_docs, vocab):
+    """``tfidf_coo`` holds the stacked per-document vectors bit for bit,
+    sorted by row and then by column."""
     expected = stack_dense([tfidf_vector(t, vocab) for t in token_docs], vocab.size)
-    got = tfidf_matrix(token_docs, vocab)
-    assert got.dtype == expected.dtype and got.shape == expected.shape
+    row, col, value = tfidf_coo(token_docs, vocab)
+    assert row.dtype == col.dtype == np.int64 and value.dtype == np.float64
+    keys = row * vocab.size + col
+    assert (np.diff(keys) > 0).all()  # sorted, one entry per (row, col)
+    assert (value > 0).all()
+    got = np.zeros((len(token_docs), vocab.size))
+    got[row, col] = value
     assert got.tobytes() == expected.tobytes()
 
 
-def test_tfidf_matrix_is_stacked_vectors_on_seed42_training_docs(corpus_42):
+def test_tfidf_coo_is_stacked_vectors_on_seed42_training_docs(corpus_42):
     root, manifest = corpus_42
     token_docs = [
         document_tokens(load_document(root, rec, "ocr").text)
@@ -128,11 +135,11 @@ def test_tfidf_matrix_is_stacked_vectors_on_seed42_training_docs(corpus_42):
         if rec["split"] == "train"
     ]
     for n_range in ((2, 3), (1,)):
-        assert_matrix_is_stacked_vectors(token_docs, fit_vocab(token_docs, n_range))
+        assert_coo_is_stacked_vectors(token_docs, fit_vocab(token_docs, n_range))
 
 
 @pytest.mark.parametrize("n_range", [(1,), (2, 3)])
-def test_tfidf_matrix_edge_rows_are_stacked_vectors(n_range):
+def test_tfidf_coo_edge_rows_are_stacked_vectors(n_range):
     corpus = [["a", "b", "c", "a", "b"], ["b", "c", "d"], ["a", "a", "a"]]
     vocab = fit_vocab(corpus, n_range)
     token_docs = [
@@ -142,11 +149,11 @@ def test_tfidf_matrix_edge_rows_are_stacked_vectors(n_range):
         ["a", "a", "a", "a"],
         ["d"],
     ]
-    assert_matrix_is_stacked_vectors(token_docs, vocab)
-    assert not tfidf_matrix(token_docs[:2], vocab).any()
+    assert_coo_is_stacked_vectors(token_docs, vocab)
+    assert all(part.size == 0 for part in tfidf_coo(token_docs[:2], vocab))
 
 
-def test_tfidf_matrix_randomized_and_degenerate_shapes():
+def test_tfidf_coo_randomized_and_degenerate_shapes():
     rng = random.Random(17)
     for _ in range(100):
         corpus = [
@@ -157,9 +164,9 @@ def test_tfidf_matrix_randomized_and_degenerate_shapes():
             [rng.choice("abcdefxy") for _ in range(rng.randint(0, 12))]
             for _ in range(rng.randint(0, 6))
         ]
-        assert_matrix_is_stacked_vectors(docs, fit_vocab(corpus, {1, 2, 3}))
-    assert tfidf_matrix([], fit_vocab([["a"]], {1})).shape == (0, 1)
-    assert tfidf_matrix([["a"]], fit_vocab([[]], {1})).shape == (1, 0)
+        assert_coo_is_stacked_vectors(docs, fit_vocab(corpus, {1, 2, 3}))
+    assert_coo_is_stacked_vectors([], fit_vocab([["a"]], {1}))  # (0, 1)
+    assert_coo_is_stacked_vectors([["a"]], fit_vocab([[]], {1}))  # (1, 0)
 
 
 def test_tfidf_no_known_ngrams_gives_zero_vector():
