@@ -80,14 +80,7 @@ class AttackReport:
         return {
             "detected": list(self.detected),
             "threshold": self.threshold,
-            "evidence": [
-                {
-                    "sentence_index": e.sentence_index,
-                    "example_index": e.example_index,
-                    "similarity": e.similarity,
-                }
-                for e in self.evidence
-            ],
+            "evidence": [e._asdict() for e in self.evidence],
         }
 
 
@@ -164,13 +157,16 @@ def _read_bank_records(source) -> list[tuple[str, str, str]]:
         except (ValueError, RecursionError) as exc:
             raise BankFormatError(f"bank line {lineno}: invalid JSON ({exc})") from None
         try:
-            records.append(
-                (str(obj["attack_id"]), str(obj["description"]), str(obj["sentence"]))
-            )
+            record = (obj["attack_id"], obj["description"], obj["sentence"])
         except (TypeError, KeyError):
             raise BankFormatError(
                 f"bank line {lineno}: need attack_id, description, sentence"
             ) from None
+        if not all([type(v) is str for v in record]):
+            raise BankFormatError(
+                f"bank line {lineno}: attack_id, description and sentence must be strings"
+            )
+        records.append(record)
     return records
 
 

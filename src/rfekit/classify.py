@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._base import ParamsMixin, check_is_fitted
-from .ioutil import read_json
+from .ioutil import check_fields, is_a, read_json
 
 MODEL_MAGIC = "softmax-linear"
 MODEL_VERSION = 1
@@ -362,7 +362,9 @@ def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxCl
     recorded = payload.get("sha256", "")
     if recorded != _payload_digest({**payload, "sha256": ""}):
         raise ModelFormatError("model checksum mismatch (corrupt payload)")
-    _check_header(payload)
+    check_fields(payload, _HEADER_FIELDS, ModelFormatError, "model payload")
+    if payload["n_features"] < 0:
+        raise ModelFormatError("negative n_features")
     params = check_params(payload.get("params"), ModelFormatError)
     if expected_vocab_hash is not None and payload["vocab_hash"] != expected_vocab_hash:
         raise VocabMismatchError(
@@ -388,12 +390,14 @@ def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxCl
     return model
 
 
-_HEADER_TYPES = {
-    "classes": list,
+# The header fields of a model file; a string ``classes`` or weight row
+# would otherwise split into characters.
+_HEADER_FIELDS = {
+    "classes": [str],
     "n_features": int,
     "feature_kind": str,
     "vocab_hash": str,
-    "weights": list,
+    "weights": [list],
 }
 _PARAM_TYPES = {
     "l2": (int, float),
@@ -405,41 +409,19 @@ _PARAM_TYPES = {
 _LEGACY_PARAM_TYPES = {"learning_rate": (int, float)}
 
 
-def _check_header(payload: dict) -> None:
-    """Reject a checksum-valid payload whose header fields are missing or
-    mistyped (a string ``classes`` or weight row would otherwise split into
-    characters)."""
-    for key, kind in _HEADER_TYPES.items():
-        if not _is_a(payload.get(key), kind):
-            raise ModelFormatError(
-                f"model field {key!r} missing or not a {kind.__name__}"
-            )
-    if not all(isinstance(c, str) for c in payload["classes"]):
-        raise ModelFormatError("model classes must be strings")
-    if not all(isinstance(row, list) for row in payload["weights"]):
-        raise ModelFormatError("model weight rows must be lists")
-    if payload["n_features"] < 0:
-        raise ModelFormatError("negative n_features")
-
-
 def check_params(params, error, kinds=_PARAM_TYPES) -> dict:
     """``params`` without the legacy ``learning_rate``, which is type-checked
     and dropped. A non-object, a key outside ``kinds`` or a value not of its
-    type (``true``/``false`` are not numbers) raises ``error(message)``."""
+    kind (see :func:`~rfekit.ioutil.is_a`) raises ``error(message)``."""
     if not isinstance(params, dict):
         raise error("'params' must be an object")
     for key, value in params.items():
         kind = kinds.get(key) or _LEGACY_PARAM_TYPES.get(key)
         if kind is None:
             raise error(f"unknown training param {key!r}")
-        if not _is_a(value, kind):
+        if not is_a(value, kind):
             raise error(f"param {key!r} has a bad value {value!r}")
     return {k: v for k, v in params.items() if k not in _LEGACY_PARAM_TYPES}
-
-
-def _is_a(value, kind) -> bool:
-    """isinstance, except that a JSON ``true``/``false`` is never a number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _payload_digest(payload: dict) -> str:

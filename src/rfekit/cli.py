@@ -15,6 +15,7 @@ import json
 import shutil
 import sys
 from collections import Counter
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
@@ -311,7 +312,7 @@ def _cmd_draft(args) -> int:
         today=opts["today"],
     )
     atomic_write_text(args.out, draft.render())
-    atomic_write_json(str(args.out) + ".manifest.json", draft.manifest.as_record())
+    atomic_write_json(str(args.out) + ".manifest.json", asdict(draft.manifest))
     print(
         f"draft {draft.manifest.status}"
         + (
@@ -359,13 +360,8 @@ def _cmd_eval_attacks(args) -> int:
         record = {
             "attack": opts["attack"],
             "tau": tau,
-            "counts": {
-                "tp": counts.tp,
-                "fp": counts.fp,
-                "fn": counts.fn,
-                "tn": counts.tn,
-            },
-            "metrics": scores.as_record(),
+            "counts": asdict(counts),
+            "metrics": asdict(scores),
         }
         _emit_records([record], args.json)
     return 0

@@ -16,16 +16,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from .drafting import BeneficiaryRecord, RfeFields
 from .ensemble import Document
 from .image import PageImage, encode_pgm, read_pgm
-from .ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text, read_json
+from .ioutil import (
+    PATH,
+    atomic_write_bytes,
+    atomic_write_json,
+    atomic_write_text,
+    check_fields,
+    read_json,
+)
 
 MANIFEST_MAGIC = "rfe-corpus-manifest"
 MANIFEST_VERSION = 1
@@ -297,26 +305,7 @@ class CorpusConfig:
                     raise ValueError(f"attack mix references unknown attacks {sorted(unknown)}")
 
     def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "docs_per_class": self.docs_per_class,
-            "classes": [
-                {
-                    "name": c.name,
-                    "layout": c.layout,
-                    "type_line": c.type_line,
-                    "phrases": list(c.phrases),
-                }
-                for c in self.classes
-            ],
-            "n_rfes": self.n_rfes,
-            "attack_mix": [
-                {"attacks": list(m.attacks), "proportion": m.proportion}
-                for m in self.attack_mix
-            ],
-            "ocr_noise_rate": self.ocr_noise_rate,
-            "train_fraction": self.train_fraction,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusConfig":
@@ -413,12 +402,16 @@ def token_overlap(original, candidate) -> float:
     return kept / len(original)
 
 
-def paraphrase_sentence(tokens, rng: SeededRng, min_overlap: float = 0.6) -> list[str]:
+# The least token overlap a paraphrase keeps with its original sentence.
+MIN_PARAPHRASE_OVERLAP = 0.6
+
+
+def paraphrase_sentence(tokens, rng: SeededRng) -> list[str]:
     """Bounded paraphrase: at most one drop, one adjacent swap, one synonym.
 
     Each edit is drawn independently and applied only if the token overlap
-    with the original stays at or above ``min_overlap``, so the guarantee
-    holds by construction (short sentences simply take fewer edits).
+    with the original stays at or above ``MIN_PARAPHRASE_OVERLAP``, so the
+    guarantee holds by construction (short sentences simply take fewer edits).
     """
     if len(tokens) < 3:
         raise ValueError("need at least 3 tokens to paraphrase")
@@ -428,7 +421,7 @@ def paraphrase_sentence(tokens, rng: SeededRng, min_overlap: float = 0.6) -> lis
     if rng.random() < 0.4 and len(result) > 2:
         candidate = list(result)
         del candidate[rng.randbelow(len(candidate))]
-        if token_overlap(original, candidate) >= min_overlap:
+        if token_overlap(original, candidate) >= MIN_PARAPHRASE_OVERLAP:
             result = candidate
 
     if rng.random() < 0.5 and len(result) >= 2:
@@ -441,7 +434,7 @@ def paraphrase_sentence(tokens, rng: SeededRng, min_overlap: float = 0.6) -> lis
             i = eligible[rng.randbelow(len(eligible))]
             candidate = list(result)
             candidate[i] = SYNONYMS[candidate[i]]
-            if token_overlap(original, candidate) >= min_overlap:
+            if token_overlap(original, candidate) >= MIN_PARAPHRASE_OVERLAP:
                 result = candidate
 
     return result
@@ -539,7 +532,7 @@ def generate_corpus(config: CorpusConfig, out_dir) -> dict:
     rfes, store_lines, paraphrase_audit = _generate_rfes(config, out_dir, root)
 
     for original, paraphrased in paraphrase_audit:
-        if token_overlap(original, paraphrased) < 0.6:
+        if token_overlap(original, paraphrased) < MIN_PARAPHRASE_OVERLAP:
             raise RuntimeError(
                 f"paraphrase audit failed: {original} -> {paraphrased}"
             )
@@ -693,32 +686,19 @@ def _generate_rfes(config: CorpusConfig, out_dir: Path, root: SeededRng):
         atomic_write_text(out_dir / "rfes" / f"{rfe_id}.txt", text)
 
         soc_code = rng.choice(SOC_CODES)
-        store_lines.append(
-            json.dumps(
-                {
-                    "case_number": case_number,
-                    "soc_code": soc_code,
-                    "field_of_study": rng.choice(SOC_FIELDS_OF_STUDY[soc_code]),
-                    "degree": rng.choice(DEGREES),
-                    "institution": rng.choice(INSTITUTIONS),
-                },
-                sort_keys=True,
-            )
+        beneficiary = BeneficiaryRecord(
+            case_number, soc_code, rng.choice(SOC_FIELDS_OF_STUDY[soc_code]),
+            rng.choice(DEGREES), rng.choice(INSTITUTIONS),
         )
+        store_lines.append(json.dumps(beneficiary._asdict(), sort_keys=True))
+        fields = RfeFields(case_number, employee, employer, attorney, rfe_date, due_date)
         records.append(
             {
                 "id": rfe_id,
                 "file": f"rfes/{rfe_id}.txt",
                 "attacks": sorted(attacks),
                 "case_number": case_number,
-                "fields": {
-                    "case_number": case_number,
-                    "employee_name": employee,
-                    "employer_name": employer,
-                    "attorney_name": attorney,
-                    "rfe_date": rfe_date.isoformat(),
-                    "response_due_date": due_date.isoformat(),
-                },
+                "fields": fields.as_values(),
             }
         )
     return records, store_lines, audit
@@ -743,37 +723,13 @@ def _write_template_library(template_dir: Path) -> None:
 
 # --- manifest consumers ------------------------------------------------------
 
-_PATH = "path"
-
-
-def _valid(value, kind) -> bool:
-    """Whether ``value`` is of ``kind``: ``str`` a string, ``_PATH`` a
-    relative path with no ``..`` part (so it stays inside the directory it is
-    joined to; checked on the string alone), ``[kind]`` a list of that kind."""
-    if kind is str:
-        return isinstance(value, str)
-    if kind is _PATH:
-        return (
-            isinstance(value, str) and value != "" and "\0" not in value
-            and not value.startswith("/") and ".." not in value.split("/")
-        )
-    return isinstance(value, list) and all([_valid(v, kind[0]) for v in value])
-
-
 # The keys that the readers use, each with the kind of its value.
-_PATHS_FIELDS = dict.fromkeys(("bank", "store", "templates", "patterns"), _PATH)
-_DOCUMENT_FIELDS = {"id": str, "label": str, "split": str, "dir": _PATH, "pages": [_PATH],
-                    "clean_text": _PATH, "ocr_text": _PATH}
-_RFE_FIELDS = {"id": str, "file": _PATH, "attacks": [str]}
-_DOC_JSON_FIELDS = {"id": str, "pages": [_PATH], "text": _PATH, "clean_text": _PATH}
-
-
-def _check_fields(record, fields: dict, where: str) -> None:
-    if not isinstance(record, dict):
-        raise CorpusFormatError(f"{where} is not an object")
-    for key, kind in fields.items():
-        if not _valid(record.get(key), kind):
-            raise CorpusFormatError(f"{where}: {key!r} missing or malformed")
+_PATHS_FIELDS = dict.fromkeys(("bank", "store", "templates", "patterns"), PATH)
+_DOCUMENT_FIELDS = {"id": str, "label": str, "split": str, "dir": PATH, "pages": [PATH],
+                    "clean_text": PATH, "ocr_text": PATH}
+_RFE_FIELDS = {"id": str, "file": PATH, "attacks": [str]}
+_DOC_JSON_FIELDS = {"id": str, "pages": [PATH], "text": PATH, "clean_text": PATH}
+_MANIFEST_FIELDS = {"paths": dict, "documents": list, "rfes": list}
 
 
 def load_manifest(corpus_dir) -> dict:
@@ -783,12 +739,11 @@ def load_manifest(corpus_dir) -> dict:
     manifest = read_json(
         path.read_bytes(), CorpusFormatError, str(path), MANIFEST_MAGIC, MANIFEST_VERSION
     )
-    _check_fields(manifest.get("paths"), _PATHS_FIELDS, f"{path}: 'paths'")
+    check_fields(manifest, _MANIFEST_FIELDS, CorpusFormatError, str(path))
+    check_fields(manifest["paths"], _PATHS_FIELDS, CorpusFormatError, f"{path}: 'paths'")
     for key, fields in (("documents", _DOCUMENT_FIELDS), ("rfes", _RFE_FIELDS)):
-        if not isinstance(manifest.get(key), list):
-            raise CorpusFormatError(f"{path}: {key!r} must be a list")
         for i, record in enumerate(manifest[key]):
-            _check_fields(record, fields, f"{path}: {key}[{i}]")
+            check_fields(record, fields, CorpusFormatError, f"{path}: {key}[{i}]")
     return manifest
 
 
@@ -804,7 +759,7 @@ def load_document_dir(doc_dir, channel: str = "ocr") -> Document:
     its ``doc.json`` follows the manifest's rules."""
     path = Path(doc_dir) / "doc.json"
     meta = read_json(path.read_bytes(), CorpusFormatError, str(path))
-    _check_fields(meta, _DOC_JSON_FIELDS, str(path))
+    check_fields(meta, _DOC_JSON_FIELDS, CorpusFormatError, str(path))
     return _read_document(path.parent, meta, channel, "text")
 
 

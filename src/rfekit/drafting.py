@@ -12,35 +12,16 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from datetime import date, datetime
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
 from .attacks import DEFAULT_TAU, AttackReport, ExampleBank, detect_rfe
-from .ioutil import is_bare_file_name, read_json, read_lines
+from .ioutil import NAME, check_fields, read_json, read_lines
 
-RFE_FIELD_NAMES = (
-    "case_number",
-    "employee_name",
-    "employer_name",
-    "attorney_name",
-    "rfe_date",
-    "response_due_date",
-)
-BENEFICIARY_FIELD_NAMES = (
-    "case_number",
-    "soc_code",
-    "field_of_study",
-    "degree",
-    "institution",
-)
-PLACEHOLDER_NAMESPACE = frozenset(
-    RFE_FIELD_NAMES + BENEFICIARY_FIELD_NAMES + ("today",)
-)
 _DATE_FIELDS = ("rfe_date", "response_due_date")
-
 PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
 SOC_CODE_RE = re.compile(r"^\d{2}-\d{4}$")
 
@@ -111,7 +92,14 @@ class BeneficiaryRecord(NamedTuple):
     institution: str
 
     def as_values(self) -> dict[str, str]:
-        return dict(zip(BENEFICIARY_FIELD_NAMES, self))
+        return self._asdict()
+
+
+RFE_FIELD_NAMES = tuple(f.name for f in dataclass_fields(RfeFields))
+BENEFICIARY_FIELD_NAMES = BeneficiaryRecord._fields
+PLACEHOLDER_NAMESPACE = frozenset(
+    RFE_FIELD_NAMES + BENEFICIARY_FIELD_NAMES + ("today",)
+)
 
 
 @dataclass(frozen=True)
@@ -214,8 +202,8 @@ class BeneficiaryStore:
 
         Every line is decoded on its own, so an error names its line; a file
         that is not UTF-8, a line that is not JSON (or nests or digits past
-        the decoder's limits) and a record without the five fields all raise
-        :class:`StoreFormatError`.
+        the decoder's limits) and a record without the five fields, or with
+        one that is not a string, all raise :class:`StoreFormatError`.
         """
         lines = read_lines(source, StoreFormatError, "store")
         records = []
@@ -224,13 +212,12 @@ class BeneficiaryStore:
                 continue
             try:
                 obj = json.loads(line)
-                records.append(
-                    BeneficiaryRecord._make(
-                        [str(obj[k]) for k in BENEFICIARY_FIELD_NAMES]
-                    )
-                )
+                values = [obj[k] for k in BENEFICIARY_FIELD_NAMES]
             except (ValueError, RecursionError, KeyError, TypeError) as exc:
                 raise StoreFormatError(f"store line {lineno}: {exc}") from None
+            if not all([type(v) is str for v in values]):
+                raise StoreFormatError(f"store line {lineno}: every field must be a string")
+            records.append(BeneficiaryRecord._make(values))
         return cls(records)
 
     def lookup(self, case_number: str) -> BeneficiaryRecord:
@@ -238,6 +225,9 @@ class BeneficiaryStore:
             return self._records[case_number]
         except KeyError:
             raise BeneficiaryNotFoundError(case_number) from None
+
+
+_TEMPLATE_FIELDS = {"id": str, "attack_id": str, "file": NAME}
 
 
 def load_template_library(directory) -> tuple[Template, ...]:
@@ -259,24 +249,13 @@ def load_template_library(directory) -> tuple[Template, ...]:
         raise TemplateFormatError("'templates' must be a list")
     templates = []
     seen = set()
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        check_fields(entry, _TEMPLATE_FIELDS, TemplateFormatError, f"template entry {i}")
+        template_id, soc_codes = entry["id"], entry.get("soc_codes")
         try:
-            template_id = entry["id"]
-            attack_id = entry["attack_id"]
-            soc_codes = entry["soc_codes"]
-            name = entry["file"]
-        except (KeyError, TypeError) as exc:
-            raise TemplateFormatError(f"bad template entry {entry!r}: {exc}") from None
-        if not is_bare_file_name(name):
-            raise TemplateFormatError(
-                f"template body {name!r}: not a file name inside the library"
-            )
-        try:
-            body = (directory / name).read_text("utf-8")
+            body = (directory / entry["file"]).read_text("utf-8")
         except (OSError, ValueError) as exc:
-            raise TemplateFormatError(f"template body {name!r}: {exc}") from None
-        if not isinstance(template_id, str) or not isinstance(attack_id, str):
-            raise TemplateFormatError(f"template entry {entry!r}: ids must be strings")
+            raise TemplateFormatError(f"template body {entry['file']!r}: {exc}") from None
         if template_id in seen:
             raise TemplateFormatError(f"duplicate template id {template_id!r}")
         seen.add(template_id)
@@ -300,7 +279,7 @@ def load_template_library(directory) -> tuple[Template, ...]:
                 f"template {template_id!r}: placeholders outside the field "
                 f"namespace: {sorted(unknown)}"
             )
-        templates.append(Template(template_id, attack_id, selector, body))
+        templates.append(Template(template_id, entry["attack_id"], selector, body))
     return tuple(templates)
 
 
@@ -363,17 +342,6 @@ class DraftManifest:
     threshold: float | None
     evidence: tuple
     case_number: str | None
-
-    def as_record(self) -> dict:
-        return {
-            "status": self.status,
-            "missing_fields": list(self.missing_fields),
-            "template_ids": list(self.template_ids),
-            "detected": list(self.detected),
-            "threshold": self.threshold,
-            "evidence": [list(e) for e in self.evidence],
-            "case_number": self.case_number,
-        }
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from ._base import ParamsMixin, check_is_fitted
 from .classify import (
     _PARAM_TYPES,
     SoftmaxClassifier,
-    _is_a,
     check_params,
     coo_gram,
     coo_matmul,
@@ -28,7 +27,7 @@ from .classify import (
     save_model,
 )
 from .image import FEATURIZER_VERSION, PageImage, featurizer_sha256, image_features
-from .ioutil import atomic_write_bytes, atomic_write_json, is_bare_file_name, read_json
+from .ioutil import NAME, atomic_write_bytes, atomic_write_json, check_fields, is_a, read_json
 from .text import normalize, stopwords_sha256, tokenize
 from .vectorize import (
     Vocabulary,
@@ -49,7 +48,8 @@ _BUNDLE_FILES = {
     "text_model": "text-model.json",
     "image_model": "image-model.json",
 }
-_BUNDLE_PARAM_TYPES = {"n_range": list, **_PARAM_TYPES}
+_BUNDLE_FIELDS = {"files": dict, "classes": [str]}
+_BUNDLE_PARAM_TYPES = {"n_range": [int], **_PARAM_TYPES}
 
 
 @dataclass(frozen=True)
@@ -321,10 +321,11 @@ class EnsembleDocumentClassifier(ParamsMixin):
             (bundle_dir / "bundle.json").read_bytes(), invalid, "bundle.json",
             BUNDLE_MAGIC, BUNDLE_VERSION,
         )
-        files = manifest.get("files")
-        if not isinstance(files, dict) or set(_BUNDLE_FILES) - set(files):
+        check_fields(manifest, _BUNDLE_FIELDS, invalid, "bundle.json")
+        files = manifest["files"]
+        if set(_BUNDLE_FILES) - set(files):
             raise invalid(f"'files' must name {sorted(_BUNDLE_FILES)}")
-        if not all(is_bare_file_name(name) for name in files.values()):
+        if not is_a(list(files.values()), [NAME]):
             raise invalid("each 'files' value must be a file name inside the bundle")
         if manifest.get("stopwords_sha256") != stopwords_sha256():
             raise invalid(
@@ -333,7 +334,7 @@ class EnsembleDocumentClassifier(ParamsMixin):
         params = check_params(manifest.get("params", {}), invalid, _BUNDLE_PARAM_TYPES)
         if "n_range" in params:
             n_range = params["n_range"]
-            if not (n_range and all(_is_a(n, int) and n >= 1 for n in n_range)):
+            if not (n_range and min(n_range) >= 1):
                 raise invalid(f"param 'n_range' has a bad value {n_range!r}")
             params["n_range"] = tuple(n_range)
 
@@ -353,12 +354,7 @@ class EnsembleDocumentClassifier(ParamsMixin):
         est.image_model_ = read(
             "image_model", load_model, expected_vocab_hash=featurizer_sha256()
         )
-        classes = manifest.get("classes")
-        if not (
-            isinstance(classes, list)
-            and all(isinstance(c, str) for c in classes)
-            and tuple(classes) == est.text_model_.classes_ == est.image_model_.classes_
-        ):
-            raise invalid("'classes' must be the heads' class list, as strings")
-        est.classes_ = tuple(classes)
+        est.classes_ = tuple(manifest["classes"])
+        if not est.classes_ == est.text_model_.classes_ == est.image_model_.classes_:
+            raise invalid("'classes' must be the heads' class list")
         return est

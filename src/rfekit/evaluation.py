@@ -36,14 +36,6 @@ class Metrics:
     recall: float
     f1: float
 
-    def as_record(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
 
 def metrics(counts: ConfusionCounts) -> Metrics:
     """Accuracy, precision, recall, F1 with zero-denominator conventions.

@@ -1,5 +1,5 @@
-"""The JSON container convention, atomic file writes and the bare-file-name
-rule, shared by every loader and writer."""
+"""The JSON container convention, the record field rule, atomic file writes
+and the bare-file-name rule, shared by every loader and writer."""
 
 from __future__ import annotations
 
@@ -75,3 +75,44 @@ def is_bare_file_name(name) -> bool:
     return (
         isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name
     )
+
+
+# Field kinds beyond a type; each string is also how an error names it.
+PATH = "a relative path"  # not empty, no NUL, no leading "/", no ".." part
+NAME = "a file name"  # see is_bare_file_name
+_KIND_NAMES = {str: "a string", int: "an integer", (int, float): "a number",
+               list: "a list", dict: "an object"}
+
+
+def is_a(value, kind) -> bool:
+    """Whether ``value`` is of ``kind``: a type or tuple of types (a JSON
+    ``true``/``false`` is never a number), :data:`PATH` (checked on the
+    string alone, so it stays inside the directory it is joined to),
+    :data:`NAME`, or ``[kind]``, a list of that kind."""
+    if kind is PATH:
+        return (
+            isinstance(value, str) and value != "" and "\0" not in value
+            and not value.startswith("/") and ".." not in value.split("/")
+        )
+    if kind is NAME:
+        return is_bare_file_name(value)
+    if type(kind) is list:
+        return isinstance(value, list) and all([is_a(v, kind[0]) for v in value])
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _kind_name(kind) -> str:
+    if type(kind) is list:
+        return f"a list, each item {_kind_name(kind[0])}"
+    return kind if type(kind) is str else _KIND_NAMES.get(kind, repr(kind))
+
+
+def check_fields(record, fields: dict, error, where: str) -> None:
+    """Raise ``error(message)`` unless ``record`` is a JSON object whose value
+    at each key of ``fields`` is of that key's kind (see :func:`is_a`); the
+    message names the record ``where`` and the first bad key."""
+    if not isinstance(record, dict):
+        raise error(f"{where} is not an object")
+    for key, kind in fields.items():
+        if not is_a(record.get(key), kind):
+            raise error(f"{where}: {key!r} is missing or not {_kind_name(kind)}")

@@ -87,6 +87,19 @@ def test_load_bank_bad_json():
         load_bank(["{not json"])
 
 
+@pytest.mark.parametrize("value", [None, 7, 2.5, True, ["a"], {"x": 1}],
+                         ids=["null", "int", "float", "bool", "list", "object"])
+@pytest.mark.parametrize("key", ["attack_id", "description", "sentence"])
+def test_load_bank_rejects_a_value_that_is_not_a_string(key, value):
+    """A bank value of another JSON type is never coerced with ``str`` (an
+    ``attack_id`` of 7 would become the attack ``'7'``)."""
+    line = {"attack_id": "a", "description": "a", "sentence": "degree in the specialty",
+            key: value}
+    with pytest.raises(BankFormatError,
+                       match="^bank line 3: attack_id, description and sentence must be strings$"):
+        load_bank(SMALL_BANK[:1] + [""] + [json.dumps(line)])
+
+
 def test_identical_sentence_scores_one():
     bank = load_bank(SMALL_BANK)
     sentence = ["position", "requires", "specialized", "degree", "knowledge"]

@@ -5,6 +5,7 @@ import pytest
 
 from rfekit.attacks import AttackReport, Evidence
 from rfekit.drafting import (
+    BENEFICIARY_FIELD_NAMES,
     BeneficiaryNotFoundError,
     BeneficiaryRecord,
     BeneficiaryStore,
@@ -147,6 +148,22 @@ def test_store_load_jsonl():
     )
     store = BeneficiaryStore.load([line])
     assert store.lookup("X-1").institution == "U"
+
+
+STORE_RECORD = {"case_number": "X-1", "soc_code": "15-1252", "field_of_study": "CS",
+                "degree": "BS", "institution": "U"}
+
+
+@pytest.mark.parametrize("value", [None, 7, 2.5, True, ["CS"], {"x": 1}],
+                         ids=["null", "int", "float", "bool", "list", "object"])
+@pytest.mark.parametrize("key", BENEFICIARY_FIELD_NAMES)
+def test_store_load_rejects_a_value_that_is_not_a_string(key, value):
+    """A store value of another JSON type is never coerced with ``str`` (a
+    null field of study would be drafted as ``None``)."""
+    lines = [json.dumps({**STORE_RECORD, "case_number": "X-0"}),
+             json.dumps({**STORE_RECORD, key: value})]
+    with pytest.raises(StoreFormatError, match="^store line 2: every field must be a string$"):
+        BeneficiaryStore.load(lines)
 
 
 def make_library():

@@ -1,12 +1,33 @@
 import ast
+import json
 import os
+import re
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rfekit import ioutil
-from rfekit.ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text, read_json
+from rfekit.classify import (
+    ModelFormatError,
+    SoftmaxClassifier,
+    _payload_digest,
+    load_model,
+    save_model,
+)
+from rfekit.corpus import CorpusFormatError, load_document_dir, load_manifest
+from rfekit.drafting import TemplateFormatError, load_template_library
+from rfekit.ioutil import (
+    NAME,
+    PATH,
+    atomic_write_bytes,
+    atomic_write_json,
+    atomic_write_text,
+    check_fields,
+    is_a,
+    read_json,
+)
 
 
 def test_write_creates_parents_and_leaves_no_temp(tmp_path):
@@ -148,3 +169,121 @@ def test_json_documents_are_read_and_written_only_through_ioutil():
 
         visit(ast.parse(path.read_text("utf-8")), "")
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "kind, good, bad",
+    [
+        (str, ["", "x"], [None, 1, True, ["x"], {}]),
+        (int, [0, -3, 10**30], [True, False, 1.0, "1", None]),
+        (float, [0.5, -1e300], [True, 1, "0.5", None]),
+        ((int, float), [1, 2.5], [True, False, "1", None, [1]]),
+        (list, [[], [1, "a"]], [(), "ab", {}, None]),
+        (dict, [{}, {"a": 1}], [[], "{}", None]),
+        (PATH, ["a", "a/b.txt", "docs/doc-0000", "a..b", "./a", "a/"],
+         ["", "/etc/hostname", "..", "../a", "a/../b", "a/..", "a\0b", None, 7, ["a"]]),
+        (NAME, ["a.txt", "a..b", "..."],
+         ["", ".", "..", "a/b", "/a", "./a", "a/", None, 7, ["a"]]),
+        ([str], [[], ["a", ""]], ["ab", ["a", 1], [None], None, ("a",)]),
+        ([int], [[], [1, 2]], [[1, True], [1.0], "12", None]),
+        ([list], [[], [[], [1]]], [["ab"], [None], [{}]]),
+        ([PATH], [[], ["a", "b/c"]], [["a", ".."], ["/a"], [""], "a"]),
+        ([[str]], [[["a"], []]], [[["a", 1]], ["a"]]),
+    ],
+    ids=["str", "int", "float", "number", "list", "object", "path", "name",
+         "list-of-str", "list-of-int", "list-of-list", "list-of-path",
+         "list-of-list-of-str"],
+)
+def test_is_a_accepts_its_kind_only(kind, good, bad):
+    assert [is_a(v, kind) for v in good] == [True] * len(good)
+    assert [is_a(v, kind) for v in bad] == [False] * len(bad)
+
+
+FIELDS = {"id": str, "n": int, "files": [PATH], "name": NAME}
+RECORD = {"id": "a", "n": 1, "files": ["x/y.txt"], "name": "z.txt", "extra": None}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ([RECORD], "rec is not an object"),
+        ("record", "rec is not an object"),
+        (None, "rec is not an object"),
+        ({k: v for k, v in RECORD.items() if k != "n"}, "rec: 'n' is missing or not an integer"),
+        ({**RECORD, "n": True}, "rec: 'n' is missing or not an integer"),
+        ({**RECORD, "id": None}, "rec: 'id' is missing or not a string"),
+        ({**RECORD, "files": ["x", "../y"]},
+         "rec: 'files' is missing or not a list, each item a relative path"),
+        ({**RECORD, "files": "x"},
+         "rec: 'files' is missing or not a list, each item a relative path"),
+        ({**RECORD, "name": "x/z.txt"}, "rec: 'name' is missing or not a file name"),
+        ({**RECORD, "id": 1, "n": None}, "rec: 'id' is missing or not a string"),
+    ],
+    ids=["list", "string", "null", "missing-key", "bool-int", "null-str",
+         "nested-path", "path-list-string", "name-with-dir", "first-bad-key"],
+)
+def test_check_fields_raises_the_given_error_naming_the_key(record, message):
+    with pytest.raises(Malformed, match=f"^{re.escape(message)}$"):
+        check_fields(record, FIELDS, Malformed, "rec")
+
+
+def test_check_fields_accepts_a_record_and_ignores_other_keys():
+    assert check_fields(RECORD, FIELDS, Malformed, "rec") is None
+    assert check_fields({}, {}, Malformed, "rec") is None
+
+
+def _write_json(path, payload):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload), "utf-8")
+
+
+def _manifest_with_bad_dir(tmp_path):
+    _write_json(tmp_path / "manifest.json", {
+        "format": "rfe-corpus-manifest", "version": 1,
+        "paths": dict.fromkeys(("bank", "store", "templates", "patterns"), "x"),
+        "documents": [{"id": "d", "label": "l", "split": "train", "dir": "../d",
+                       "pages": [], "clean_text": "c.txt", "ocr_text": "o.txt"}],
+        "rfes": [],
+    })
+    load_manifest(tmp_path)
+
+
+def _doc_json_with_bad_page(tmp_path):
+    _write_json(tmp_path / "doc.json",
+                {"id": "d", "pages": ["/p.pgm"], "text": "o.txt", "clean_text": "c.txt"})
+    load_document_dir(tmp_path)
+
+
+def _model_with_string_classes(tmp_path):
+    payload = json.loads(save_model(SoftmaxClassifier(max_iters=1).fit(np.eye(2), ["a", "b"])))
+    payload["classes"], payload["sha256"] = "ab", ""
+    payload["sha256"] = _payload_digest(payload)
+    load_model(json.dumps(payload).encode("utf-8"))
+
+
+def _template_with_list_id(tmp_path):
+    (tmp_path / "a.txt").write_text("Body", "utf-8")
+    _write_json(tmp_path / "templates.json", {
+        "format": "template-library", "version": 1,
+        "templates": [{"id": ["a"], "attack_id": "x", "soc_codes": "*", "file": "a.txt"}],
+    })
+    load_template_library(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "load, error, message",
+    [
+        (_manifest_with_bad_dir, CorpusFormatError,
+         "manifest.json: documents[0]: 'dir' is missing or not a relative path"),
+        (_doc_json_with_bad_page, CorpusFormatError,
+         "doc.json: 'pages' is missing or not a list, each item a relative path"),
+        (_model_with_string_classes, ModelFormatError,
+         "model payload: 'classes' is missing or not a list, each item a string"),
+        (_template_with_list_id, TemplateFormatError,
+         "template entry 0: 'id' is missing or not a string"),
+    ],
+    ids=["corpus-manifest", "doc-json", "model", "template-library"],
+)
+def test_each_loader_raises_its_own_error_from_the_shared_check(tmp_path, load, error, message):
+    with pytest.raises(error, match=f"{re.escape(message)}$"):
+        load(tmp_path)
