@@ -8,6 +8,7 @@ identical data always yields identical weights.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from typing import Sequence
@@ -15,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from ._base import ParamsMixin, check_is_fitted
-from .ioutil import check_fields, is_a, read_json
+from .ioutil import check_fields, is_a, json_text, read_json
 
 MODEL_MAGIC = "softmax-linear"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -320,16 +321,14 @@ def _as_design_input(X) -> np.ndarray:
 
 
 def save_model(model: SoftmaxClassifier) -> bytes:
-    """Versioned structured-text container; weights as hex floats (bit-exact).
+    """A model file of the current version, as :func:`~rfekit.ioutil.json_text`.
 
-    The bytes are ``json.dumps(payload, sort_keys=True, indent=1)``, and
-    ``sha256`` is :func:`_payload_digest` of the payload with ``sha256``
-    empty. Both texts are built here from the hex rows with ``str.join``
-    (``"weights"`` sorts last), because the indenting JSON encoder runs in
-    pure Python. Every row holds at least the bias, so none is empty.
+    ``weights`` is the base64 of the (C, n_features + 1) weight array as
+    little-endian float64, so a round trip is bit-exact, and ``sha256`` is
+    :func:`_payload_digest` of the payload with ``sha256`` empty.
     """
     check_is_fitted(model, "weights_")
-    header = {
+    payload = {
         "format": MODEL_MAGIC,
         "version": MODEL_VERSION,
         "classes": list(model.classes_),
@@ -337,34 +336,34 @@ def save_model(model: SoftmaxClassifier) -> bytes:
         "feature_kind": model.feature_kind_,
         "vocab_hash": model.vocab_hash_,
         "params": model.get_params(),
+        "weights": base64.b64encode(model.weights_.astype("<f8").tobytes()).decode("ascii"),
         "sha256": "",
     }
-    rows = [list(map(float.hex, row)) for row in model.weights_.tolist()]
-    canonical = '%s, "weights": [%s]}' % (
-        json.dumps(header, sort_keys=True)[:-1],
-        ", ".join('["' + '", "'.join(row) + '"]' for row in rows),
-    )
-    header["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    text = '%s,\n "weights": [\n%s\n ]\n}' % (
-        json.dumps(header, sort_keys=True, indent=1)[:-2],
-        ",\n".join('  [\n   "' + '",\n   "'.join(row) + '"\n  ]' for row in rows),
-    )
-    return text.encode("utf-8")
+    payload["sha256"] = _payload_digest(payload)
+    return json_text(payload).encode("utf-8")
 
 
 def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxClassifier:
-    """Rebuild a fitted classifier; verifies format, checksum, and vocabulary.
+    """Rebuild a fitted classifier from a model file of version 1 (weights as
+    ``float.hex`` rows) or 2 (see :func:`save_model`); verifies format,
+    checksum (before any weight is decoded), and vocabulary.
 
     Pass ``expected_vocab_hash`` (a ``vocab_sha256`` or the featurizer's hash)
     to reject a model that was trained against a different feature space.
     """
-    payload = read_json(data, ModelFormatError, "model payload", MODEL_MAGIC, MODEL_VERSION)
+    payload = read_json(data, ModelFormatError, "model payload")
+    version = payload.get("version")
+    if payload.get("format") != MODEL_MAGIC or version not in (1, MODEL_VERSION):
+        raise ModelFormatError(f"model payload is not a version-1/2 {MODEL_MAGIC} file")
     recorded = payload.get("sha256", "")
     if recorded != _payload_digest({**payload, "sha256": ""}):
         raise ModelFormatError("model checksum mismatch (corrupt payload)")
-    check_fields(payload, _HEADER_FIELDS, ModelFormatError, "model payload")
+    fields = {**_HEADER_FIELDS, "weights": _WEIGHTS_KIND[version]}
+    check_fields(payload, fields, ModelFormatError, "model payload")
     if payload["n_features"] < 0:
         raise ModelFormatError("negative n_features")
+    if len(payload["classes"]) < 2:
+        raise ModelFormatError("fewer than 2 classes")
     params = check_params(payload.get("params"), ModelFormatError)
     if expected_vocab_hash is not None and payload["vocab_hash"] != expected_vocab_hash:
         raise VocabMismatchError(
@@ -376,13 +375,16 @@ def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxCl
     model.n_features_ = payload["n_features"]
     model.feature_kind_ = payload["feature_kind"]
     model.vocab_hash_ = payload["vocab_hash"]
+    shape = (len(model.classes_), model.n_features_ + 1)
     try:
-        weights = np.array(
-            [[float.fromhex(w) for w in row] for row in payload["weights"]]
-        )
+        if version == 1:
+            weights = np.array([[float.fromhex(w) for w in row] for row in payload["weights"]])
+        else:
+            raw = base64.b64decode(payload["weights"], validate=True)
+            weights = np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad weight encoding: {exc}") from None
-    if weights.shape != (len(model.classes_), model.n_features_ + 1):
+    if weights.shape != shape:
         raise ModelFormatError(f"weight shape {weights.shape} inconsistent with header")
     if not np.isfinite(weights).all():
         raise ModelFormatError("non-finite weights")
@@ -390,15 +392,18 @@ def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxCl
     return model
 
 
-# The header fields of a model file; a string ``classes`` or weight row
-# would otherwise split into characters.
+# The header fields of a model file; a string ``classes`` would otherwise
+# split into characters.
 _HEADER_FIELDS = {
     "classes": [str],
     "n_features": int,
     "feature_kind": str,
     "vocab_hash": str,
-    "weights": [list],
 }
+# The JSON kind of ``weights`` in each model version read: v1 rows of
+# ``float.hex`` strings (a string row would split into characters), v2 one
+# base64 string.
+_WEIGHTS_KIND = {1: [list], MODEL_VERSION: str}
 _PARAM_TYPES = {
     "l2": (int, float),
     "max_iters": int,

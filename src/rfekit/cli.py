@@ -196,22 +196,13 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_train_docs(args) -> int:
-    defaults = {
-        "channel": "ocr",
-        "split": "train",
-        "ngrams": (2, 3),
-        "l2": 1e-3,
-        "max_iters": 2000,
-        "grad_tol": 1e-6,
-    }
-    opts = _resolve(args, defaults)
+    params = EnsembleDocumentClassifier().get_params()
+    n_range = params.pop("n_range")
+    opts = _resolve(args, {"channel": "ocr", "split": "train", "ngrams": n_range, **params})
     doc_records, docs = _load_split(args.corpus, opts["split"], opts["channel"])
     labels = [rec["label"] for rec in doc_records]
     model = EnsembleDocumentClassifier(
-        n_range=opts["ngrams"],
-        l2=opts["l2"],
-        max_iters=opts["max_iters"],
-        grad_tol=opts["grad_tol"],
+        n_range=opts["ngrams"], **{key: opts[key] for key in params}
     ).fit(docs, labels)
     model.save(args.out)
     print(

@@ -128,11 +128,9 @@ def load_field_patterns(source=None) -> dict[str, re.Pattern]:
     else:
         data = source if isinstance(source, bytes) else Path(source).read_bytes()
     payload = read_json(data, PatternFormatError, "pattern file", "field-patterns", 1)
-    entries = payload.get("patterns", {})
-    if not isinstance(entries, dict):
-        raise PatternFormatError("'patterns' must map field names to regexes")
+    check_fields(payload, {"patterns": dict}, PatternFormatError, "pattern file")
     patterns = {}
-    for name, pattern in entries.items():
+    for name, pattern in payload["patterns"].items():
         if name not in RFE_FIELD_NAMES:
             raise PatternFormatError(f"unknown field {name!r} in pattern file")
         if not isinstance(pattern, str):
@@ -244,12 +242,10 @@ def load_template_library(directory) -> tuple[Template, ...]:
     except FileNotFoundError:
         raise TemplateFormatError(f"no templates.json in {directory}") from None
     manifest = read_json(data, TemplateFormatError, "templates.json", "template-library", 1)
-    entries = manifest.get("templates", [])
-    if not isinstance(entries, list):
-        raise TemplateFormatError("'templates' must be a list")
+    check_fields(manifest, {"templates": list}, TemplateFormatError, "templates.json")
     templates = []
     seen = set()
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(manifest["templates"]):
         check_fields(entry, _TEMPLATE_FIELDS, TemplateFormatError, f"template entry {i}")
         template_id, soc_codes = entry["id"], entry.get("soc_codes")
         try:

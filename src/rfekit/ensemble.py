@@ -309,8 +309,8 @@ class EnsembleDocumentClassifier(ParamsMixin):
         known params of the right types, each ``files`` value a bare file name
         (so every part is read from inside ``bundle_dir``), and ``classes`` a
         list of strings equal to both heads' classes. The recorded
-        ``vocab_sha256`` must match the loaded vocabulary and the recorded
-        ``stopwords_sha256`` the stopword list shipped with this package.
+        ``vocab_sha256`` must match the bytes of the vocabulary file and the
+        recorded ``stopwords_sha256`` the stopword list shipped with this package.
         """
         bundle_dir = Path(bundle_dir)
 
@@ -345,8 +345,7 @@ class EnsembleDocumentClassifier(ParamsMixin):
                 raise invalid(f"{files[part]}: {exc}") from exc
 
         est = cls(**params)
-        est.vocabulary_ = read("vocabulary", load_vocab)
-        est.vocab_bytes_ = save_vocab(est.vocabulary_)
+        est.vocab_bytes_, est.vocabulary_ = read("vocabulary", lambda b: (b, load_vocab(b)))
         vocab_hash = hashlib.sha256(est.vocab_bytes_).hexdigest()
         if manifest.get("vocab_sha256") != vocab_hash:
             raise invalid(f"recorded vocab_sha256 does not match {files['vocabulary']}")

@@ -37,9 +37,14 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def json_text(obj) -> str:
+    """``obj`` as the JSON text of every rfekit document: sorted keys, 2-space
+    indent, trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def atomic_write_json(path, obj) -> None:
-    """Write ``obj`` as JSON: sorted keys, 2-space indent, trailing newline."""
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(path, json_text(obj))
 
 
 def read_json(data: bytes, error, what: str, magic=None, version=None) -> dict:

@@ -1,6 +1,40 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from rfekit.corpus import CorpusConfig, generate_corpus
+
+# A version-1 model file written by the version-1 save_model: three classes,
+# n_features 3, and weights holding +-0.0, two subnormals, +-1e300 and the
+# largest double (V1_FIXTURE_WEIGHTS).
+V1_FIXTURE = Path(__file__).parent / "data" / "model-v1.json"
+V1_FIXTURE_WEIGHTS = [
+    [0.0, -0.0, 5e-324, 1e300],
+    [-1e300, 2.2250738585072014e-308 / 3, 1 / 3, -2.5],
+    [1.0, -0.0, 0.0, float.fromhex("0x1.fffffffffffffp+1023")],
+]
+
+
+def encode_model_v1(model) -> bytes:
+    """The version-1 model file of a fitted ``SoftmaxClassifier``: weights as
+    rows of ``float.hex`` strings, ``json.dumps(payload, sort_keys=True,
+    indent=1)``, ``sha256`` over the compact sorted payload with it empty."""
+    payload = {
+        "format": "softmax-linear",
+        "version": 1,
+        "classes": list(model.classes_),
+        "n_features": model.n_features_,
+        "feature_kind": model.feature_kind_,
+        "vocab_hash": model.vocab_hash_,
+        "params": model.get_params(),
+        "weights": [[float(w).hex() for w in row] for row in model.weights_],
+        "sha256": "",
+    }
+    canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
+    payload["sha256"] = hashlib.sha256(canonical).hexdigest()
+    return json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import math
@@ -20,6 +21,8 @@ from rfekit.classify import (
     softmax,
 )
 from rfekit.vectorize import fit_vocab, save_vocab, stack_dense, tfidf_vector
+
+from conftest import V1_FIXTURE, V1_FIXTURE_WEIGHTS, encode_model_v1
 
 
 def finite_difference_gradient(weights, X, y_index, l2, h=1e-5):
@@ -223,7 +226,8 @@ def test_model_roundtrip_bit_identical():
 
 def test_model_version_tamper_rejected():
     clf = SoftmaxClassifier(max_iters=1).fit(np.eye(2), ["a", "b"])
-    data = save_model(clf).replace(b'"version": 1', b'"version": 2')
+    data = save_model(clf).replace(b'"version": 2', b'"version": 3')
+    assert data != save_model(clf)
     with pytest.raises(ModelFormatError):
         load_model(data)
 
@@ -344,30 +348,46 @@ def test_legacy_learning_rate_param_loads_and_is_ignored():
     assert restored.predict(X) == clf.predict(X)
 
 
-def _old_save_model_weights(model):
-    """The per-element weight encoder that save_model used before."""
-    return [[float(w).hex() for w in row] for row in model.weights_]
+def _special_model():
+    """A fitted 3-class model whose weights are V1_FIXTURE_WEIGHTS."""
+    clf = SoftmaxClassifier(max_iters=1).fit(np.eye(3), ["a", "b", "c"])
+    clf.weights_ = np.array(V1_FIXTURE_WEIGHTS)
+    return clf
 
 
-def test_save_model_weight_encoding_unchanged():
+def test_committed_v1_model_loads_bit_exact():
+    data = V1_FIXTURE.read_bytes()
+    model = load_model(data)
+    assert json.loads(data)["version"] == 1
+    assert model.weights_.tobytes() == np.array(V1_FIXTURE_WEIGHTS).tobytes()
+    assert model.classes_ == ("a", "b", "c") and model.vocab_hash_ == "v1-fixture"
+    assert encode_model_v1(model) == data
+
+
+def test_v1_and_v2_weight_encodings_load_bit_exact():
     X, y = _tfidf_with_zero_row()
     three_classes = SoftmaxClassifier().fit(X, y)
     one_column = SoftmaxClassifier().fit(np.zeros((2, 0)), ["a", "b"])
-    special = SoftmaxClassifier(max_iters=1).fit(np.eye(3), ["a", "b", "c"])
-    special.weights_ = np.array([
-        [0.0, -0.0, 5e-324, 1e300],
-        [-1e300, 2.2250738585072014e-308 / 3, 1 / 3, -2.5],
-        [1.0, -0.0, 0.0, float.fromhex("0x1.fffffffffffffp+1023")],
-    ])
-    for clf in (three_classes, one_column, special):
-        payload = json.loads(save_model(clf))
-        payload["weights"] = _old_save_model_weights(clf)
-        payload["sha256"] = ""
-        payload["sha256"] = _payload_digest(payload)
-        old_bytes = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
-        assert save_model(clf) == old_bytes
-        assert load_model(old_bytes).weights_.tobytes() == clf.weights_.tobytes()
     assert one_column.weights_.shape == (2, 1)
+    for clf in (three_classes, one_column, _special_model()):
+        for data in (encode_model_v1(clf), save_model(clf)):
+            restored = load_model(data)
+            assert restored.weights_.tobytes() == clf.weights_.tobytes()
+            assert restored.weights_.dtype == np.float64
+            assert restored.weights_.flags.writeable
+            assert restored.weights_.flags.c_contiguous
+        payload = json.loads(save_model(clf))
+        assert payload["version"] == 2
+        assert base64.b64decode(payload["weights"]) == clf.weights_.astype("<f8").tobytes()
+
+
+def test_model_file_is_the_shared_json_text():
+    """Sorted keys, 2-space indent and a trailing newline, like every other
+    document; the checksum is taken with ``sha256`` empty."""
+    data = save_model(_special_model())
+    payload = json.loads(data)
+    assert data == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    assert payload["sha256"] == _payload_digest({**payload, "sha256": ""})
 
 
 DROP = object()
@@ -384,11 +404,11 @@ DROP = object()
         {"classes": "ab"},
         {"classes": ["a", 1]},
         {"n_features": "2"},
-        {"n_features": -1, "weights": [[], []]},
+        {"n_features": -1, "weights": ""},
         {"vocab_hash": None},
         {"params": DROP},
         {"params": {"bogus": 1}},
-        {"weights": ["abc", "def"]},
+        {"version": 1, "weights": ["abc", "def"]},
         {"params": {"max_iters": "x"}},
         {"params": {"max_iters": 2.0}},
         {"params": {"max_iters": True}},
@@ -396,13 +416,25 @@ DROP = object()
         {"params": {"l2": "0.001"}},
         {"params": {"learning_rate": None}},
         {"params": {"grad_tol": False}},
+        {"weights": "A" * 32 + "!" + "A" * 32},
+        {"weights": base64.b64encode(bytes(40)).decode()},
+        {"weights": base64.b64encode(bytes(45)).decode()},
+        {"weights": base64.b64encode(bytes(56)).decode()},
+        {"weights": [["0x0.0p+0"] * 3] * 2},
+        {"weights": base64.b64encode(np.full(6, np.nan).tobytes()).decode()},
+        {"version": 1, "weights": base64.b64encode(bytes(48)).decode()},
+        {"classes": [], "weights": ""},
+        {"classes": ["a"], "weights": base64.b64encode(bytes(24)).decode()},
+        {"version": 1, "n_features": -1, "weights": [[], []]},
     ],
     ids=["no-vocab_hash", "no-classes", "no-n_features", "no-feature_kind",
          "no-weights", "string-classes", "non-string-class", "string-n_features",
          "negative-n_features", "null-vocab_hash", "no-params", "unknown-param",
          "string-weight-rows", "string-max_iters", "float-max_iters",
          "bool-max_iters", "bool-l2", "string-l2", "null-learning_rate",
-         "bool-grad_tol"],
+         "bool-grad_tol", "v2-non-base64", "v2-short-weights", "v2-partial-float",
+         "v2-long-weights", "v2-weight-rows", "v2-nan-weights", "v1-string-weights",
+         "no-classes-empty-weights", "one-class", "v1-negative-n_features"],
 )
 def test_resigned_malformed_header_rejected(changes):
     clf = SoftmaxClassifier(max_iters=1).fit(np.eye(2), ["a", "b"])

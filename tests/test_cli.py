@@ -143,6 +143,17 @@ def test_train_docs_seed42_heads_converge_and_print_fit_record(tmp_path, capsys)
         assert 0 < int(steps) < 2000 and converged == "true" and float(grad) < 1e-6
 
 
+def test_train_docs_defaults_are_the_estimator_defaults(tmp_path, corpus_42, capsys):
+    """The echoed default config is pinned byte for byte."""
+    root, _ = corpus_42
+    assert run(["train-docs", "--corpus", str(root), "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == (
+        '[rfekit] train-docs config sha256=ef651257033b0bc9 {"channel": "ocr", '
+        '"grad_tol": 1e-06, "l2": 0.001, "max_iters": 2000, "ngrams": [2, 3], '
+        '"split": "train"}\n'
+    )
+
+
 def test_train_docs_bundle_is_independent_of_hash_seed(tmp_path, corpus_42):
     """String hashing order differs between the two processes; the dict and
     set iteration in training must not reach any bundle byte."""

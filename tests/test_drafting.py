@@ -119,6 +119,14 @@ def test_load_patterns_raises_pattern_format_error(data):
         load_field_patterns(data)
 
 
+def test_load_patterns_requires_the_patterns_key():
+    """A misspelt key is an error, not an empty pattern set."""
+    data = json.dumps({"format": "field-patterns", "version": 1, "pattern": {}}).encode()
+    with pytest.raises(PatternFormatError,
+                       match="^pattern file: 'patterns' is missing or not an object$"):
+        load_field_patterns(data)
+
+
 def test_store_lookup_known_and_unknown():
     store = BeneficiaryStore([record()])
     assert store.lookup("ABC-21-900-11111").soc_code == "15-1211"
@@ -281,6 +289,16 @@ def library_manifest(**entry):
 def test_template_library_raises_template_format_error(tmp_path, manifest, body):
     write_library(tmp_path / "templates", manifest, body)
     with pytest.raises(TemplateFormatError):
+        load_template_library(tmp_path / "templates")
+
+
+def test_template_library_requires_the_templates_key(tmp_path):
+    """A misspelt key is an error, not an empty library."""
+    manifest = library_manifest()
+    manifest["template"] = manifest.pop("templates")
+    write_library(tmp_path / "templates", manifest)
+    with pytest.raises(TemplateFormatError,
+                       match="^templates.json: 'templates' is missing or not a list$"):
         load_template_library(tmp_path / "templates")
 
 

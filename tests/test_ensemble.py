@@ -21,6 +21,8 @@ from rfekit.ensemble import (
 from rfekit.image import PageImage, image_features
 from rfekit.vectorize import fit_vocab, save_vocab
 
+from conftest import encode_model_v1
+
 
 def dist(*probs, classes=None):
     classes = classes or tuple(f"c{i}" for i in range(len(probs)))
@@ -323,6 +325,28 @@ def test_bundle_swapped_vocab_rejected(saved_bundle):
         EnsembleDocumentClassifier.load(saved_bundle)
 
 
+def test_bundle_vocab_with_crlf_line_endings_rejected(saved_bundle):
+    """The recorded hash pins the bytes read, not the parsed vocabulary."""
+    path = saved_bundle / "vocab.txt"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    with pytest.raises(ValueError, match="recorded vocab_sha256 does not match vocab.txt"):
+        EnsembleDocumentClassifier.load(saved_bundle)
+
+
+def test_bundle_with_v1_model_files_loads_and_predicts_the_same(saved_bundle):
+    docs, _ = make_training_docs()
+    before = EnsembleDocumentClassifier.load(saved_bundle)
+    for name, head in (("text-model.json", before.text_model_),
+                       ("image-model.json", before.image_model_)):
+        (saved_bundle / name).write_bytes(encode_model_v1(head))
+    restored = EnsembleDocumentClassifier.load(saved_bundle)
+    assert json.loads((saved_bundle / "text-model.json").read_bytes())["version"] == 1
+    for old, new in ((before.text_model_, restored.text_model_),
+                     (before.image_model_, restored.image_model_)):
+        assert new.weights_.tobytes() == old.weights_.tobytes()
+    assert np.array_equal(restored.predict_proba(docs), before.predict_proba(docs))
+
+
 def test_bundle_recording_legacy_learning_rate_loads(saved_bundle):
     """A v1 bundle from gradient-descent training records learning_rate in
     its manifest and both model files; it loads and predicts as before."""
@@ -410,7 +434,7 @@ def test_bundle_unreadable_manifest_names_bundle(saved_bundle, data):
 
 
 def test_bundle_loads_then_saves_byte_identical(saved_bundle, tmp_path):
-    """The loaded bundle keeps the vocabulary bytes its hash check made."""
+    """The loaded bundle keeps the vocabulary bytes it read and hashed."""
     copy = tmp_path / "copy"
     EnsembleDocumentClassifier.load(saved_bundle).save(copy)
     names = sorted(p.name for p in saved_bundle.iterdir())

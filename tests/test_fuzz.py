@@ -36,6 +36,8 @@ from rfekit.ensemble import EnsembleDocumentClassifier
 from rfekit.image import PageImage, PgmError, decode_pgm
 from rfekit.vectorize import Vocabulary, VocabularyFormatError, load_vocab
 
+from conftest import V1_FIXTURE
+
 MUTANTS = 400
 FRAGMENTS = [
     b"{", b"}", b"[", b"]", b'"', b":", b",", b"\\", b" ", b"\n", b"\r", b"0",
@@ -147,8 +149,8 @@ def test_bank_load_mutants_raise_only_bank_format_error(rfe_corpus_42, tmp_path)
 
 @pytest.fixture(scope="module")
 def doc_artifacts_42(tmp_path_factory):
-    """A seed-42 PGM page, and the vocabulary, text model and every file of a
-    bundle trained on the seed-42 documents."""
+    """A seed-42 PGM page, the vocabulary, text model and every file of a
+    bundle trained on the seed-42 documents, and the committed v1 model."""
     root = tmp_path_factory.mktemp("doc-corpus-42")
     manifest = generate_corpus(CorpusConfig(seed=42, docs_per_class=1, n_rfes=0), root)
     records = manifest["documents"]
@@ -161,6 +163,7 @@ def doc_artifacts_42(tmp_path_factory):
         "page": (root / records[0]["dir"] / records[0]["pages"][0]).read_bytes(),
         "vocab": (bundle / "vocab.txt").read_bytes(),
         "model": (bundle / "text-model.json").read_bytes(),
+        "model-v1": V1_FIXTURE.read_bytes(),
         "bundle": {p.name: p.read_bytes() for p in bundle.iterdir()},
     }
 
@@ -189,6 +192,7 @@ def fuzz_outcomes(load, original, error, seed):
         ("page", decode_pgm, PgmError, PageImage),
         ("vocab", load_vocab, VocabularyFormatError, Vocabulary),
         ("model", load_model, ModelFormatError, SoftmaxClassifier),
+        ("model-v1", load_model, ModelFormatError, SoftmaxClassifier),
     ],
 )
 def test_document_artifact_mutants_raise_only_format_error(

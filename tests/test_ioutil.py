@@ -26,6 +26,7 @@ from rfekit.ioutil import (
     atomic_write_text,
     check_fields,
     is_a,
+    json_text,
     read_json,
 )
 
@@ -101,6 +102,7 @@ def test_atomic_write_json_bytes(tmp_path):
     assert (tmp_path / "out.json").read_bytes() == (
         b'{\n  "a": [\n    1,\n    "\\u00e9"\n  ],\n  "b": 1\n}\n'
     )
+    assert json_text({"b": 1, "a": [1, "\u00e9"]}) == (tmp_path / "out.json").read_text()
 
 
 class Malformed(ValueError):
@@ -159,11 +161,8 @@ def test_json_documents_are_read_and_written_only_through_ioutil():
                 call = node.func.attr
                 if call in ("load", "loads") and (path.name, where) not in PER_LINE_DECODERS:
                     found.append((path.name, where, call))
-                if call in ("dump", "dumps") and any(
-                    k.arg == "indent" and getattr(k.value, "value", None) == 2
-                    for k in node.keywords
-                ):
-                    found.append((path.name, where, f"{call}(indent=2)"))
+                if call in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
+                    found.append((path.name, where, f"{call}(indent=...)"))
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
 
