@@ -9,14 +9,13 @@ matrix, and flags an attack whenever any pair strictly exceeds the threshold.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .ioutil import read_lines
+from .ioutil import read_records
 from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
 from .vectorize import Vocabulary, fit_vocab, norm, tfidf_vector
 
@@ -95,7 +94,9 @@ def load_bank(source, stopwords=None) -> ExampleBank:
     the same description everywhere.
     """
     stopwords = load_stopwords() if stopwords is None else stopwords
-    records = _read_bank_records(source)
+    records = read_records(
+        source, ("attack_id", "description", "sentence"), BankFormatError, "bank"
+    )
     if not records:
         raise BankFormatError("example bank is empty")
 
@@ -144,30 +145,6 @@ def load_bank(source, stopwords=None) -> ExampleBank:
         norms=tuple(norms),
         postings=postings,
     )
-
-
-def _read_bank_records(source) -> list[tuple[str, str, str]]:
-    lines = read_lines(source, BankFormatError, "bank")
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise BankFormatError(f"bank line {lineno}: invalid JSON ({exc})") from None
-        try:
-            record = (obj["attack_id"], obj["description"], obj["sentence"])
-        except (TypeError, KeyError):
-            raise BankFormatError(
-                f"bank line {lineno}: need attack_id, description, sentence"
-            ) from None
-        if not all([type(v) is str for v in record]):
-            raise BankFormatError(
-                f"bank line {lineno}: attack_id, description and sentence must be strings"
-            )
-        records.append(record)
-    return records
 
 
 def similarity_matrix(rfe_sentences, bank: ExampleBank) -> np.ndarray:

@@ -353,7 +353,8 @@ def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxCl
     """
     payload = read_json(data, ModelFormatError, "model payload")
     version = payload.get("version")
-    if payload.get("format") != MODEL_MAGIC or version not in (1, MODEL_VERSION):
+    known = is_a(version, int) and version in (1, MODEL_VERSION)
+    if payload.get("format") != MODEL_MAGIC or not known:
         raise ModelFormatError(f"model payload is not a version-1/2 {MODEL_MAGIC} file")
     recorded = payload.get("sha256", "")
     if recorded != _payload_digest({**payload, "sha256": ""}):

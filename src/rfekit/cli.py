@@ -35,7 +35,7 @@ from .drafting import (
 )
 from .ensemble import EnsembleDocumentClassifier
 from .evaluation import evaluate_attacks, evaluate_documents
-from .ioutil import atomic_write_json, atomic_write_text, read_json
+from .ioutil import atomic_write_json, atomic_write_text, read_bytes, read_json, read_text
 from .text import load_stopwords
 
 
@@ -114,10 +114,7 @@ def _config_value(key: str, value):
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
+    data = read_bytes(path, UsageError, "config file")
     return read_json(data, UsageError, f"config file {path}")
 
 
@@ -147,15 +144,6 @@ def _resolve(args, defaults: dict) -> dict:
     print(f"[rfekit] {args.command} config sha256={digest[:16]} {payload}",
           file=sys.stderr)
     return resolved
-
-
-def _read_rfe(path) -> str:
-    """The text of the RFE file at ``path``; a file that cannot be read or is
-    not UTF-8 stops the run (exit 1) with a message naming it."""
-    try:
-        return Path(path).read_text("utf-8")
-    except (OSError, UnicodeError) as exc:
-        raise RuntimeError(f"cannot read RFE {path} as UTF-8 text: {exc}") from None
 
 
 def _emit_records(records, out_path) -> None:
@@ -281,7 +269,7 @@ def _cmd_detect(args) -> int:
         raise UsageError(f"no RFE text files under {args.input}")
     records = []
     for rfe_id, path in jobs:
-        report = detect_rfe(_read_rfe(path), bank, tau, stopwords)
+        report = detect_rfe(read_text(path, RuntimeError, "RFE"), bank, tau, stopwords)
         records.append({"id": rfe_id, **report.as_record()})
     _emit_records(records, args.out)
     return 0
@@ -294,7 +282,7 @@ def _cmd_draft(args) -> int:
     library = load_template_library(args.templates)
     patterns = load_field_patterns(args.patterns) if args.patterns else None
     draft = draft_response(
-        _read_rfe(args.input),
+        read_text(args.input, RuntimeError, "RFE"),
         bank,
         store,
         library,
@@ -336,7 +324,8 @@ def _cmd_eval_attacks(args) -> int:
     bank_path = args.bank or corpus_dir / manifest["paths"]["bank"]
     bank = load_bank(bank_path)
     pairs = [
-        (_read_rfe(corpus_dir / rec["file"]), rec["attacks"]) for rec in manifest["rfes"]
+        (read_text(corpus_dir / rec["file"], RuntimeError, "RFE"), rec["attacks"])
+        for rec in manifest["rfes"]
     ]
     if not pairs:
         raise UsageError(f"corpus {args.corpus} has no RFEs")

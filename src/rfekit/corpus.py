@@ -32,7 +32,9 @@ from .ioutil import (
     atomic_write_json,
     atomic_write_text,
     check_fields,
+    read_bytes,
     read_json,
+    read_text,
 )
 
 MANIFEST_MAGIC = "rfe-corpus-manifest"
@@ -736,9 +738,8 @@ def load_manifest(corpus_dir) -> dict:
     """Read ``manifest.json``; a malformed one raises :class:`CorpusFormatError`.
     Every path it names must be relative with no ``..`` part."""
     path = Path(corpus_dir) / "manifest.json"
-    manifest = read_json(
-        path.read_bytes(), CorpusFormatError, str(path), MANIFEST_MAGIC, MANIFEST_VERSION
-    )
+    data = read_bytes(path, CorpusFormatError, "corpus manifest")
+    manifest = read_json(data, CorpusFormatError, str(path), MANIFEST_MAGIC, MANIFEST_VERSION)
     check_fields(manifest, _MANIFEST_FIELDS, CorpusFormatError, str(path))
     check_fields(manifest["paths"], _PATHS_FIELDS, CorpusFormatError, f"{path}: 'paths'")
     for key, fields in (("documents", _DOCUMENT_FIELDS), ("rfes", _RFE_FIELDS)):
@@ -758,7 +759,8 @@ def load_document_dir(doc_dir, channel: str = "ocr") -> Document:
     """Materialize a standalone document directory written by the generator;
     its ``doc.json`` follows the manifest's rules."""
     path = Path(doc_dir) / "doc.json"
-    meta = read_json(path.read_bytes(), CorpusFormatError, str(path))
+    data = read_bytes(path, CorpusFormatError, "doc.json")
+    meta = read_json(data, CorpusFormatError, str(path))
     check_fields(meta, _DOC_JSON_FIELDS, CorpusFormatError, str(path))
     return _read_document(path.parent, meta, channel, "text")
 
@@ -769,14 +771,14 @@ def _read_document(doc_dir: Path, meta: dict, channel: str, ocr_key: str) -> Doc
     A named file that cannot be read raises :class:`CorpusFormatError`."""
     if channel not in ("ocr", "clean"):
         raise ValueError(f"unknown text channel {channel!r}")
-    pages = tuple(_read(doc_dir / name, read_pgm) for name in meta["pages"])
+    pages = tuple(_read_page(doc_dir / name) for name in meta["pages"])
     text_path = doc_dir / meta[ocr_key if channel == "ocr" else "clean_text"]
-    text = _read(text_path, lambda path: path.read_text("utf-8"))
+    text = read_text(text_path, CorpusFormatError, "document text")
     return Document(doc_id=meta["id"], pages=pages, text=text)
 
 
-def _read(path: Path, read):
+def _read_page(path: Path) -> PageImage:
     try:
-        return read(path)
+        return read_pgm(path)
     except (OSError, UnicodeError) as exc:
-        raise CorpusFormatError(f"cannot read {path}: {exc}") from None
+        raise CorpusFormatError(f"cannot read page {path}: {exc}") from None

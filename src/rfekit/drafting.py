@@ -10,7 +10,6 @@ the extracted fields and the beneficiary record.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import date, datetime
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .attacks import DEFAULT_TAU, AttackReport, ExampleBank, detect_rfe
-from .ioutil import NAME, check_fields, read_json, read_lines
+from .ioutil import NAME, check_fields, read_bytes, read_json, read_records, read_text
 
 _DATE_FIELDS = ("rfe_date", "response_due_date")
 PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
@@ -125,8 +124,10 @@ def load_field_patterns(source=None) -> dict[str, re.Pattern]:
     """
     if source is None:
         data = resources.files("rfekit.data").joinpath("field_patterns.json").read_bytes()
+    elif isinstance(source, bytes):
+        data = source
     else:
-        data = source if isinstance(source, bytes) else Path(source).read_bytes()
+        data = read_bytes(source, PatternFormatError, "pattern file")
     payload = read_json(data, PatternFormatError, "pattern file", "field-patterns", 1)
     check_fields(payload, {"patterns": dict}, PatternFormatError, "pattern file")
     patterns = {}
@@ -199,24 +200,13 @@ class BeneficiaryStore:
         """Read JSON-lines records keyed by case_number.
 
         Every line is decoded on its own, so an error names its line; a file
-        that is not UTF-8, a line that is not JSON (or nests or digits past
-        the decoder's limits) and a record without the five fields, or with
-        one that is not a string, all raise :class:`StoreFormatError`.
+        that cannot be read or is not UTF-8, a line that is not JSON (or nests
+        or digits past the decoder's limits) and a record without the five
+        fields, or with one that is not a string, all raise
+        :class:`StoreFormatError`.
         """
-        lines = read_lines(source, StoreFormatError, "store")
-        records = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                values = [obj[k] for k in BENEFICIARY_FIELD_NAMES]
-            except (ValueError, RecursionError, KeyError, TypeError) as exc:
-                raise StoreFormatError(f"store line {lineno}: {exc}") from None
-            if not all([type(v) is str for v in values]):
-                raise StoreFormatError(f"store line {lineno}: every field must be a string")
-            records.append(BeneficiaryRecord._make(values))
-        return cls(records)
+        rows = read_records(source, BENEFICIARY_FIELD_NAMES, StoreFormatError, "store")
+        return cls(map(BeneficiaryRecord._make, rows))
 
     def lookup(self, case_number: str) -> BeneficiaryRecord:
         try:
@@ -237,10 +227,7 @@ def load_template_library(directory) -> tuple[Template, ...]:
     library directory.
     """
     directory = Path(directory)
-    try:
-        data = (directory / "templates.json").read_bytes()
-    except FileNotFoundError:
-        raise TemplateFormatError(f"no templates.json in {directory}") from None
+    data = read_bytes(directory / "templates.json", TemplateFormatError, "template library")
     manifest = read_json(data, TemplateFormatError, "templates.json", "template-library", 1)
     check_fields(manifest, {"templates": list}, TemplateFormatError, "templates.json")
     templates = []
@@ -248,10 +235,7 @@ def load_template_library(directory) -> tuple[Template, ...]:
     for i, entry in enumerate(manifest["templates"]):
         check_fields(entry, _TEMPLATE_FIELDS, TemplateFormatError, f"template entry {i}")
         template_id, soc_codes = entry["id"], entry.get("soc_codes")
-        try:
-            body = (directory / entry["file"]).read_text("utf-8")
-        except (OSError, ValueError) as exc:
-            raise TemplateFormatError(f"template body {entry['file']!r}: {exc}") from None
+        body = read_text(directory / entry["file"], TemplateFormatError, "template body")
         if template_id in seen:
             raise TemplateFormatError(f"duplicate template id {template_id!r}")
         seen.add(template_id)

@@ -27,7 +27,8 @@ from .classify import (
     save_model,
 )
 from .image import FEATURIZER_VERSION, PageImage, featurizer_sha256, image_features
-from .ioutil import NAME, atomic_write_bytes, atomic_write_json, check_fields, is_a, read_json
+from .ioutil import (NAME, atomic_write_bytes, atomic_write_json, check_fields, is_a,
+                     read_bytes, read_json)
 from .text import normalize, stopwords_sha256, tokenize
 from .vectorize import (
     Vocabulary,
@@ -317,10 +318,8 @@ class EnsembleDocumentClassifier(ParamsMixin):
         def invalid(reason: str) -> ValueError:
             return ValueError(f"bundle {bundle_dir}: {reason}")
 
-        manifest = read_json(
-            (bundle_dir / "bundle.json").read_bytes(), invalid, "bundle.json",
-            BUNDLE_MAGIC, BUNDLE_VERSION,
-        )
+        data = read_bytes(bundle_dir / "bundle.json", invalid, "bundle.json")
+        manifest = read_json(data, invalid, "bundle.json", BUNDLE_MAGIC, BUNDLE_VERSION)
         check_fields(manifest, _BUNDLE_FIELDS, invalid, "bundle.json")
         files = manifest["files"]
         if set(_BUNDLE_FILES) - set(files):
@@ -339,9 +338,10 @@ class EnsembleDocumentClassifier(ParamsMixin):
             params["n_range"] = tuple(n_range)
 
         def read(part, load, **kwargs):
+            data = read_bytes(bundle_dir / files[part], invalid, "bundle part")
             try:
-                return load((bundle_dir / files[part]).read_bytes(), **kwargs)
-            except (OSError, ValueError) as exc:
+                return load(data, **kwargs)
+            except ValueError as exc:
                 raise invalid(f"{files[part]}: {exc}") from exc
 
         est = cls(**params)

@@ -1,5 +1,5 @@
-"""The JSON container convention, the record field rule, atomic file writes
-and the bare-file-name rule, shared by every loader and writer."""
+"""Input file reads, the JSON and JSON-lines conventions, the record field
+rule, atomic writes and the bare-file-name rule: one of each for rfekit."""
 
 from __future__ import annotations
 
@@ -47,38 +47,74 @@ def atomic_write_json(path, obj) -> None:
     atomic_write_text(path, json_text(obj))
 
 
+def read_bytes(path, error, what: str) -> bytes:
+    """The bytes of the file at ``path``; a file that cannot be read (missing,
+    a directory, a NUL in the name) raises ``error("cannot read <what> <path>: ...")``."""
+    return _read(path, error, what, "rb")
+
+
+def read_text(path, error, what: str) -> str:
+    """The UTF-8 text of the file at ``path``, its line ends read as ``\\n``;
+    a file that cannot be read or is not UTF-8 raises ``error(message)`` as
+    :func:`read_bytes` does."""
+    return _read(path, error, what, "r", "utf-8")
+
+
+def _read(path, error, what: str, mode: str, encoding=None):
+    try:
+        with open(os.fspath(path), mode, encoding=encoding) as file:  # not a descriptor
+            return file.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {what} {path}: not UTF-8 ({exc})") from None
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
 def read_json(data: bytes, error, what: str, magic=None, version=None) -> dict:
     """The JSON object in the UTF-8 bytes ``data``. A decode failure of any
-    kind, a value that is not an object and, given ``magic``, a ``format`` or
-    ``version`` other than ``magic`` and ``version`` raise ``error(message)``,
-    the message naming the document ``what``."""
+    kind, a value that is not an object and, given ``magic``, a ``format``
+    other than ``magic`` or a ``version`` other than the integer ``version``
+    raise ``error(message)``, the message naming the document ``what``."""
     try:
         payload = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise error(f"unreadable {what} ({exc})") from None
     if not isinstance(payload, dict):
         raise error(f"{what} is not a JSON object")
-    if magic is not None and (payload.get("format"), payload.get("version")) != (magic, version):
+    found = (payload.get("format"), payload.get("version"))
+    if magic is not None and (found != (magic, version) or not is_a(found[1], int)):
         raise error(f"{what} is not a version-{version} {magic} file")
     return payload
 
 
-def read_lines(source, error, what: str) -> list[str]:
-    """The lines of the UTF-8 file at path ``source``, or of an iterable of
-    lines; a file that is not UTF-8 raises ``error(message)``."""
-    if not isinstance(source, (str, Path)):
-        return [str(line) for line in source]
-    try:
-        return Path(source).read_text("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise error(f"{what} is not UTF-8 ({exc})") from None
+def read_records(source, fields, error, what: str) -> list[list[str]]:
+    """The string values at ``fields`` of each JSON-lines record in the file
+    at path ``source`` (see :func:`read_text`) or in an iterable of lines,
+    blank lines skipped. A line that does not decode, lacks a field or holds
+    a value that is not a string raises ``error("<what> line N: ...")``."""
+    if isinstance(source, (str, Path)):
+        source = read_text(source, error, what).splitlines()
+    records = []
+    for lineno, line in enumerate(source, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            values = [obj[k] for k in fields]
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
+            raise error(f"{what} line {lineno}: {exc}") from None
+        if not all([type(v) is str for v in values]):
+            raise error(f"{what} line {lineno}: every field must be a string")
+        records.append(values)
+    return records
 
 
 def is_bare_file_name(name) -> bool:
     """A name with no directory part: not empty, ``.`` or ``..``, no
-    separator. Checked on the string alone, with no filesystem call."""
+    separator and no NUL. Checked on the string alone, with no filesystem call."""
     return (
-        isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name
+        isinstance(name, str) and name not in ("", ".", "..") and "\0" not in name
+        and Path(name).name == name
     )
 
 

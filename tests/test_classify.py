@@ -426,6 +426,9 @@ DROP = object()
         {"classes": [], "weights": ""},
         {"classes": ["a"], "weights": base64.b64encode(bytes(24)).decode()},
         {"version": 1, "n_features": -1, "weights": [[], []]},
+        {"version": True, "weights": [["0x0.0p+0"] * 3] * 2},
+        {"version": 1.0, "weights": [["0x0.0p+0"] * 3] * 2},
+        {"version": 2.0},
     ],
     ids=["no-vocab_hash", "no-classes", "no-n_features", "no-feature_kind",
          "no-weights", "string-classes", "non-string-class", "string-n_features",
@@ -434,7 +437,8 @@ DROP = object()
          "bool-max_iters", "bool-l2", "string-l2", "null-learning_rate",
          "bool-grad_tol", "v2-non-base64", "v2-short-weights", "v2-partial-float",
          "v2-long-weights", "v2-weight-rows", "v2-nan-weights", "v1-string-weights",
-         "no-classes-empty-weights", "one-class", "v1-negative-n_features"],
+         "no-classes-empty-weights", "one-class", "v1-negative-n_features",
+         "bool-version", "float-version-1", "float-version-2"],
 )
 def test_resigned_malformed_header_rejected(changes):
     clf = SoftmaxClassifier(max_iters=1).fit(np.eye(2), ["a", "b"])

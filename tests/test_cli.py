@@ -101,10 +101,10 @@ def test_gen_corpus_invalid_noise_exits_2(tmp_path, capsys):
 
 def test_gen_corpus_config_file_precedence(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 5, "docs_per_class": 2, "n_rfes": 3}))
+    config.write_text(json.dumps({"seed": 5, "docs_per_class": 2, "n_rfes": 3}), "utf-8")
     out = tmp_path / "from-file"
     assert run(["gen-corpus", "--out", str(out), "--config", str(config)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
     assert manifest["seed"] == 5
     assert len(manifest["documents"]) == 4
 
@@ -118,7 +118,7 @@ def test_gen_corpus_config_file_precedence(tmp_path, capsys):
         )
         == 0
     )
-    assert json.loads((out2 / "manifest.json").read_text())["seed"] == 9
+    assert json.loads((out2 / "manifest.json").read_text("utf-8"))["seed"] == 9
 
 
 def test_missing_corpus_exits_1(tmp_path):
@@ -204,7 +204,7 @@ def test_train_classify_eval_pipeline(tmp_path, capsys):
         )
         == 0
     )
-    records = [json.loads(line) for line in out_file.read_text().splitlines()]
+    records = [json.loads(line) for line in out_file.read_text("utf-8").splitlines()]
     assert len(records) == 8
     for rec in records:
         assert set(rec) >= {"id", "predicted", "fused", "h_image", "h_text",
@@ -232,7 +232,7 @@ def test_classify_move_is_idempotent(tmp_path, trained_bundle):
     loose.mkdir()
     import shutil
 
-    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest = json.loads((corpus / "manifest.json").read_text("utf-8"))
     for rec in manifest["documents"][:2]:
         shutil.copytree(corpus / rec["dir"], loose / rec["id"])
 
@@ -276,8 +276,8 @@ def test_detect_on_corpus_and_single_file(tmp_path):
         )
         == 0
     )
-    manifest = json.loads((corpus / "manifest.json").read_text())
-    records = {r["id"]: r for r in map(json.loads, out_file.read_text().splitlines())}
+    manifest = json.loads((corpus / "manifest.json").read_text("utf-8"))
+    records = {r["id"]: r for r in map(json.loads, out_file.read_text("utf-8").splitlines())}
     assert len(records) == len(manifest["rfes"])
     for rec in manifest["rfes"]:
         report = records[rec["id"]]
@@ -290,7 +290,7 @@ def test_detect_on_corpus_and_single_file(tmp_path):
 
 def test_draft_writes_output_and_sidecar(tmp_path):
     corpus = gen_small_corpus(tmp_path)
-    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest = json.loads((corpus / "manifest.json").read_text("utf-8"))
     rfe = next(r for r in manifest["rfes"] if r["attacks"])
     out = tmp_path / "draft.txt"
     code = run(
@@ -305,17 +305,17 @@ def test_draft_writes_output_and_sidecar(tmp_path):
         ]
     )
     assert code == 0
-    text = out.read_text()
+    text = out.read_text("utf-8")
     assert text.startswith("RESPONSE TO REQUEST FOR EVIDENCE")
     assert "{{" not in text
-    sidecar = json.loads((tmp_path / "draft.txt.manifest.json").read_text())
+    sidecar = json.loads((tmp_path / "draft.txt.manifest.json").read_text("utf-8"))
     assert sidecar["status"] == "complete"
     assert sidecar["detected"] == rfe["attacks"] or set(sidecar["detected"]) >= set(rfe["attacks"])
 
 
 def test_draft_on_attackless_rfe_exits_1(tmp_path, capsys):
     corpus = gen_small_corpus(tmp_path, rfes=12)
-    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest = json.loads((corpus / "manifest.json").read_text("utf-8"))
     quiet = next((r for r in manifest["rfes"] if not r["attacks"]), None)
     assert quiet is not None
     code = run(
@@ -346,7 +346,7 @@ def test_eval_attacks_command(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["detect", "draft", "eval-attacks"])
 def test_bad_config_tau_exits_2(tmp_path, capsys, command, tau):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"tau": tau}))
+    config.write_text(json.dumps({"tau": tau}), "utf-8")
     args = {
         "detect": ["--bank", "b", "--input", "i"],
         "draft": ["--bank", "b", "--store", "s", "--templates", "t",
@@ -380,7 +380,7 @@ def test_bad_config_tau_exits_2(tmp_path, capsys, command, tau):
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, config, key):
     """A config value obeys its flag's rule: no bool or fraction for an
     integer, no text that the flag would refuse."""
-    (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "config.json").write_text(json.dumps(config), "utf-8")
     out = tmp_path / "out"
     args = {
         "train-docs": ["--corpus", str(tmp_path / "c"), "--out", str(out)],
@@ -407,7 +407,7 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, conf
 def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, config, unknown):
     """A key the command does not read is a usage error, not a silent
     fallback to the default, raised before anything is read or written."""
-    (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "config.json").write_text(json.dumps(config), "utf-8")
     out = tmp_path / "out"
     args = {
         "detect": ["--bank", "b", "--input", "i", "--out", str(out)],
@@ -431,9 +431,9 @@ def test_gen_corpus_config_reads_the_keys_without_a_flag(tmp_path, capsys):
     config.write_text(json.dumps({
         "classes": defaults["classes"][:1], "attack_mix": defaults["attack_mix"],
         "docs_per_class": 2, "n_rfes": 2,
-    }))
+    }), "utf-8")
     assert run(["gen-corpus", "--out", str(tmp_path / "c"), "--config", str(config)]) == 0
-    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text("utf-8"))
     assert len(manifest["documents"]) == 2
     capsys.readouterr()
 
@@ -451,15 +451,15 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, data):
 def test_config_values_in_flag_text_list_and_number_forms(tmp_path, capsys):
     corpus = gen_small_corpus(tmp_path, docs=2)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"ngrams": [1, 2], "l2": "0.01", "max_iters": 30}))
+    config.write_text(json.dumps({"ngrams": [1, 2], "l2": "0.01", "max_iters": 30}), "utf-8")
     bundle = tmp_path / "bundle"
     argv = ["train-docs", "--corpus", str(corpus), "--out", str(bundle)]
     assert run([*argv, "--config", str(config)]) == 0
-    params = json.loads((bundle / "bundle.json").read_text())["params"]
+    params = json.loads((bundle / "bundle.json").read_text("utf-8"))["params"]
     assert params == {"n_range": [1, 2], "l2": 0.01, "max_iters": 30, "grad_tol": 1e-6}
-    config.write_text(json.dumps({"ngrams": "1,2", "l2": 0.01, "max_iters": "30"}))
+    config.write_text(json.dumps({"ngrams": "1,2", "l2": 0.01, "max_iters": "30"}), "utf-8")
     assert run([*argv, "--config", str(config)]) == 0
-    assert json.loads((bundle / "bundle.json").read_text())["params"] == params
+    assert json.loads((bundle / "bundle.json").read_text("utf-8"))["params"] == params
     capsys.readouterr()
 
 
@@ -468,7 +468,7 @@ def test_classify_move_clash_moves_nothing(tmp_path, trained_bundle, clash):
     import shutil
 
     corpus, bundle = trained_bundle
-    docs = json.loads((corpus / "manifest.json").read_text())["documents"]
+    docs = json.loads((corpus / "manifest.json").read_text("utf-8"))["documents"]
     inbox, dest = tmp_path / "inbox", tmp_path / "sorted"
     if clash == "existing-target":
         for rec in docs[:2]:
@@ -476,7 +476,7 @@ def test_classify_move_clash_moves_nothing(tmp_path, trained_bundle, clash):
         traces = tmp_path / "traces.jsonl"
         argv = ["classify", "--bundle", str(bundle), "--input", str(inbox)]
         assert run([*argv, "--out", str(traces)]) == 0
-        second = [json.loads(line) for line in traces.read_text().splitlines()][1]
+        second = [json.loads(line) for line in traces.read_text("utf-8").splitlines()][1]
         (dest / second["predicted"] / second["id"]).mkdir(parents=True)
     else:
         # one document twice under the same name: both copies map to one target
@@ -505,13 +505,13 @@ def test_detect_draft_and_evaluate_agree_on_every_rfe(tmp_path, capsys):
     corpus = tmp_path / "rfes"
     assert run(["gen-corpus", "--out", str(corpus), "--seed", "42",
                 "--docs-per-class", "0", "--rfes", "49"]) == 0
-    rfes = json.loads((corpus / "manifest.json").read_text())["rfes"]
+    rfes = json.loads((corpus / "manifest.json").read_text("utf-8"))["rfes"]
     assert len(rfes) == 49
     reports = tmp_path / "detect.jsonl"
     assert run(["detect", "--bank", str(corpus / "bank.jsonl"),
                 "--input", str(corpus), "--out", str(reports)]) == 0
     detected = {
-        r["id"]: r["detected"] for r in map(json.loads, reports.read_text().splitlines())
+        r["id"]: r["detected"] for r in map(json.loads, reports.read_text("utf-8").splitlines())
     }
     assert sorted(detected) == sorted(r["id"] for r in rfes)
     assert any(detected.values()) and not all(detected.values())
@@ -530,7 +530,7 @@ def test_detect_draft_and_evaluate_agree_on_every_rfe(tmp_path, capsys):
         )
         if detected[rfe["id"]]:
             assert code == 0
-            sidecar = json.loads(Path(f"{out}.manifest.json").read_text())
+            sidecar = json.loads(Path(f"{out}.manifest.json").read_text("utf-8"))
             assert sidecar["detected"] == detected[rfe["id"]]
         else:
             assert code == 1 and not out.exists()
@@ -562,7 +562,7 @@ def test_classify_move_rerun_after_interrupted_move_finishes(
     argv = ["classify", "--bundle", str(bundle), "--input", str(inbox)]
     assert run([*argv, "--out", str(traces)]) == 0
     predicted = {
-        r["id"]: r["predicted"] for r in map(json.loads, traces.read_text().splitlines())
+        r["id"]: r["predicted"] for r in map(json.loads, traces.read_text("utf-8").splitlines())
     }
     assert len(predicted) == 8 and len(set(predicted.values())) == 2
     for doc_id in sorted(predicted)[:2]:
@@ -575,7 +575,7 @@ def test_classify_move_rerun_after_interrupted_move_finishes(
         Path(label, doc_id) for doc_id, label in predicted.items()
     )
 
-    records = json.loads((corpus / "manifest.json").read_text())["documents"]
+    records = json.loads((corpus / "manifest.json").read_text("utf-8"))["documents"]
     for rec in records[:2]:
         shutil.move(str(corpus / rec["dir"]), str(tmp_path / rec["id"]))
     argv = ["classify", "--bundle", str(bundle), "--input", str(corpus)]
@@ -598,9 +598,9 @@ def test_classify_move_rerun_after_interrupted_move_finishes(
 def test_malformed_manifest_exits_1_naming_it(tmp_path, trained_bundle, capsys, command, edit):
     corpus, bundle = trained_bundle
     path = corpus / "manifest.json"
-    manifest = json.loads(path.read_text())
+    manifest = json.loads(path.read_text("utf-8"))
     edit(manifest)
-    path.write_text(json.dumps(manifest))
+    path.write_text(json.dumps(manifest), "utf-8")
     args = {
         "eval-attacks": ["--corpus", str(corpus)],
         "detect": ["--bank", str(corpus / "bank.jsonl"), "--input", str(corpus)],
@@ -613,10 +613,10 @@ def test_malformed_manifest_exits_1_naming_it(tmp_path, trained_bundle, capsys, 
 
 def test_classify_doc_json_without_pages_exits_1_naming_it(tmp_path, trained_bundle, capsys):
     corpus, bundle = trained_bundle
-    doc_dir = corpus / json.loads((corpus / "manifest.json").read_text())["documents"][0]["dir"]
-    meta = json.loads((doc_dir / "doc.json").read_text())
+    doc_dir = corpus / json.loads((corpus / "manifest.json").read_text("utf-8"))["documents"][0]["dir"]
+    meta = json.loads((doc_dir / "doc.json").read_text("utf-8"))
     del meta["pages"]
-    (doc_dir / "doc.json").write_text(json.dumps(meta))
+    (doc_dir / "doc.json").write_text(json.dumps(meta), "utf-8")
     assert run(["classify", "--bundle", str(bundle), "--input", str(corpus)]) == 1
     assert f"error: {doc_dir / 'doc.json'}: 'pages'" in capsys.readouterr().err
 
@@ -625,7 +625,7 @@ def test_classify_doc_json_without_pages_exits_1_naming_it(tmp_path, trained_bun
 @pytest.mark.parametrize("fault", ["not-utf-8", "directory"])
 def test_unreadable_rfe_exits_1_naming_the_file(tmp_path, capsys, command, fault):
     corpus = gen_small_corpus(tmp_path, docs=0)
-    rfe = corpus / json.loads((corpus / "manifest.json").read_text())["rfes"][0]["file"]
+    rfe = corpus / json.loads((corpus / "manifest.json").read_text("utf-8"))["rfes"][0]["file"]
     rfe.unlink()
     if fault == "not-utf-8":
         rfe.write_bytes(b"Dear sir \xff\xfe")
@@ -642,5 +642,5 @@ def test_unreadable_rfe_exits_1_naming_the_file(tmp_path, capsys, command, fault
         "eval-attacks": ["--corpus", str(corpus)],
     }[command]
     assert run([command, *args]) == 1
-    assert f"error: cannot read RFE {rfe} as UTF-8 text: " in capsys.readouterr().err
+    assert f"error: cannot read RFE {rfe}: " in capsys.readouterr().err
     assert not (tmp_path / "draft.txt").exists()

@@ -86,8 +86,8 @@ def test_zero_noise_channels_identical(tmp_path):
     manifest = generate_corpus(small_config(ocr_noise_rate=0.0), tmp_path)
     for rec in manifest["documents"]:
         doc_dir = tmp_path / rec["dir"]
-        clean = (doc_dir / rec["clean_text"]).read_text()
-        ocr = (doc_dir / rec["ocr_text"]).read_text()
+        clean = (doc_dir / rec["clean_text"]).read_text("utf-8")
+        ocr = (doc_dir / rec["ocr_text"]).read_text("utf-8")
         assert clean == ocr
 
 
@@ -151,7 +151,7 @@ def test_split_fractions(tmp_path):
 
 def test_beneficiary_store_covers_every_rfe(tmp_path):
     manifest = generate_corpus(small_config(), tmp_path)
-    store_lines = (tmp_path / "beneficiaries.jsonl").read_text().splitlines()
+    store_lines = (tmp_path / "beneficiaries.jsonl").read_text("utf-8").splitlines()
     known = {json.loads(line)["case_number"] for line in store_lines}
     for rec in manifest["rfes"]:
         assert rec["case_number"] in known
@@ -162,7 +162,7 @@ def test_extracted_fields_match_ground_truth(tmp_path):
 
     manifest = generate_corpus(small_config(n_rfes=12), tmp_path)
     for rec in manifest["rfes"]:
-        fields = extract_fields((tmp_path / rec["file"]).read_text())
+        fields = extract_fields((tmp_path / rec["file"]).read_text("utf-8"))
         truth = rec["fields"]
         assert fields.case_number == truth["case_number"]
         assert fields.employee_name == truth["employee_name"]
@@ -357,6 +357,7 @@ def test_unreadable_named_file_raises_corpus_format_error_naming_it(tmp_path, da
     manifest = generate_corpus(small_config(), tmp_path)
     record = manifest["documents"][0]
     doc_dir = tmp_path / record["dir"]
+    what = "page"
     if damage == "missing-page":
         broken = doc_dir / record["pages"][0]
         broken.unlink()
@@ -365,13 +366,14 @@ def test_unreadable_named_file_raises_corpus_format_error_naming_it(tmp_path, da
         for path, key in ((tmp_path / "manifest.json", "documents"), (doc_dir / "doc.json", None)):
             _edit_json(path, _set("pages", [broken.name], key))
     else:
+        what = "document text"
         broken = doc_dir / record["ocr_text"]
         broken.unlink()
         if damage == "text-is-dir":
             broken.mkdir()
         else:
             broken.write_bytes(b"\xff\xfe")
-    match = f"cannot read {re.escape(str(broken))}"
+    match = f"^cannot read {what} {re.escape(str(broken))}: "
     with pytest.raises(CorpusFormatError, match=match):
         load_document(tmp_path, load_manifest(tmp_path)["documents"][0])
     with pytest.raises(CorpusFormatError, match=match):

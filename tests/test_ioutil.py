@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import re
+import shutil
 import stat
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from rfekit import ioutil
+from rfekit.attacks import BankFormatError, load_bank
 from rfekit.classify import (
     ModelFormatError,
     SoftmaxClassifier,
@@ -16,8 +18,24 @@ from rfekit.classify import (
     load_model,
     save_model,
 )
-from rfekit.corpus import CorpusFormatError, load_document_dir, load_manifest
-from rfekit.drafting import TemplateFormatError, load_template_library
+from rfekit.cli import UsageError, build_parser, run
+from rfekit.corpus import (
+    CorpusConfig,
+    CorpusFormatError,
+    generate_corpus,
+    load_document,
+    load_document_dir,
+    load_manifest,
+)
+from rfekit.drafting import (
+    BeneficiaryStore,
+    PatternFormatError,
+    StoreFormatError,
+    TemplateFormatError,
+    load_field_patterns,
+    load_template_library,
+)
+from rfekit.ensemble import EnsembleDocumentClassifier
 from rfekit.ioutil import (
     NAME,
     PATH,
@@ -27,7 +45,9 @@ from rfekit.ioutil import (
     check_fields,
     is_a,
     json_text,
+    read_bytes,
     read_json,
+    read_text,
 )
 
 
@@ -102,7 +122,7 @@ def test_atomic_write_json_bytes(tmp_path):
     assert (tmp_path / "out.json").read_bytes() == (
         b'{\n  "a": [\n    1,\n    "\\u00e9"\n  ],\n  "b": 1\n}\n'
     )
-    assert json_text({"b": 1, "a": [1, "\u00e9"]}) == (tmp_path / "out.json").read_text()
+    assert json_text({"b": 1, "a": [1, "\u00e9"]}) == (tmp_path / "out.json").read_text("utf-8")
 
 
 class Malformed(ValueError):
@@ -120,6 +140,8 @@ class Malformed(ValueError):
         (b'{"format": "f"}', "doc is not a version-1 f file"),
         (b'{"format": "g", "version": 1}', "doc is not a version-1 f file"),
         (b'{"format": "f", "version": 2}', "doc is not a version-1 f file"),
+        (b'{"format": "f", "version": true}', "doc is not a version-1 f file"),
+        (b'{"format": "f", "version": 1.0}', "doc is not a version-1 f file"),
     ],
 )
 def test_read_json_failures_raise_the_given_error(data, message):
@@ -134,14 +156,21 @@ def test_read_json_returns_the_object():
     assert read_json(b'{"x": 1}', Malformed, "doc") == {"x": 1}
 
 
-# The two per-line decode loops keep their own messages (the store's are
-# pinned exactly by the store fuzz test).
-PER_LINE_DECODERS = {("attacks.py", "_read_bank_records"), ("drafting.py", "BeneficiaryStore.load")}
+# The reads that stay outside ioutil.py: a PGM page is decoded from its open
+# file, and package data is read through importlib.resources.
+OWN_READERS = {("image.py", "read_pgm")}
+
+
+def _is_package_data(node):
+    """Whether the call chain ``node`` starts at the ``resources`` module."""
+    while isinstance(node, (ast.Attribute, ast.Call)):
+        node = node.value if isinstance(node, ast.Attribute) else node.func
+    return isinstance(node, ast.Name) and node.id == "resources"
 
 
 def test_json_documents_are_read_and_written_only_through_ioutil():
-    """Outside ioutil.py, no rfekit module decodes JSON (but the two per-line
-    loops) or writes indented JSON documents itself."""
+    """Outside ioutil.py, no rfekit module decodes JSON, reads a file itself
+    (but a PGM page and package data) or writes indented JSON documents."""
     found = []
     for path in sorted(Path(ioutil.__file__).parent.glob("*.py")):
         if path.name == "ioutil.py":
@@ -159,10 +188,20 @@ def test_json_documents_are_read_and_written_only_through_ioutil():
                 and node.func.value.id == "json"
             ):
                 call = node.func.attr
-                if call in ("load", "loads") and (path.name, where) not in PER_LINE_DECODERS:
+                if call in ("load", "loads"):
                     found.append((path.name, where, call))
                 if call in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
                     found.append((path.name, where, f"{call}(indent=...)"))
+            if isinstance(node, ast.Call) and (path.name, where) not in OWN_READERS:
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "open":
+                    found.append((path.name, where, "open"))
+                if (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in ("read_bytes", "read_text")
+                    and not _is_package_data(func.value)
+                ):
+                    found.append((path.name, where, func.attr))
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
 
@@ -182,7 +221,7 @@ def test_json_documents_are_read_and_written_only_through_ioutil():
         (PATH, ["a", "a/b.txt", "docs/doc-0000", "a..b", "./a", "a/"],
          ["", "/etc/hostname", "..", "../a", "a/../b", "a/..", "a\0b", None, 7, ["a"]]),
         (NAME, ["a.txt", "a..b", "..."],
-         ["", ".", "..", "a/b", "/a", "./a", "a/", None, 7, ["a"]]),
+         ["", ".", "..", "a/b", "/a", "./a", "a/", "a\0b", None, 7, ["a"]]),
         ([str], [[], ["a", ""]], ["ab", ["a", 1], [None], None, ("a",)]),
         ([int], [[], [1, 2]], [[1, True], [1.0], "12", None]),
         ([list], [[], [[], [1]]], [["ab"], [None], [{}]]),
@@ -286,3 +325,88 @@ def _template_with_list_id(tmp_path):
 def test_each_loader_raises_its_own_error_from_the_shared_check(tmp_path, load, error, message):
     with pytest.raises(error, match=f"{re.escape(message)}$"):
         load(tmp_path)
+
+
+def test_read_bytes_and_read_text_raise_the_given_error_naming_the_file(tmp_path):
+    missing, latin1 = tmp_path / "missing.txt", tmp_path / "latin1.txt"
+    latin1.write_bytes(b"caf\xe9\r\n")
+    for read, path, message in [
+        (read_bytes, missing, f"cannot read doc {missing}: [Errno 2] "),
+        (read_text, tmp_path, f"cannot read doc {tmp_path}: [Errno 21] "),
+        (read_bytes, "a\0b", "cannot read doc a\0b: embedded null byte"),
+        (read_text, latin1, f"cannot read doc {latin1}: not UTF-8 ("),
+    ]:
+        with pytest.raises(Malformed, match=f"^{re.escape(message)}"):
+            read(path, Malformed, "doc")
+
+
+def test_read_text_reads_line_ends_as_newline_and_read_bytes_keeps_them(tmp_path):
+    (tmp_path / "a.txt").write_bytes(b"one\r\ntwo\rthree\n")
+    assert read_text(tmp_path / "a.txt", Malformed, "doc") == "one\ntwo\nthree\n"
+    assert read_bytes(str(tmp_path / "a.txt"), Malformed, "doc") == b"one\r\ntwo\rthree\n"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A small corpus, a bundle trained on it and a --config file."""
+    root = tmp_path_factory.mktemp("inputs")
+    generate_corpus(CorpusConfig(seed=3, docs_per_class=2, n_rfes=2), root / "corpus")
+    argv = ["train-docs", "--corpus", str(root / "corpus"), "--out", str(root / "bundle"),
+            "--max-iters", "20"]
+    assert run(argv) == 0
+    (root / "config.json").write_text("{}", "utf-8")
+    return root
+
+
+def _detect(root, *options):
+    """``rfekit detect`` on the corpus RFEs, letting its error propagate."""
+    args = build_parser().parse_args([
+        "detect", "--bank", str(root / "corpus/bank.jsonl"), "--input", str(root / "corpus"),
+        "--out", str(root / "out.jsonl"), *options,
+    ])
+    return args.handler(args)
+
+
+# Each input file that a loader reads: its path under ``inputs``, the
+# format's error, and a call that reads it from a root directory.
+INPUT_FILES = {
+    "bank": ("corpus/bank.jsonl", BankFormatError,
+             lambda r: load_bank(r / "corpus/bank.jsonl")),
+    "store": ("corpus/beneficiaries.jsonl", StoreFormatError,
+              lambda r: BeneficiaryStore.load(r / "corpus/beneficiaries.jsonl")),
+    "patterns": ("corpus/patterns.json", PatternFormatError,
+                 lambda r: load_field_patterns(r / "corpus/patterns.json")),
+    "templates-json": ("corpus/templates/templates.json", TemplateFormatError,
+                       lambda r: load_template_library(r / "corpus/templates")),
+    "template-body": ("corpus/templates/specialty-occupation-any.txt", TemplateFormatError,
+                      lambda r: load_template_library(r / "corpus/templates")),
+    "corpus-manifest": ("corpus/manifest.json", CorpusFormatError,
+                        lambda r: load_manifest(r / "corpus")),
+    "doc-json": ("corpus/docs/doc-0000/doc.json", CorpusFormatError,
+                 lambda r: load_document_dir(r / "corpus/docs/doc-0000")),
+    "document-text": ("corpus/docs/doc-0000/ocr.txt", CorpusFormatError,
+                      lambda r: load_document(r / "corpus",
+                                              load_manifest(r / "corpus")["documents"][0])),
+    "bundle-json": ("bundle/bundle.json", ValueError,
+                    lambda r: EnsembleDocumentClassifier.load(r / "bundle")),
+    "bundle-part": ("bundle/text-model.json", ValueError,
+                    lambda r: EnsembleDocumentClassifier.load(r / "bundle")),
+    "config": ("config.json", UsageError,
+               lambda r: _detect(r, "--config", str(r / "config.json"))),
+    "rfe": ("corpus/rfes/rfe-0000.txt", RuntimeError, _detect),
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory"])
+@pytest.mark.parametrize("name", sorted(INPUT_FILES))
+def test_each_loader_names_an_unreadable_input_in_its_format_error(inputs, tmp_path,
+                                                                   name, fault):
+    target, error, load = INPUT_FILES[name]
+    root = tmp_path / "inputs"
+    shutil.copytree(inputs, root)
+    load(root)  # the intact input loads
+    (root / target).unlink()
+    if fault == "directory":
+        (root / target).mkdir()
+    with pytest.raises(error, match=f"cannot read .*{re.escape(str(root / target))}: "):
+        load(root)
