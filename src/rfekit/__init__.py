@@ -20,7 +20,6 @@ from .drafting import (
     ResponseDraft,
     RfeFields,
     Template,
-    assemble_response,
     draft_response,
     extract_fields,
     load_template_library,
@@ -72,7 +71,6 @@ __all__ = [
     "SoftmaxClassifier",
     "Template",
     "Vocabulary",
-    "assemble_response",
     "classify_document",
     "clean_tokens",
     "confidence",

@@ -50,7 +50,8 @@ class ExampleBank:
     downstream template selection relies on that order being stable.
     ``norms[j]`` is the norm of example ``j``'s TF-IDF vector, and
     ``postings`` maps a column index to the ``(example_index, weight)`` pairs
-    of the examples that use it.
+    of the examples that use it. ``stopwords`` is the list the examples were
+    cleaned with; :func:`detect_rfe` cleans an RFE with the same list.
     """
 
     attacks: tuple[AttackType, ...]
@@ -58,6 +59,7 @@ class ExampleBank:
     vocab: Vocabulary
     norms: tuple[float, ...]
     postings: dict[int, list[tuple[int, float]]]
+    stopwords: frozenset[str]
 
     @property
     def attack_ids(self) -> tuple[str, ...]:
@@ -88,12 +90,13 @@ def load_bank(source, stopwords=None) -> ExampleBank:
 
     ``source`` is a path to (or iterable of) JSON lines with keys
     ``attack_id``, ``description``, ``sentence``. Sentences are preprocessed
-    with the detection pipeline (lowercase, a-z filter, stopword removal);
-    a sentence that cleans to nothing is dropped with a warning, and an attack
+    with the detection pipeline (lowercase, a-z filter, removal of
+    ``stopwords``, by default the shipped list, which the bank keeps); a
+    sentence that cleans to nothing is dropped with a warning, and an attack
     type whose sentences all vanish is an error. The same attack_id must carry
     the same description everywhere.
     """
-    stopwords = load_stopwords() if stopwords is None else stopwords
+    stopwords = load_stopwords() if stopwords is None else frozenset(stopwords)
     records = read_records(
         source, ("attack_id", "description", "sentence"), BankFormatError, "bank"
     )
@@ -144,6 +147,7 @@ def load_bank(source, stopwords=None) -> ExampleBank:
         vocab=vocab,
         norms=tuple(norms),
         postings=postings,
+        stopwords=stopwords,
     )
 
 
@@ -200,13 +204,12 @@ def detect_attacks(matrix: np.ndarray, bank: ExampleBank, tau: float = DEFAULT_T
     return AttackReport(detected=detected, evidence=tuple(hits), threshold=tau)
 
 
-def detect_rfe(rfe_text: str, bank: ExampleBank, tau: float = DEFAULT_TAU,
-               stopwords=None) -> AttackReport:
-    """Split raw RFE text into cleaned sentences and detect against ``bank``.
+def detect_rfe(rfe_text: str, bank: ExampleBank, tau: float = DEFAULT_TAU) -> AttackReport:
+    """Split raw RFE text into sentences cleaned with the bank's own stopword
+    list and detect against ``bank``.
 
     The one detection path: the CLI, the evaluation harness and drafting all
-    call it. Pass ``stopwords`` to reuse one loaded list across many RFEs.
+    call it.
     """
-    stopwords = load_stopwords() if stopwords is None else stopwords
-    sentences = split_sentences(rfe_text, stopwords)
+    sentences = split_sentences(rfe_text, bank.stopwords)
     return detect_attacks(similarity_matrix(sentences, bank), bank, tau)

@@ -36,7 +36,6 @@ from .drafting import (
 from .ensemble import EnsembleDocumentClassifier
 from .evaluation import evaluate_attacks, evaluate_documents
 from .ioutil import atomic_write_json, atomic_write_text, read_bytes, read_json, read_text
-from .text import load_stopwords
 
 
 class UsageError(Exception):
@@ -263,13 +262,12 @@ def _rfe_inputs(input_path: Path) -> list[tuple[str, Path]]:
 def _cmd_detect(args) -> int:
     tau = _resolve(args, {"tau": DEFAULT_TAU})["tau"]
     bank = load_bank(args.bank)
-    stopwords = load_stopwords()
     jobs = _rfe_inputs(Path(args.input))
     if not jobs:
         raise UsageError(f"no RFE text files under {args.input}")
     records = []
     for rfe_id, path in jobs:
-        report = detect_rfe(read_text(path, RuntimeError, "RFE"), bank, tau, stopwords)
+        report = detect_rfe(read_text(path, RuntimeError, "RFE"), bank, tau)
         records.append({"id": rfe_id, **report.as_record()})
     _emit_records(records, args.out)
     return 0

@@ -120,20 +120,22 @@ def load_field_patterns(source=None) -> dict[str, re.Pattern]:
     ``source`` (defaults to the one shipped in-package).
 
     Each pattern must contain exactly one capture group; matching is
-    line-anchored (MULTILINE).
+    line-anchored (MULTILINE). An error about a file at a path names it.
     """
+    what = "pattern file"
     if source is None:
         data = resources.files("rfekit.data").joinpath("field_patterns.json").read_bytes()
     elif isinstance(source, bytes):
         data = source
     else:
         data = read_bytes(source, PatternFormatError, "pattern file")
-    payload = read_json(data, PatternFormatError, "pattern file", "field-patterns", 1)
-    check_fields(payload, {"patterns": dict}, PatternFormatError, "pattern file")
+        what = f"pattern file {source}"
+    payload = read_json(data, PatternFormatError, what, "field-patterns", 1)
+    check_fields(payload, {"patterns": dict}, PatternFormatError, what)
     patterns = {}
     for name, pattern in payload["patterns"].items():
         if name not in RFE_FIELD_NAMES:
-            raise PatternFormatError(f"unknown field {name!r} in pattern file")
+            raise PatternFormatError(f"unknown field {name!r} in {what}")
         if not isinstance(pattern, str):
             raise PatternFormatError(f"field {name!r}: pattern is not a string")
         try:
@@ -227,13 +229,14 @@ def load_template_library(directory) -> tuple[Template, ...]:
     library directory.
     """
     directory = Path(directory)
-    data = read_bytes(directory / "templates.json", TemplateFormatError, "template library")
-    manifest = read_json(data, TemplateFormatError, "templates.json", "template-library", 1)
-    check_fields(manifest, {"templates": list}, TemplateFormatError, "templates.json")
+    path = directory / "templates.json"
+    data = read_bytes(path, TemplateFormatError, "template library")
+    manifest = read_json(data, TemplateFormatError, str(path), "template-library", 1)
+    check_fields(manifest, {"templates": list}, TemplateFormatError, str(path))
     templates = []
     seen = set()
     for i, entry in enumerate(manifest["templates"]):
-        check_fields(entry, _TEMPLATE_FIELDS, TemplateFormatError, f"template entry {i}")
+        check_fields(entry, _TEMPLATE_FIELDS, TemplateFormatError, f"{path}: template entry {i}")
         template_id, soc_codes = entry["id"], entry.get("soc_codes")
         body = read_text(directory / entry["file"], TemplateFormatError, "template body")
         if template_id in seen:
@@ -335,40 +338,6 @@ class ResponseDraft:
         return SECTION_DELIMITER.join((self.preamble, *self.sections)) + "\n"
 
 
-def assemble_response(
-    filled,
-    fields: RfeFields,
-    *,
-    template_ids=(),
-    detected=(),
-    evidence=(),
-    threshold: float | None = None,
-    missing_fields=(),
-) -> ResponseDraft:
-    """Concatenate filled sections behind the rendered case-header preamble.
-
-    Section order is selection order. Status is ``complete`` only when no
-    placeholder anywhere (preamble included) went unresolved.
-    """
-    sections = tuple(filled)
-    if not sections:
-        raise ValueError("cannot assemble a draft with no sections")
-    preamble, preamble_missing = render_with_markers(
-        PREAMBLE_TEMPLATE, fields.as_values()
-    )
-    all_missing = tuple(sorted(set(missing_fields) | set(preamble_missing)))
-    manifest = DraftManifest(
-        status="complete" if not all_missing else "incomplete",
-        missing_fields=all_missing,
-        template_ids=tuple(template_ids),
-        detected=tuple(detected),
-        threshold=threshold,
-        evidence=tuple(evidence),
-        case_number=fields.case_number,
-    )
-    return ResponseDraft(preamble=preamble, sections=sections, manifest=manifest)
-
-
 def draft_response(
     rfe_text: str,
     bank: ExampleBank,
@@ -381,10 +350,13 @@ def draft_response(
 ) -> ResponseDraft:
     """End-to-end drafting: detect, extract, look up, select, fill, assemble.
 
-    A missing beneficiary record is not fatal: selection falls back to
-    wildcard templates and the draft comes out ``incomplete`` with the
-    unresolved names listed. Detecting no attacks at all is fatal; there is
-    nothing to draft.
+    The case-header preamble and each selected template, in selection order,
+    are filled from one values map: the extracted fields, the beneficiary
+    record and ``today``. Status is ``complete`` only when no placeholder
+    anywhere (preamble included) went unresolved. A missing beneficiary
+    record is not fatal: selection falls back to wildcard templates and the
+    draft comes out ``incomplete`` with the unresolved names listed.
+    Detecting no attacks at all is fatal; there is nothing to draft.
     """
     report = detect_rfe(rfe_text, bank, tau)
     if not report.detected:
@@ -398,23 +370,24 @@ def draft_response(
         except BeneficiaryNotFoundError:
             record = None
 
-    values = dict(fields.as_values())
+    values = fields.as_values()
     if record is not None:
         values.update(record.as_values())
     values["today"] = (today or date.today()).isoformat()
 
     selected = select_templates(report, record, library)
-    sections, missing = [], set()
-    for template in selected:
-        text, template_missing = render_with_markers(template.body, values)
-        sections.append(text)
-        missing.update(template_missing)
-    return assemble_response(
-        sections,
-        fields,
-        template_ids=[t.template_id for t in selected],
+    texts, missing = [], set()
+    for body in (PREAMBLE_TEMPLATE, *(t.body for t in selected)):
+        text, body_missing = render_with_markers(body, values)
+        texts.append(text)
+        missing.update(body_missing)
+    manifest = DraftManifest(
+        status="incomplete" if missing else "complete",
+        missing_fields=tuple(sorted(missing)),
+        template_ids=tuple(t.template_id for t in selected),
         detected=report.detected,
-        evidence=report.evidence,
         threshold=report.threshold,
-        missing_fields=sorted(missing),
+        evidence=report.evidence,
+        case_number=fields.case_number,
     )
+    return ResponseDraft(preamble=texts[0], sections=tuple(texts[1:]), manifest=manifest)

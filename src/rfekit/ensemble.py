@@ -127,18 +127,29 @@ def confidence(h: float) -> float:
     return 1.0 / max(h, ENTROPY_EPSILON)
 
 
-def fuse(p_image: ClassDistribution, p_text: ClassDistribution) -> FusionTrace:
-    """Confidence-weighted average of the two head distributions."""
-    if p_image.classes != p_text.classes:
-        raise ValueError(
-            f"class sets differ: {p_image.classes} vs {p_text.classes}"
+def fuse(p_image: ClassDistribution | None, p_text: ClassDistribution | None) -> FusionTrace:
+    """Confidence-weighted average of the two head distributions.
+
+    A missing head (``None``) leaves the other as the fused distribution, as
+    is, with both weights ``None``; both missing is an error.
+    """
+    h_image = None if p_image is None else entropy(p_image)
+    h_text = None if p_text is None else entropy(p_text)
+    if p_image is None or p_text is None:
+        fused = p_text if p_image is None else p_image
+        if fused is None:
+            raise ValueError("nothing to fuse: both heads are missing")
+        w_image = w_text = None
+    else:
+        if p_image.classes != p_text.classes:
+            raise ValueError(
+                f"class sets differ: {p_image.classes} vs {p_text.classes}"
+            )
+        w_image, w_text = confidence(h_image), confidence(h_text)
+        fused_probs = (w_image * p_image.probs + w_text * p_text.probs) / (
+            w_image + w_text
         )
-    h_image, h_text = entropy(p_image), entropy(p_text)
-    w_image, w_text = confidence(h_image), confidence(h_text)
-    fused_probs = (w_image * p_image.probs + w_text * p_text.probs) / (
-        w_image + w_text
-    )
-    fused = ClassDistribution(p_image.classes, fused_probs / fused_probs.sum())
+        fused = ClassDistribution(p_image.classes, fused_probs / fused_probs.sum())
     return FusionTrace(
         p_image=p_image,
         p_text=p_text,
@@ -189,21 +200,9 @@ def classify_document(
         X = stack_dense([tfidf_vector(tokens, vocab)], vocab.size)
         p_text = ClassDistribution(classes, text_model.predict_proba(X)[0])
 
-    if p_image is not None and p_text is not None:
-        return fuse(p_image, p_text)
-    survivor = p_image if p_image is not None else p_text
-    if survivor is None:
+    if p_image is None and p_text is None:
         raise ValueError(f"document {doc.doc_id!r} has neither pages nor text")
-    return FusionTrace(
-        p_image=p_image,
-        p_text=p_text,
-        h_image=entropy(p_image) if p_image else None,
-        h_text=entropy(p_text) if p_text else None,
-        w_image=None,
-        w_text=None,
-        fused=survivor,
-        predicted=survivor.argmax_label(),
-    )
+    return fuse(p_image, p_text)
 
 
 class EnsembleDocumentClassifier(ParamsMixin):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .attacks import DEFAULT_TAU, ExampleBank, detect_rfe
-from .text import load_stopwords
 
 
 @dataclass(frozen=True)
@@ -166,10 +165,9 @@ def evaluate_attacks(
     """
     if target_attack not in bank.attack_ids:
         raise ValueError(f"unknown attack id {target_attack!r}")
-    stopwords = load_stopwords()
     tp = fp = fn = tn = 0
     for text, truth_attacks in rfes:
-        flagged = target_attack in detect_rfe(text, bank, tau, stopwords).detected
+        flagged = target_attack in detect_rfe(text, bank, tau).detected
         present = target_attack in set(truth_attacks)
         if flagged and present:
             tp += 1

@@ -59,8 +59,10 @@ def load_stopwords() -> frozenset[str]:
 def stopwords_sha256() -> str:
     """Content hash of the shipped stopword file.
 
-    The list is part of the external interface: trained artifacts record this
-    hash so a model can be traced back to the exact preprocessing it saw.
+    Trained bundles record it (``stopwords_sha256``) and loading checks it,
+    yet neither document head removes stopwords; only attack detection does,
+    and its list comes with the loaded bank. So the hash pins a list that no
+    bundled model saw.
     """
     return hashlib.sha256(_stopword_text().encode("ascii")).hexdigest()
 

@@ -283,12 +283,22 @@ def test_detect_rfe_roundtrip():
     report = detect_rfe(text, bank)
     assert "specialty-occupation" in report.detected
     assert report.threshold == 0.6
-    stopwords = load_stopwords()
-    sentences = split_sentences(text, stopwords)
+    assert bank.stopwords == load_stopwords()
+    sentences = split_sentences(text, bank.stopwords)
     assert report == detect_attacks(similarity_matrix(sentences, bank), bank, 0.6)
-    assert detect_rfe(text, bank, 0.6, stopwords) == report
     with pytest.raises(ValueError):
         detect_rfe(text, bank, tau=1.5)
+
+
+def test_detect_rfe_cleans_the_rfe_with_the_bank_stopwords():
+    """A bank loaded with no stopword list finds an exact copy of its own
+    sentence, because the RFE is cleaned with the bank's list."""
+    sentence = "The position requires a degree in the specialty"
+    bank = load_bank([bank_line("specialty-occupation", sentence)], stopwords=frozenset())
+    assert bank.stopwords == frozenset()
+    report = detect_rfe(sentence, bank)
+    assert report.detected == ("specialty-occupation",)
+    assert report.evidence == (Evidence(0, 0, 1.0),)
 
 
 def cosine_reference(sentences, bank):

@@ -1,9 +1,10 @@
 import json
+import re
 from datetime import date
 
 import pytest
 
-from rfekit.attacks import AttackReport, Evidence
+from rfekit.attacks import AttackReport, Evidence, load_bank
 from rfekit.drafting import (
     BENEFICIARY_FIELD_NAMES,
     BeneficiaryNotFoundError,
@@ -14,7 +15,7 @@ from rfekit.drafting import (
     Template,
     TemplateFormatError,
     TemplateSelectionError,
-    assemble_response,
+    draft_response,
     extract_fields,
     load_field_patterns,
     load_template_library,
@@ -297,9 +298,33 @@ def test_template_library_requires_the_templates_key(tmp_path):
     manifest = library_manifest()
     manifest["template"] = manifest.pop("templates")
     write_library(tmp_path / "templates", manifest)
+    path = re.escape(str(tmp_path / "templates" / "templates.json"))
     with pytest.raises(TemplateFormatError,
-                       match="^templates.json: 'templates' is missing or not a list$"):
+                       match=f"^{path}: 'templates' is missing or not a list$"):
         load_template_library(tmp_path / "templates")
+
+
+def test_template_library_invalid_json_names_the_file(tmp_path):
+    write_library(tmp_path / "templates", b"{not json")
+    path = re.escape(str(tmp_path / "templates" / "templates.json"))
+    with pytest.raises(TemplateFormatError, match=f"^unreadable {path} \\(Expecting property name"):
+        load_template_library(tmp_path / "templates")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"{not json", r"^unreadable pattern file {path} \(Expecting property name"),
+        (json.dumps({"format": "field-patterns", "version": 1}).encode(),
+         r"^pattern file {path}: 'patterns' is missing or not an object$"),
+    ],
+    ids=["invalid-json", "missing-key"],
+)
+def test_pattern_file_errors_name_the_file(tmp_path, data, message):
+    (tmp_path / "patterns.json").write_bytes(data)
+    path = re.escape(str(tmp_path / "patterns.json"))
+    with pytest.raises(PatternFormatError, match=message.format(path=path)):
+        load_field_patterns(tmp_path / "patterns.json")
 
 
 @pytest.mark.parametrize(
@@ -342,44 +367,53 @@ def test_template_library_rejects_unknown_placeholder(tmp_path):
         load_template_library(lib_dir)
 
 
-def test_assemble_single_section():
-    draft = assemble_response(["SECTION ONE"], extract_fields(RFE_TEXT))
-    text = draft.render()
+DEGREE_BANK = [json.dumps({"attack_id": "degree", "description": "degree",
+                          "sentence": "Provide evidence of the degree requirement."})]
+
+
+def draft(bodies, rfe_text=RFE_TEXT, beneficiary=None):
+    """``draft_response`` on a one-attack bank whose sentence ``rfe_text``
+    repeats, with one wildcard template per body, in order."""
+    library = [Template(f"degree/{i}", "degree", None, body) for i, body in enumerate(bodies)]
+    store = BeneficiaryStore([beneficiary or record()])
+    return draft_response(rfe_text, load_bank(DEGREE_BANK), store, library,
+                          today=date(2021, 1, 1))
+
+
+def test_draft_single_section():
+    result = draft(["SECTION ONE"])
+    text = result.render()
     assert text.startswith("RESPONSE TO REQUEST FOR EVIDENCE")
     assert "Case Number: ABC-21-900-11111" in text
     assert text.rstrip("\n").endswith("SECTION ONE")
-    assert draft.manifest.status == "complete"
+    assert result.manifest.status == "complete"
+    assert result.manifest.template_ids == ("degree/0",)
 
 
-def test_assemble_preserves_section_order():
+def test_draft_preserves_section_order():
     sections = ["SECTION-ALPHA", "SECTION-BETA", "SECTION-GAMMA"]
-    draft = assemble_response(sections, extract_fields(RFE_TEXT))
-    body = draft.render()
+    result = draft(sections)
+    body = result.render()
     assert (
         body.index("SECTION-ALPHA")
         < body.index("SECTION-BETA")
         < body.index("SECTION-GAMMA")
     )
-    assert draft.sections == tuple(sections)
+    assert result.sections == tuple(sections)
+    assert result.manifest.template_ids == ("degree/0", "degree/1", "degree/2")
 
 
-def test_assemble_empty_sections_error():
-    with pytest.raises(ValueError, match="no sections"):
-        assemble_response([], extract_fields(RFE_TEXT))
-
-
-def test_assemble_incomplete_when_preamble_missing_fields():
-    fields = extract_fields("Case Number: X-1\n")
-    draft = assemble_response(["S"], fields)
-    assert draft.manifest.status == "incomplete"
-    assert "employee_name" in draft.manifest.missing_fields
-    assert "[MISSING employee_name]" in draft.preamble
-    assert "{{" not in draft.render()
+def test_draft_incomplete_when_preamble_missing_fields():
+    result = draft(["S"], rfe_text="Case Number: X-1\nProvide evidence of the degree requirement.\n")
+    assert result.manifest.status == "incomplete"
+    assert "employee_name" in result.manifest.missing_fields
+    assert "[MISSING employee_name]" in result.preamble
+    assert result.sections == ("S",)
+    assert "{{" not in result.render()
 
 
 def test_inserted_values_appear_verbatim():
-    fields = extract_fields(RFE_TEXT)
-    draft = assemble_response(
-        ["Weird value: {{literal}} & <tags> kept"], fields
-    )
-    assert "Weird value: {{literal}} & <tags> kept" in draft.render()
+    weird = record()._replace(field_of_study="{{literal}} & <tags>")
+    result = draft(["Weird value: {{field_of_study}} kept"], beneficiary=weird)
+    assert "Weird value: {{literal}} & <tags> kept" in result.render()
+    assert result.manifest.status == "complete"

@@ -223,6 +223,61 @@ def test_classify_document_rejects_empty_document():
         )
 
 
+# FusionTrace.as_record() of the tiny heads' three document kinds, as written
+# before one-head traces were built by fuse.
+TINY_TRACES = {
+    "both": {
+        "fused": {"dark": 0.00013856494204203925, "light": 0.9998614350579579},
+        "h_image": 0.00039347856065352084, "h_text": 0.06289147547247897,
+        "p_image": {"dark": 2.338404820834223e-05, "light": 0.9999766159517917},
+        "p_text": {"dark": 0.007382461301482202, "light": 0.9926175386985178},
+        "predicted": "light", "w_image": 1000.0, "w_text": 15.900406096174281,
+    },
+    "image-only": {
+        "fused": {"dark": 0.9999831556592116, "light": 1.684434078849471e-05},
+        "h_image": 0.000291408096121324, "h_text": None,
+        "p_image": {"dark": 0.9999831556592116, "light": 1.684434078849471e-05},
+        "p_text": None, "predicted": "dark", "w_image": None, "w_text": None,
+    },
+    "text-only": {
+        "fused": {"dark": 0.9926175386985047, "light": 0.007382461301495218},
+        "h_image": None, "h_text": 0.06289147547257112,
+        "p_image": None,
+        "p_text": {"dark": 0.9926175386985047, "light": 0.007382461301495218},
+        "predicted": "dark", "w_image": None, "w_text": None,
+    },
+}
+
+
+def _approx_floats(value):
+    """``value`` with each float replaced by a near-equality to it: the heads'
+    weights may differ in the last bits between BLAS builds."""
+    if isinstance(value, dict):
+        return {k: _approx_floats(v) for k, v in value.items()}
+    if isinstance(value, float):
+        return pytest.approx(value, rel=1e-9, abs=1e-15)
+    return value
+
+
+@pytest.mark.parametrize(
+    "kind, pages, text",
+    [("both", (245,), "bright page"), ("image-only", (10,), "1234 !!"),
+     ("text-only", (), "dim page")],
+)
+def test_fusion_trace_records_are_pinned(kind, pages, text):
+    image_model, text_model, vocab = tiny_heads()
+    doc = Document(doc_id="d", pages=tuple(page(fill) for fill in pages), text=text)
+    trace = classify_document(doc, image_model, text_model, vocab)
+    assert trace.as_record() == _approx_floats(TINY_TRACES[kind])
+    if kind != "both":
+        assert trace.fused is (trace.p_image or trace.p_text)
+
+
+def test_fuse_needs_a_head():
+    with pytest.raises(ValueError, match="both heads are missing"):
+        fuse(None, None)
+
+
 def test_page_pooling_is_order_invariant():
     image_model, text_model, vocab = tiny_heads()
     pages = (page(250), page(30), page(128))

@@ -209,6 +209,20 @@ def test_json_documents_are_read_and_written_only_through_ioutil():
     assert found == []
 
 
+def test_only_the_bank_loader_loads_the_stopword_list():
+    """Inside rfekit only attacks.py calls ``load_stopwords``: the bank keeps
+    the list it was cleaned with, and detection reuses it."""
+    callers = set()
+    for path in sorted(Path(ioutil.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "load_stopwords" in (
+                getattr(func, "id", None), getattr(func, "attr", None)
+            ):
+                callers.add(path.name)
+    assert callers == {"attacks.py"}
+
+
 @pytest.mark.parametrize(
     "kind, good, bad",
     [

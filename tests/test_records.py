@@ -18,14 +18,13 @@ from rfekit.drafting import (
     BeneficiaryRecord,
     BeneficiaryStore,
     DraftingError,
+    DraftManifest,
     RfeFields,
-    assemble_response,
     draft_response,
     extract_fields,
     load_template_library,
 )
 from rfekit.evaluation import ConfusionCounts, Metrics, metrics
-from rfekit.text import load_stopwords
 
 
 def as_json(obj) -> str:
@@ -120,11 +119,10 @@ def seed42_reports(rfe_corpus_42):
     bank = load_bank(root / paths["bank"])
     store = BeneficiaryStore.load(root / paths["store"])
     library = load_template_library(root / paths["templates"])
-    stopwords = load_stopwords()
     out = []
     for rec in manifest["rfes"]:
         text = (root / rec["file"]).read_text("utf-8")
-        out.append((text, detect_rfe(text, bank, 0.6, stopwords), bank, store, library))
+        out.append((text, detect_rfe(text, bank, 0.6), bank, store, library))
     return out
 
 
@@ -137,10 +135,11 @@ def test_draft_manifest_serializes_as_before_on_every_seed42_rfe(seed42_reports)
             manifest = draft_response(text, bank, store, library, today=date(2021, 1, 1)).manifest
         except DraftingError:
             assert report.detected == ()
-            manifest = assemble_response(
-                ["section"], extract_fields(text), detected=report.detected,
-                evidence=report.evidence, threshold=report.threshold,
-            ).manifest
+            manifest = DraftManifest(
+                status="complete", missing_fields=(), template_ids=(),
+                detected=report.detected, threshold=report.threshold,
+                evidence=report.evidence, case_number=extract_fields(text).case_number,
+            )
             statuses.add("refused")
         statuses.add(manifest.status)
         assert as_json(asdict(manifest)) == as_json(reference_draft_manifest(manifest))
@@ -148,12 +147,11 @@ def test_draft_manifest_serializes_as_before_on_every_seed42_rfe(seed42_reports)
 
 
 def test_draft_manifest_with_missing_fields_and_no_case_number():
-    manifest = assemble_response(
-        ["Body"], RfeFields(), template_ids=["t/any"], detected=["t"],
-        evidence=[Evidence(2, 0, 1.0), Evidence(0, 3, 0.75)], threshold=0.5,
-        missing_fields=["degree"],
-    ).manifest
-    assert manifest.status == "incomplete"
+    manifest = DraftManifest(
+        status="incomplete", missing_fields=("case_number", "degree"),
+        template_ids=("t/any",), detected=("t",), threshold=0.5,
+        evidence=(Evidence(2, 0, 1.0), Evidence(0, 3, 0.75)), case_number=None,
+    )
     assert as_json(asdict(manifest)) == as_json(reference_draft_manifest(manifest))
 
 
