@@ -37,25 +37,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def loss_and_gradient(
-    weights: np.ndarray, X: np.ndarray, y_index: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy plus ``(l2/2)*||W||^2`` (bias column excluded).
-
-    ``weights`` is (n_classes, n_features + 1) with the bias in the last
-    column; the returned gradient has the same shape and matches the analytic
-    softmax cross-entropy gradient.
-    """
-    n = X.shape[0]
-    design = np.hstack([X, np.ones((n, 1))])
-    ce, delta = _cross_entropy(design @ weights.T, y_index)
-    penalty = 0.5 * l2 * float(np.sum(weights[:, :-1] ** 2))
-    delta[np.arange(n), y_index] -= 1.0
-    grad = delta.T @ design / n
-    grad[:, :-1] += l2 * weights[:, :-1]
-    return ce + penalty, grad
-
-
 class SoftmaxClassifier(ParamsMixin):
     """sklearn-style estimator: ``fit(X, y)``, ``predict_proba``, ``predict``.
 
@@ -182,8 +163,9 @@ _MAX_HALVINGS = 60
 
 
 def _newton_cg_gram(K, project, y_index, n_classes, l2, max_iters, grad_tol):
-    """Truncated-Newton (Newton-CG) minimization of the loss of
-    :func:`loss_and_gradient`, run in Gram (representer) form.
+    """Truncated-Newton (Newton-CG) minimization of the mean cross-entropy
+    of ``softmax(X @ W.T + b)`` plus ``(l2/2) * ||W||^2`` (the bias b is not
+    penalized), run in Gram (representer) form.
 
     Weights start at zero and only the weights (not the bias) are penalized,
     so every gradient and Newton step lies in the row span of X and every
@@ -254,21 +236,17 @@ def _newton_cg_gram(K, project, y_index, n_classes, l2, max_iters, grad_tol):
 
 
 def _objective(features, coords, bias, y_index, l2):
-    """``(loss, probs)`` of :func:`loss_and_gradient` at the point ``(V, b)``
-    of :func:`_newton_cg_gram`."""
-    ce, probs = _cross_entropy(features @ coords.T + bias, y_index)
-    return ce + 0.5 * l2 * float(np.sum(coords * coords)), probs
-
-
-def _cross_entropy(scores, y_index):
-    """``(mean cross-entropy, softmax probabilities)`` of the rows of
-    ``scores``, the cross-entropy taken by log-sum-exp: it stays finite when
-    a true-class probability underflows to zero."""
+    """``(loss, probs)`` at the point ``(V, b)`` of :func:`_newton_cg_gram`:
+    the loss is the mean cross-entropy of ``probs = softmax(F @ V.T + b)``
+    plus ``(l2/2) * ||V||^2``, which equals the primal loss at ``W = A @ X``.
+    The cross-entropy is taken by log-sum-exp, so it stays finite when a
+    true-class probability underflows to zero."""
+    scores = features @ coords.T + bias
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1)
-    ce = np.mean(np.log(total) - shifted[np.arange(len(y_index)), y_index])
-    return float(ce), exp / total[:, None]
+    ce = float(np.mean(np.log(total) - shifted[np.arange(len(y_index)), y_index]))
+    return ce + 0.5 * l2 * float(np.sum(coords * coords)), exp / total[:, None]
 
 
 def _newton_direction(grad, grad_bias, probs, features, l2):
@@ -351,11 +329,8 @@ def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxCl
     Pass ``expected_vocab_hash`` (a ``vocab_sha256`` or the featurizer's hash)
     to reject a model that was trained against a different feature space.
     """
-    payload = read_json(data, ModelFormatError, "model payload")
-    version = payload.get("version")
-    known = is_a(version, int) and version in (1, MODEL_VERSION)
-    if payload.get("format") != MODEL_MAGIC or not known:
-        raise ModelFormatError(f"model payload is not a version-1/2 {MODEL_MAGIC} file")
+    payload = read_json(data, ModelFormatError, "model payload", MODEL_MAGIC, (1, MODEL_VERSION))
+    version = payload["version"]
     recorded = payload.get("sha256", "")
     if recorded != _payload_digest({**payload, "sha256": ""}):
         raise ModelFormatError("model checksum mismatch (corrupt payload)")

@@ -35,7 +35,8 @@ from .drafting import (
 )
 from .ensemble import EnsembleDocumentClassifier
 from .evaluation import evaluate_attacks, evaluate_documents
-from .ioutil import atomic_write_json, atomic_write_text, read_bytes, read_json, read_text
+from .ioutil import (atomic_write_json, atomic_write_text, is_bare_file_name, read_bytes,
+                     read_json, read_text)
 
 
 class UsageError(Exception):
@@ -218,6 +219,9 @@ def _find_doc_dirs(input_dir: Path) -> list[Path]:
 def _cmd_classify(args) -> int:
     opts = _resolve(args, {"channel": "ocr", "move": None, "out": None})
     model = EnsembleDocumentClassifier.load(args.bundle)
+    for label in model.classes_ if args.move else ():
+        if not is_bare_file_name(label):  # the class folder must stay inside DEST
+            raise RuntimeError(f"cannot move into class {label!r}: not a file name")
     input_dir = Path(args.input)
 
     jobs: list[tuple[str, Path]] = []

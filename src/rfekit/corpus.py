@@ -739,7 +739,7 @@ def load_manifest(corpus_dir) -> dict:
     Every path it names must be relative with no ``..`` part."""
     path = Path(corpus_dir) / "manifest.json"
     data = read_bytes(path, CorpusFormatError, "corpus manifest")
-    manifest = read_json(data, CorpusFormatError, str(path), MANIFEST_MAGIC, MANIFEST_VERSION)
+    manifest = read_json(data, CorpusFormatError, str(path), MANIFEST_MAGIC, (MANIFEST_VERSION,))
     check_fields(manifest, _MANIFEST_FIELDS, CorpusFormatError, str(path))
     check_fields(manifest["paths"], _PATHS_FIELDS, CorpusFormatError, f"{path}: 'paths'")
     for key, fields in (("documents", _DOCUMENT_FIELDS), ("rfes", _RFE_FIELDS)):

@@ -130,7 +130,7 @@ def load_field_patterns(source=None) -> dict[str, re.Pattern]:
     else:
         data = read_bytes(source, PatternFormatError, "pattern file")
         what = f"pattern file {source}"
-    payload = read_json(data, PatternFormatError, what, "field-patterns", 1)
+    payload = read_json(data, PatternFormatError, what, "field-patterns", (1,))
     check_fields(payload, {"patterns": dict}, PatternFormatError, what)
     patterns = {}
     for name, pattern in payload["patterns"].items():
@@ -231,7 +231,7 @@ def load_template_library(directory) -> tuple[Template, ...]:
     directory = Path(directory)
     path = directory / "templates.json"
     data = read_bytes(path, TemplateFormatError, "template library")
-    manifest = read_json(data, TemplateFormatError, str(path), "template-library", 1)
+    manifest = read_json(data, TemplateFormatError, str(path), "template-library", (1,))
     check_fields(manifest, {"templates": list}, TemplateFormatError, str(path))
     templates = []
     seen = set()

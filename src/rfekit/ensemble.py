@@ -26,10 +26,9 @@ from .classify import (
     load_model,
     save_model,
 )
-from .image import FEATURIZER_VERSION, PageImage, featurizer_sha256, image_features
-from .ioutil import (NAME, atomic_write_bytes, atomic_write_json, check_fields, is_a,
-                     read_bytes, read_json)
-from .text import normalize, stopwords_sha256, tokenize
+from .image import FEATURE_DIM, PageImage, featurizer_sha256, image_features
+from .ioutil import atomic_write_bytes, atomic_write_json, read_bytes, read_json
+from .text import normalize, tokenize
 from .vectorize import (
     Vocabulary,
     fit_vocab,
@@ -43,13 +42,14 @@ from .vectorize import (
 ENTROPY_EPSILON = 0.001
 
 BUNDLE_MAGIC = "doc-ensemble-bundle"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
+# The part files of every bundle. A version-1 bundle.json also names them in
+# a "files" map, which load ignores.
 _BUNDLE_FILES = {
     "vocabulary": "vocab.txt",
     "text_model": "text-model.json",
     "image_model": "image-model.json",
 }
-_BUNDLE_FIELDS = {"files": dict, "classes": [str]}
 _BUNDLE_PARAM_TYPES = {"n_range": [int], **_PARAM_TYPES}
 
 
@@ -291,12 +291,8 @@ class EnsembleDocumentClassifier(ParamsMixin):
         manifest = {
             "format": BUNDLE_MAGIC,
             "version": BUNDLE_VERSION,
-            "classes": list(self.classes_),
             "params": self.get_params(),
-            "files": _BUNDLE_FILES,
-            "featurizer": FEATURIZER_VERSION,
-            "stopwords_sha256": stopwords_sha256(),
-            "vocab_sha256": hashlib.sha256(self.vocab_bytes_).hexdigest(),
+            "vocab_sha256": self.text_model_.vocab_hash_,
         }
         atomic_write_json(bundle_dir / "bundle.json", manifest)
 
@@ -305,12 +301,13 @@ class EnsembleDocumentClassifier(ParamsMixin):
         """Read a :meth:`save` bundle; a malformed or inconsistent one raises
         ``ValueError`` naming the bundle.
 
-        ``bundle.json`` must be UTF-8 JSON. Its ``params`` must be an object of
-        known params of the right types, each ``files`` value a bare file name
-        (so every part is read from inside ``bundle_dir``), and ``classes`` a
-        list of strings equal to both heads' classes. The recorded
-        ``vocab_sha256`` must match the bytes of the vocabulary file and the
-        recorded ``stopwords_sha256`` the stopword list shipped with this package.
+        ``bundle.json`` must be UTF-8 JSON of version 1 or 2, and its
+        ``params`` an object of known params of the right types. The parts
+        are always read from the names in ``_BUNDLE_FILES``; the other keys a
+        version-1 file records (``classes``, ``files``, ``featurizer``,
+        ``stopwords_sha256``) are ignored. The recorded ``vocab_sha256`` must
+        match the bytes of the vocabulary file, each head's ``vocab_hash``
+        and width its feature space, and the two heads' classes each other.
         """
         bundle_dir = Path(bundle_dir)
 
@@ -318,17 +315,7 @@ class EnsembleDocumentClassifier(ParamsMixin):
             return ValueError(f"bundle {bundle_dir}: {reason}")
 
         data = read_bytes(bundle_dir / "bundle.json", invalid, "bundle.json")
-        manifest = read_json(data, invalid, "bundle.json", BUNDLE_MAGIC, BUNDLE_VERSION)
-        check_fields(manifest, _BUNDLE_FIELDS, invalid, "bundle.json")
-        files = manifest["files"]
-        if set(_BUNDLE_FILES) - set(files):
-            raise invalid(f"'files' must name {sorted(_BUNDLE_FILES)}")
-        if not is_a(list(files.values()), [NAME]):
-            raise invalid("each 'files' value must be a file name inside the bundle")
-        if manifest.get("stopwords_sha256") != stopwords_sha256():
-            raise invalid(
-                "recorded stopwords_sha256 does not match the shipped stopword list"
-            )
+        manifest = read_json(data, invalid, "bundle.json", BUNDLE_MAGIC, (1, BUNDLE_VERSION))
         params = check_params(manifest.get("params", {}), invalid, _BUNDLE_PARAM_TYPES)
         if "n_range" in params:
             n_range = params["n_range"]
@@ -337,22 +324,29 @@ class EnsembleDocumentClassifier(ParamsMixin):
             params["n_range"] = tuple(n_range)
 
         def read(part, load, **kwargs):
-            data = read_bytes(bundle_dir / files[part], invalid, "bundle part")
+            name = _BUNDLE_FILES[part]
+            data = read_bytes(bundle_dir / name, invalid, "bundle part")
             try:
                 return load(data, **kwargs)
             except ValueError as exc:
-                raise invalid(f"{files[part]}: {exc}") from exc
+                raise invalid(f"{name}: {exc}") from exc
+
+        def read_head(part, vocab_hash, width):
+            head = read(part, load_model, expected_vocab_hash=vocab_hash)
+            if head.n_features_ != width:
+                raise invalid(
+                    f"{_BUNDLE_FILES[part]}: {head.n_features_} features, expected {width}"
+                )
+            return head
 
         est = cls(**params)
         est.vocab_bytes_, est.vocabulary_ = read("vocabulary", lambda b: (b, load_vocab(b)))
         vocab_hash = hashlib.sha256(est.vocab_bytes_).hexdigest()
         if manifest.get("vocab_sha256") != vocab_hash:
-            raise invalid(f"recorded vocab_sha256 does not match {files['vocabulary']}")
-        est.text_model_ = read("text_model", load_model, expected_vocab_hash=vocab_hash)
-        est.image_model_ = read(
-            "image_model", load_model, expected_vocab_hash=featurizer_sha256()
-        )
-        est.classes_ = tuple(manifest["classes"])
-        if not est.classes_ == est.text_model_.classes_ == est.image_model_.classes_:
-            raise invalid("'classes' must be the heads' class list")
+            raise invalid(f"recorded vocab_sha256 does not match {_BUNDLE_FILES['vocabulary']}")
+        est.text_model_ = read_head("text_model", vocab_hash, est.vocabulary_.size)
+        est.image_model_ = read_head("image_model", featurizer_sha256(), FEATURE_DIM)
+        if est.text_model_.classes_ != est.image_model_.classes_:
+            raise invalid("the two heads' classes differ")
+        est.classes_ = est.text_model_.classes_
         return est

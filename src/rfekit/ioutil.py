@@ -70,20 +70,24 @@ def _read(path, error, what: str, mode: str, encoding=None):
         raise error(f"cannot read {what} {path}: {exc}") from None
 
 
-def read_json(data: bytes, error, what: str, magic=None, version=None) -> dict:
+def read_json(data: bytes, error, what: str, magic=None, versions=()) -> dict:
     """The JSON object in the UTF-8 bytes ``data``. A decode failure of any
     kind, a value that is not an object and, given ``magic``, a ``format``
-    other than ``magic`` or a ``version`` other than the integer ``version``
-    raise ``error(message)``, the message naming the document ``what``."""
+    other than ``magic`` or a ``version`` that is not an integer in
+    ``versions`` raise ``error(message)``, the message naming the document
+    ``what`` (``<what> is not a version-1/2 <magic> file`` for ``(1, 2)``)."""
     try:
         payload = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise error(f"unreadable {what} ({exc})") from None
     if not isinstance(payload, dict):
         raise error(f"{what} is not a JSON object")
-    found = (payload.get("format"), payload.get("version"))
-    if magic is not None and (found != (magic, version) or not is_a(found[1], int)):
-        raise error(f"{what} is not a version-{version} {magic} file")
+    version = payload.get("version")
+    if magic is not None and (
+        payload.get("format") != magic or not is_a(version, int) or version not in versions
+    ):
+        listed = "/".join(map(str, versions))
+        raise error(f"{what} is not a version-{listed} {magic} file")
     return payload
 
 

@@ -8,7 +8,6 @@ workers.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from importlib import resources
 
@@ -53,19 +52,5 @@ def split_sentences(text: str, stopwords) -> list[list[str]]:
 
 def load_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package."""
-    return frozenset(_stopword_text().split())
-
-
-def stopwords_sha256() -> str:
-    """Content hash of the shipped stopword file.
-
-    Trained bundles record it (``stopwords_sha256``) and loading checks it,
-    yet neither document head removes stopwords; only attack detection does,
-    and its list comes with the loaded bank. So the hash pins a list that no
-    bundled model saw.
-    """
-    return hashlib.sha256(_stopword_text().encode("ascii")).hexdigest()
-
-
-def _stopword_text() -> str:
-    return resources.files("rfekit.data").joinpath("stopwords.txt").read_text("ascii")
+    text = resources.files("rfekit.data").joinpath("stopwords.txt").read_text("ascii")
+    return frozenset(text.split())

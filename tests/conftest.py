@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rfekit.corpus import CorpusConfig, generate_corpus
@@ -15,6 +16,31 @@ V1_FIXTURE_WEIGHTS = [
     [-1e300, 2.2250738585072014e-308 / 3, 1 / 3, -2.5],
     [1.0, -0.0, 0.0, float.fromhex("0x1.fffffffffffffp+1023")],
 ]
+
+
+def loss_and_gradient(weights, X, y_index, l2):
+    """The reference training objective: mean cross-entropy of
+    ``softmax(X @ W.T + b)`` plus ``(l2/2)*||W||^2`` (bias column excluded),
+    and its gradient.
+
+    ``weights`` is (n_classes, n_features + 1) with the bias in the last
+    column; the returned gradient has the same shape. The cross-entropy is
+    taken by log-sum-exp, so it stays finite when a true-class probability
+    underflows to zero.
+    """
+    n = X.shape[0]
+    design = np.hstack([X, np.ones((n, 1))])
+    scores = design @ weights.T
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1)
+    ce = float(np.mean(np.log(total) - shifted[np.arange(n), y_index]))
+    penalty = 0.5 * l2 * float(np.sum(weights[:, :-1] ** 2))
+    delta = exp / total[:, None]
+    delta[np.arange(n), y_index] -= 1.0
+    grad = delta.T @ design / n
+    grad[:, :-1] += l2 * weights[:, :-1]
+    return ce + penalty, grad
 
 
 def encode_model_v1(model) -> bytes:

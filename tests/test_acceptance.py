@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from rfekit.attacks import detect_attacks, load_bank, similarity_matrix
-from rfekit.classify import loss_and_gradient
 from rfekit.corpus import CorpusConfig, generate_corpus, load_document
 from rfekit.drafting import BeneficiaryStore, draft_response, load_template_library
 from rfekit.ensemble import ClassDistribution, EnsembleDocumentClassifier, confidence, entropy, fuse
@@ -23,6 +22,8 @@ from rfekit.evaluation import (
     evaluate_attacks,
     metrics,
 )
+
+from conftest import loss_and_gradient
 
 GOLDEN_DRAFT = Path(__file__).parent / "data" / "golden-rfe3-draft.txt"
 

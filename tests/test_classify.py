@@ -16,13 +16,12 @@ from rfekit.classify import (
     coo_gram,
     coo_matmul,
     load_model,
-    loss_and_gradient,
     save_model,
     softmax,
 )
 from rfekit.vectorize import fit_vocab, save_vocab, stack_dense, tfidf_vector
 
-from conftest import V1_FIXTURE, V1_FIXTURE_WEIGHTS, encode_model_v1
+from conftest import V1_FIXTURE, V1_FIXTURE_WEIGHTS, encode_model_v1, loss_and_gradient
 
 
 def finite_difference_gradient(weights, X, y_index, l2, h=1e-5):

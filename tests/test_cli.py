@@ -497,6 +497,37 @@ def test_classify_move_clash_moves_nothing(tmp_path, trained_bundle, clash):
     assert not out.exists()
 
 
+def test_classify_move_refuses_a_class_that_is_not_a_file_name(tmp_path, capsys):
+    """A bundle trained with the class ``../escaped`` cannot move documents
+    out of DEST: classify exits 1 naming the class, before any move or output."""
+    import shutil
+
+    corpus = gen_small_corpus(tmp_path, docs=4)
+    path = corpus / "manifest.json"
+    manifest = json.loads(path.read_text("utf-8"))
+    first = manifest["documents"][0]["label"]
+    for rec in manifest["documents"]:
+        if rec["label"] != first:
+            rec["label"] = "../escaped"
+    path.write_text(json.dumps(manifest), "utf-8")
+    bundle = tmp_path / "bundle"
+    assert run(["train-docs", "--corpus", str(corpus), "--out", str(bundle),
+                "--max-iters", "50"]) == 0
+    work, out = tmp_path / "work", tmp_path / "t.jsonl"
+    inbox, dest = work / "inbox", work / "sorted"
+    for rec in manifest["documents"]:
+        shutil.copytree(corpus / rec["dir"], inbox / rec["id"])
+    inbox_before = tree_digest(inbox)
+    capsys.readouterr()
+    code = run(["classify", "--bundle", str(bundle), "--input", str(inbox),
+                "--move", str(dest), "--out", str(out)])
+    assert code == 1
+    assert "cannot move into class '../escaped'" in capsys.readouterr().err
+    assert tree_digest(inbox) == inbox_before
+    assert sorted(p.name for p in work.iterdir()) == ["inbox"]
+    assert not out.exists()
+
+
 def test_detect_draft_and_evaluate_agree_on_every_rfe(tmp_path, capsys):
     """Each seed-42 RFE gets the same detected set from all three consumers."""
     from rfekit.attacks import load_bank

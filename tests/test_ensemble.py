@@ -1,14 +1,17 @@
+import hashlib
 import json
 import math
 import os
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rfekit import ioutil
-from rfekit.classify import SoftmaxClassifier, _payload_digest
+from rfekit.classify import SoftmaxClassifier, _payload_digest, load_model, save_model
+from rfekit.corpus import load_document
 from rfekit.ensemble import (
     ClassDistribution,
     Document,
@@ -22,6 +25,11 @@ from rfekit.image import PageImage, image_features
 from rfekit.vectorize import fit_vocab, save_vocab
 
 from conftest import encode_model_v1
+
+# The bundle.json that the version-1 save wrote for the seed-42 training
+# split, and the SHA-256 of that split's vocab.txt.
+BUNDLE_V1 = Path(__file__).parent / "data" / "bundle-v1.json"
+VOCAB_SHA256_42 = "febaf4a33c285f236275fcd04e7aea85030f09710767fa0494519c6ffcc6fd14"
 
 
 def dist(*probs, classes=None):
@@ -352,20 +360,7 @@ def _edit_manifest(bundle, edit):
     path.write_text(json.dumps(manifest), "utf-8")
 
 
-@pytest.mark.parametrize("key", ["files", "classes"])
-def test_bundle_missing_key_names_bundle(saved_bundle, key):
-    _edit_manifest(saved_bundle, lambda m: m.pop(key))
-    with pytest.raises(ValueError, match=f"bundle {re.escape(str(saved_bundle))}.*{key}"):
-        EnsembleDocumentClassifier.load(saved_bundle)
-
-
-def test_bundle_files_missing_entry_names_bundle(saved_bundle):
-    _edit_manifest(saved_bundle, lambda m: m["files"].pop("text_model"))
-    with pytest.raises(ValueError, match=f"bundle {re.escape(str(saved_bundle))}.*files"):
-        EnsembleDocumentClassifier.load(saved_bundle)
-
-
-@pytest.mark.parametrize("key", ["vocab_sha256", "stopwords_sha256"])
+@pytest.mark.parametrize("key", ["vocab_sha256"])
 def test_bundle_hash_mismatch_rejected(saved_bundle, key):
     _edit_manifest(saved_bundle, lambda m: m.__setitem__(key, "0" * 64))
     with pytest.raises(ValueError, match=f"bundle {re.escape(str(saved_bundle))}: recorded {key}"):
@@ -420,60 +415,197 @@ def test_bundle_recording_legacy_learning_rate_loads(saved_bundle):
     assert np.array_equal(restored.predict_proba(docs), before)
 
 
-def _set_files(name):
-    def edit(manifest):
-        manifest["files"]["vocabulary"] = name
+def _resign(name, **fields):
+    """Set ``fields`` in the bundle's model file ``name`` and re-sign it."""
+
+    def edit(bundle):
+        path = bundle / name
+        payload = {**json.loads(path.read_bytes()), **fields, "sha256": ""}
+        payload["sha256"] = _payload_digest(payload)
+        path.write_text(json.dumps(payload), "utf-8")
 
     return edit
+
+
+def _resize(name, extra):
+    """Give the bundle's head ``name`` ``extra`` more features (fewer when
+    negative), the added weights zero, and re-sign it."""
+
+    def edit(bundle):
+        path = bundle / name
+        head = load_model(path.read_bytes())
+        coef = head.weights_[:, :-1]
+        coef = np.hstack([coef, np.zeros((len(coef), extra))]) if extra > 0 else coef[:, :extra]
+        head.weights_ = np.hstack([coef, head.weights_[:, -1:]])
+        head.n_features_ += extra
+        path.write_bytes(save_model(head))
+
+    return edit
+
+
+def _add_class(bundle):
+    path = bundle / "text-model.json"
+    head = load_model(path.read_bytes())
+    head.classes_ += ("x",)
+    head.weights_ = np.vstack([head.weights_, head.weights_[:1]])
+    path.write_bytes(save_model(head))
+
+
+def _swap_heads(bundle):
+    text, image = bundle / "text-model.json", bundle / "image-model.json"
+    data = text.read_bytes()
+    text.write_bytes(image.read_bytes())
+    image.write_bytes(data)
+
+
+def _manifest(edit):
+    return lambda bundle: _edit_manifest(bundle, edit)
 
 
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda m: m["params"].update(bogus=1),
-        lambda m: m.__setitem__("params", [1]),
-        lambda m: m["params"].update(max_iters="x"),
-        lambda m: m["params"].update(l2=True),
-        lambda m: m["params"].update(n_range=[1, "2"]),
-        lambda m: m["params"].update(n_range=[]),
-        lambda m: m["params"].update(n_range=[0, 1]),
-        lambda m: m.__setitem__("classes", "dl"),
-        lambda m: m.__setitem__("classes", ["x", "y", "z"]),
-        lambda m: m.__setitem__("classes", ["light", "dark"]),
-        lambda m: m.__setitem__("classes", ["dark", 1]),
-        lambda m: m.__setitem__("version", 2),
-        lambda m: m.__setitem__("format", "other"),
-        _set_files("missing.txt"),
-        _set_files("text-model.json"),
-        lambda m: m["files"].update(text_model="image-model.json"),
+        _manifest(lambda m: m["params"].update(bogus=1)),
+        _manifest(lambda m: m.__setitem__("params", [1])),
+        _manifest(lambda m: m["params"].update(max_iters="x")),
+        _manifest(lambda m: m["params"].update(l2=True)),
+        _manifest(lambda m: m["params"].update(n_range=[1, "2"])),
+        _manifest(lambda m: m["params"].update(n_range=[])),
+        _manifest(lambda m: m["params"].update(n_range=[0, 1])),
+        _resign("text-model.json", classes="dl"),
+        _add_class,
+        _resign("text-model.json", classes=["light", "dark"]),
+        _resign("image-model.json", classes=["dark", 1]),
+        _manifest(lambda m: m.__setitem__("version", "2")),
+        _manifest(lambda m: m.__setitem__("version", 3)),
+        _manifest(lambda m: m.__setitem__("version", True)),
+        _manifest(lambda m: m.__setitem__("version", 2.0)),
+        _manifest(lambda m: m.__setitem__("format", "other")),
+        lambda bundle: (bundle / "vocab.txt").unlink(),
+        lambda bundle: (bundle / "vocab.txt").write_bytes(
+            (bundle / "text-model.json").read_bytes()
+        ),
+        _swap_heads,
     ],
     ids=[
         "unknown-param", "params-not-object", "mistyped-param", "bool-param",
         "n_range-item", "n_range-empty", "n_range-zero", "classes-string",
         "classes-three", "classes-order", "classes-not-strings", "version",
-        "format", "files-missing", "files-wrong-kind", "files-swapped-heads",
+        "version-3", "version-true", "version-float", "format", "files-missing",
+        "files-wrong-kind", "files-swapped-heads",
     ],
 )
 def test_bundle_bad_manifest_raises_value_error_naming_bundle(saved_bundle, edit):
-    _edit_manifest(saved_bundle, edit)
+    """A bad bundle.json, or a part that is missing, of the wrong kind, in
+    the other head's place, or whose classes differ from the other head's."""
+    edit(saved_bundle)
     with pytest.raises(ValueError, match=f"^bundle {re.escape(str(saved_bundle))}: "):
         EnsembleDocumentClassifier.load(saved_bundle)
+
+
+@pytest.mark.parametrize("extra", [5, -5])
+@pytest.mark.parametrize("head, width", [("text-model.json", 18), ("image-model.json", 1024)])
+def test_bundle_head_width_not_its_feature_space_rejected(saved_bundle, head, width, extra):
+    """A re-signed head with 5 more (zero) or 5 fewer weight columns fails at
+    load, naming the bundle, not at the first classify."""
+    _resize(head, extra)(saved_bundle)
+    match = (f"^bundle {re.escape(str(saved_bundle))}: "
+             f"{head}: {width + extra} features, expected {width}$")
+    with pytest.raises(ValueError, match=match):
+        EnsembleDocumentClassifier.load(saved_bundle)
+
+
+def _as_v1(manifest, **changes):
+    """``manifest`` as the version-1 ``save`` wrote it (part names, featurizer
+    tag and stopword hash as in ``BUNDLE_V1``), with ``changes``."""
+    v1 = json.loads(BUNDLE_V1.read_bytes())
+    manifest.update(
+        {key: v1[key] for key in ("version", "files", "featurizer", "stopwords_sha256")},
+        classes=["dark", "light"],
+    )
+    manifest.update(changes)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"stopwords_sha256": "0" * 64},
+        {"classes": ["x"], "featurizer": "other"},
+        {"files": {"vocabulary": "../vocab.txt", "text_model": "image-model.json",
+                   "image_model": "../text-model.json"}},
+    ],
+    ids=["other-stopwords", "other-classes-and-featurizer", "files-outside"],
+)
+def test_v1_bundle_loads_ignoring_its_extra_keys(saved_bundle, changes):
+    """Version 1 recorded classes, part names, a featurizer tag and the
+    stopword list's hash; load ignores all four. So a stopword edit no longer
+    makes a trained bundle unloadable, and a ``files`` map naming a readable
+    vocabulary outside the bundle, or swapping the heads, is not followed."""
+    outside = saved_bundle.parent / "vocab.txt"
+    outside.write_bytes(save_vocab(fit_vocab([["some", "other", "words"]], (1, 2))))
+    docs, _ = make_training_docs()
+    before = EnsembleDocumentClassifier.load(saved_bundle).predict_proba(docs)
+    _edit_manifest(saved_bundle, lambda m: _as_v1(m, **changes))
+    assert np.array_equal(EnsembleDocumentClassifier.load(saved_bundle).predict_proba(docs), before)
 
 
 @pytest.mark.parametrize(
     "name", ["../vocab.txt", "absolute", "sub/vocab.txt", "./vocab.txt", "..", ".", "", 7]
 )
 def test_bundle_files_must_be_bare_names(saved_bundle, name):
-    """A readable vocabulary outside the bundle, in a subdirectory or behind
-    a relative path is refused by the name rule alone."""
+    """A v1 ``files`` map pointing at another readable vocabulary outside the
+    bundle, in a subdirectory or behind a relative path is not followed: the
+    part is read from its bare name in the bundle."""
+    other = save_vocab(fit_vocab([["some", "other", "words"]], (1, 2)))
     outside = saved_bundle.parent / "vocab.txt"
-    outside.write_bytes((saved_bundle / "vocab.txt").read_bytes())
+    outside.write_bytes(other)
     (saved_bundle / "sub").mkdir()
-    (saved_bundle / "sub" / "vocab.txt").write_bytes(outside.read_bytes())
-    _edit_manifest(saved_bundle, _set_files(str(outside) if name == "absolute" else name))
-    match = f"^bundle {re.escape(str(saved_bundle))}: each 'files' value must be a file name"
+    (saved_bundle / "sub" / "vocab.txt").write_bytes(other)
+    docs, _ = make_training_docs()
+    before = EnsembleDocumentClassifier.load(saved_bundle).predict_proba(docs)
+    files = {"vocabulary": str(outside) if name == "absolute" else name,
+             "text_model": "text-model.json", "image_model": "image-model.json"}
+    _edit_manifest(saved_bundle, lambda m: _as_v1(m, files=files))
+    assert np.array_equal(EnsembleDocumentClassifier.load(saved_bundle).predict_proba(docs), before)
+
+
+def test_bundle_files_missing_entry_names_bundle(saved_bundle):
+    """A bundle lacking one of its fixed parts fails naming the bundle and
+    the part."""
+    (saved_bundle / "text-model.json").unlink()
+    path = re.escape(str(saved_bundle / "text-model.json"))
+    match = f"^bundle {re.escape(str(saved_bundle))}: cannot read bundle part {path}: "
     with pytest.raises(ValueError, match=match):
         EnsembleDocumentClassifier.load(saved_bundle)
+
+
+def test_bundle_json_records_each_fact_once(saved_bundle):
+    manifest = json.loads((saved_bundle / "bundle.json").read_bytes())
+    assert sorted(manifest) == ["format", "params", "version", "vocab_sha256"]
+    assert manifest["version"] == 2
+    assert manifest["vocab_sha256"] == hashlib.sha256(
+        (saved_bundle / "vocab.txt").read_bytes()
+    ).hexdigest()
+
+
+def test_v1_bundle_json_loads_beside_fresh_seed_42_parts(corpus_42, tmp_path):
+    """``data/bundle-v1.json`` is the bundle.json that the version-1 ``save``
+    wrote for the seed-42 training split; beside parts trained now it loads
+    and predicts exactly as the fresh bundle does."""
+    root, manifest = corpus_42
+    train = [r for r in manifest["documents"] if r["split"] == "train"]
+    test = [load_document(root, r) for r in manifest["documents"] if r["split"] == "test"]
+    model = EnsembleDocumentClassifier().fit(
+        [load_document(root, r) for r in train], [r["label"] for r in train]
+    )
+    model.save(tmp_path / "bundle")
+    v1 = BUNDLE_V1.read_bytes()
+    assert json.loads(v1)["vocab_sha256"] == VOCAB_SHA256_42
+    assert model.text_model_.vocab_hash_ == VOCAB_SHA256_42
+    (tmp_path / "bundle" / "bundle.json").write_bytes(v1)
+    restored = EnsembleDocumentClassifier.load(tmp_path / "bundle")
+    assert restored.get_params() == model.get_params()
+    assert np.array_equal(restored.predict_proba(test), model.predict_proba(test))
 
 
 @pytest.mark.parametrize(

@@ -146,14 +146,19 @@ class Malformed(ValueError):
 )
 def test_read_json_failures_raise_the_given_error(data, message):
     with pytest.raises(Malformed, match=message):
-        read_json(data, Malformed, "doc", "f", 1)
+        read_json(data, Malformed, "doc", "f", (1,))
 
 
 def test_read_json_returns_the_object():
-    assert read_json(b'{"format": "f", "version": 1, "x": [1]}', Malformed, "doc", "f", 1) == {
+    assert read_json(b'{"format": "f", "version": 1, "x": [1]}', Malformed, "doc", "f", (1,)) == {
         "format": "f", "version": 1, "x": [1],
     }
     assert read_json(b'{"x": 1}', Malformed, "doc") == {"x": 1}
+    assert read_json(b'{"format": "f", "version": 2}', Malformed, "doc", "f", (1, 2)) == {
+        "format": "f", "version": 2,
+    }
+    with pytest.raises(Malformed, match="^doc is not a version-1/2 f file$"):
+        read_json(b'{"format": "f", "version": 3}', Malformed, "doc", "f", (1, 2))
 
 
 # The reads that stay outside ioutil.py: a PGM page is decoded from its open

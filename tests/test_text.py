@@ -5,7 +5,6 @@ from rfekit.text import (
     load_stopwords,
     normalize,
     split_sentences,
-    stopwords_sha256,
     tokenize,
 )
 
@@ -138,7 +137,3 @@ def test_stopword_list_shape():
     assert words == sorted(words)
     assert all(w.isalpha() and w.islower() for w in words)
 
-
-def test_stopwords_hash_stable():
-    assert stopwords_sha256() == stopwords_sha256()
-    assert len(stopwords_sha256()) == 64
