@@ -10,6 +10,7 @@ content hash) to stderr before doing anything else.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import shutil
@@ -29,7 +30,9 @@ from .corpus import (
 )
 from .drafting import (
     BeneficiaryStore,
+    StoreFormatError,
     draft_response,
+    extract_fields,
     load_field_patterns,
     load_template_library,
 )
@@ -279,12 +282,20 @@ def _cmd_detect(args) -> int:
 
 def _cmd_draft(args) -> int:
     opts = _resolve(args, {"tau": DEFAULT_TAU, "today": None})
+    rfe_text = read_text(args.input, RuntimeError, "RFE")
+    patterns = load_field_patterns(args.patterns)
+    case_number = extract_fields(rfe_text, patterns).case_number
     bank = load_bank(args.bank)
-    store = BeneficiaryStore.load(args.store)
+    # A draft needs one record: only the store lines that can hold its case
+    # number are decoded, and none without one (the store is still read).
+    if case_number is None:
+        read_text(args.store, StoreFormatError, "store")
+        store = BeneficiaryStore(())
+    else:
+        store = BeneficiaryStore.load(args.store, case_number)
     library = load_template_library(args.templates)
-    patterns = load_field_patterns(args.patterns) if args.patterns else None
     draft = draft_response(
-        read_text(args.input, RuntimeError, "RFE"),
+        rfe_text,
         bank,
         store,
         library,
@@ -440,10 +451,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` leaves a parser as it
+    found it, so every ``run`` can share it. ``build_parser`` stays uncached,
+    so a caller that alters the parser it gets (wraps its ``parse_args``,
+    say) alters only its own."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

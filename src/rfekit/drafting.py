@@ -198,16 +198,24 @@ class BeneficiaryStore:
         return len(self._records)
 
     @classmethod
-    def load(cls, source) -> "BeneficiaryStore":
+    def load(cls, source, case_number: str | None = None) -> "BeneficiaryStore":
         """Read JSON-lines records keyed by case_number.
 
         Every line is decoded on its own, so an error names its line; a file
         that cannot be read or is not UTF-8, a line that is not JSON (or nests
         or digits past the decoder's limits) and a record without the five
         fields, or with one that is not a string, all raise
-        :class:`StoreFormatError`.
+        :class:`StoreFormatError`, as do a duplicate case number and a
+        ``soc_code`` that is not ``NN-NNNN``.
+
+        With no ``case_number`` every line is checked. With one, the whole
+        file is still read, but only the lines whose raw text contains the
+        case number or a backslash (a JSON escape could spell it) are decoded
+        and checked, and the store holds their records: the cost of a lookup
+        is one record, and a malformed line elsewhere goes unseen.
         """
-        rows = read_records(source, BENEFICIARY_FIELD_NAMES, StoreFormatError, "store")
+        rows = read_records(source, BENEFICIARY_FIELD_NAMES, StoreFormatError, "store",
+                            holding=case_number)
         return cls(map(BeneficiaryRecord._make, rows))
 
     def lookup(self, case_number: str) -> BeneficiaryRecord:

@@ -91,16 +91,20 @@ def read_json(data: bytes, error, what: str, magic=None, versions=()) -> dict:
     return payload
 
 
-def read_records(source, fields, error, what: str) -> list[list[str]]:
+def read_records(source, fields, error, what: str, holding=None) -> list[list[str]]:
     """The string values at ``fields`` of each JSON-lines record in the file
     at path ``source`` (see :func:`read_text`) or in an iterable of lines,
     blank lines skipped. A line that does not decode, lacks a field or holds
-    a value that is not a string raises ``error("<what> line N: ...")``."""
+    a value that is not a string raises ``error("<what> line N: ...")``.
+
+    Given the string ``holding``, only the lines whose raw text contains it
+    or a backslash (a JSON escape could spell it) are decoded and checked;
+    the others are skipped unread, but still counted in line numbers."""
     if isinstance(source, (str, Path)):
         source = read_text(source, error, what).splitlines()
     records = []
     for lineno, line in enumerate(source, start=1):
-        if not line.strip():
+        if not line.strip() or holding is not None and holding not in line and "\\" not in line:
             continue
         try:
             obj = json.loads(line)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rfekit
@@ -176,6 +177,44 @@ def test_train_docs_bundle_is_independent_of_hash_seed(tmp_path, corpus_42):
     assert sorted(p.name for p in bundles[0].iterdir()) == names
     for name in names:
         assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes()
+
+
+# Seed-42 weights trained at one and at two BLAS threads differed by at most
+# 1.9e-9 (image head; the text head was identical), a 500th of this bound.
+BLAS_THREAD_WEIGHT_TOL = 1e-6
+
+
+def test_train_and_classify_agree_across_blas_thread_counts(tmp_path, corpus_42):
+    """A BLAS matrix product sums in an order set by its thread count, so the
+    weights may differ in the last bits; the predictions may not."""
+    from rfekit.ensemble import EnsembleDocumentClassifier
+
+    root, _ = corpus_42
+    script = (
+        "import sys; from rfekit.cli import run; "
+        "sys.exit(run(['train-docs', '--corpus', sys.argv[1], '--out', sys.argv[2]])"
+        " or run(['classify', '--bundle', sys.argv[2], '--input', sys.argv[1],"
+        " '--out', sys.argv[3]]))"
+    )
+    models, predictions = [], []
+    for threads in ("1", "2"):
+        bundle, traces = tmp_path / f"bundle-{threads}", tmp_path / f"traces-{threads}.jsonl"
+        env = {
+            **os.environ,
+            **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                            threads),
+            "PYTHONPATH": str(Path(rfekit.__file__).parents[1]),
+        }
+        subprocess.run([sys.executable, "-c", script, str(root), str(bundle), str(traces)],
+                       env=env, check=True, capture_output=True)
+        models.append(EnsembleDocumentClassifier.load(bundle))
+        predictions.append([(r["id"], r["predicted"]) for r in
+                            map(json.loads, traces.read_text("utf-8").splitlines())])
+    assert predictions[0] == predictions[1] and len(predictions[0]) == 104
+    for head in ("image_model_", "text_model_"):
+        one, two = (getattr(m, head).weights_ for m in models)
+        assert one.shape == two.shape
+        assert np.abs(one - two).max() <= BLAS_THREAD_WEIGHT_TOL, head
 
 
 def test_train_classify_eval_pipeline(tmp_path, capsys):
@@ -675,3 +714,128 @@ def test_unreadable_rfe_exits_1_naming_the_file(tmp_path, capsys, command, fault
     assert run([command, *args]) == 1
     assert f"error: cannot read RFE {rfe}: " in capsys.readouterr().err
     assert not (tmp_path / "draft.txt").exists()
+
+
+def draft_args(corpus, rfe_file, out, store=None):
+    return [
+        "draft",
+        "--bank", str(corpus / "bank.jsonl"),
+        "--store", str(store or corpus / "beneficiaries.jsonl"),
+        "--templates", str(corpus / "templates"),
+        "--input", str(rfe_file), "--out", str(out), "--today", "2021-06-01",
+    ]
+
+
+@pytest.fixture()
+def drafting_corpus(tmp_path):
+    """A small corpus, one RFE with attacks, its case number and its clean draft."""
+    corpus = gen_small_corpus(tmp_path, docs=0)
+    rfe = next(r for r in json.loads((corpus / "manifest.json").read_text("utf-8"))["rfes"]
+               if r["attacks"])
+    clean = tmp_path / "clean.txt"
+    assert run(draft_args(corpus, corpus / rfe["file"], clean)) == 0
+    return corpus, corpus / rfe["file"], rfe["case_number"], clean
+
+
+def test_draft_ignores_a_malformed_store_line_without_its_case_number(tmp_path, drafting_corpus):
+    corpus, rfe_file, case_number, clean = drafting_corpus
+    lines = (corpus / "beneficiaries.jsonl").read_text("utf-8").splitlines()
+    assert all(case_number not in line for line in lines[1:])
+    lines[1] = '{"case_number": "SRC-00-000-00000", "soc_code": 15'
+    store = tmp_path / "store.jsonl"
+    store.write_text("\n".join(lines) + "\n", "utf-8")
+    out = tmp_path / "draft.txt"
+    assert run(draft_args(corpus, rfe_file, out, store)) == 0
+    assert out.read_bytes() == clean.read_bytes()
+    assert (Path(f"{out}.manifest.json").read_bytes()
+            == Path(f"{clean}.manifest.json").read_bytes())
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("malformed", "error: store line {n}: "),
+    ("duplicate", "error: duplicate case number '{case}'"),
+    ("bad-soc-code", "error: case '{case}': soc_code '151211' does not match NN-NNNN"),
+    ("missing", "error: cannot read store {store}: "),
+])
+def test_draft_refuses_a_store_whose_target_breaks_a_rule(
+        tmp_path, drafting_corpus, capsys, fault, message):
+    corpus, rfe_file, case_number, _ = drafting_corpus
+    lines = (corpus / "beneficiaries.jsonl").read_text("utf-8").splitlines()
+    n = next(i for i, line in enumerate(lines, start=1) if case_number in line)
+    target = lines[n - 1]
+    lines[n - 1] = {
+        "malformed": target[:-5], "duplicate": target + "\n" + target,
+        "bad-soc-code": re.sub(r'"soc_code": "\d\d-\d{4}"', '"soc_code": "151211"', target),
+        "missing": target,
+    }[fault]
+    store = tmp_path / "store.jsonl"
+    if fault != "missing":
+        store.write_text("\n".join(lines) + "\n", "utf-8")
+    out = tmp_path / "draft.txt"
+    capsys.readouterr()
+    assert run(draft_args(corpus, rfe_file, out, store)) == 1
+    assert message.format(n=n, case=case_number, store=store) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_draft_without_a_case_number_decodes_no_store_line(tmp_path, drafting_corpus):
+    corpus, rfe_file, case_number, _ = drafting_corpus
+    rfe = tmp_path / "rfe.txt"
+    rfe.write_text(re.sub(r"(?m)^Case Number:.*\n", "", rfe_file.read_text("utf-8")), "utf-8")
+    store = tmp_path / "store.jsonl"
+    store.write_text("{not json\n", "utf-8")
+    out = tmp_path / "draft.txt"
+    assert run(draft_args(corpus, rfe, out, store)) == 0
+    sidecar = json.loads(Path(f"{out}.manifest.json").read_text("utf-8"))
+    assert sidecar["status"] == "incomplete" and sidecar["case_number"] is None
+    assert "case_number" in sidecar["missing_fields"]
+    store.unlink()
+    assert run(draft_args(corpus, rfe, tmp_path / "never.txt", store)) == 1
+
+
+def fresh_parser_output(argv):
+    """What a newly built parser prints for ``argv``, and its exit code."""
+    from contextlib import redirect_stderr, redirect_stdout
+    from io import StringIO
+
+    from rfekit.cli import build_parser
+
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    return out.getvalue(), err.getvalue(), exit_info.value.code
+
+
+@pytest.mark.parametrize("command", [
+    [], ["gen-corpus"], ["train-docs"], ["classify"], ["detect"], ["draft"],
+    ["eval-docs"], ["eval-attacks"],
+])
+def test_help_of_the_shared_parser_equals_a_fresh_parser(capsys, command):
+    for _ in range(2):
+        assert run([*command, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err, 0) == fresh_parser_output([*command, "--help"])
+        assert out.startswith("usage: rfekit")
+
+
+def test_run_calls_share_no_parsed_state(tmp_path, capsys):
+    """A flag given to one call never reaches the next one."""
+    from rfekit.attacks import DEFAULT_TAU
+    from rfekit.cli import _parser, build_parser
+
+    assert _parser() is _parser() and build_parser() is not build_parser()
+    missing = ["--bank", str(tmp_path / "no-bank"), "--input", str(tmp_path / "no-rfe")]
+    echoed = []
+    for extra in (["--tau", "0.9"], []):
+        assert run(["detect", *missing, *extra]) == 1
+        echoed.append(json.loads(capsys.readouterr().err.splitlines()[0].split(" ", 4)[4]))
+    assert echoed == [{"tau": 0.9}, {"tau": DEFAULT_TAU}]
+
+
+def test_usage_errors_exit_2_on_every_call(capsys):
+    argv = ["detect", "--bank", "b", "--input", "i", "--tau", "1.5"]
+    for _ in range(3):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "tau must be a number in [0, 1]" in err
+        assert (err, 2) == fresh_parser_output(argv)[1:]

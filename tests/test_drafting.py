@@ -175,6 +175,58 @@ def test_store_load_rejects_a_value_that_is_not_a_string(key, value):
         BeneficiaryStore.load(lines)
 
 
+def store_line(case="X-1", **fields):
+    return json.dumps({**STORE_RECORD, "case_number": case, **fields})
+
+
+def test_store_load_for_a_case_skips_a_malformed_line_that_cannot_hold_it():
+    lines = [store_line("X-0"), "{not json", store_line("X-1"), store_line("X-2", soc_code="?")]
+    store = BeneficiaryStore.load(lines, case_number="X-1")
+    assert store.lookup("X-1") == BeneficiaryRecord(**{**STORE_RECORD, "case_number": "X-1"})
+    assert len(store) == 1
+    with pytest.raises(StoreFormatError, match="^store line 2: "):
+        BeneficiaryStore.load(lines)
+
+
+def test_store_load_for_a_case_names_the_true_line_of_a_malformed_target(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text("\n".join([store_line("X-0"), "", "{oops", store_line("X-2"),
+                               store_line("X-1", soc_code=15)]) + "\n", "utf-8")
+    with pytest.raises(StoreFormatError, match="^store line 5: every field must be a string$"):
+        BeneficiaryStore.load(path, case_number="X-1")
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([store_line("X-0"), store_line("X-1"), store_line("X-1")], "duplicate case number 'X-1'"),
+    ([store_line("X-1", soc_code="151252")], "case 'X-1': soc_code '151252' does not match NN-NNNN"),
+], ids=["duplicate", "bad-soc-code"])
+def test_store_load_for_a_case_applies_every_record_rule_to_the_target(lines, message):
+    with pytest.raises(StoreFormatError, match=f"^{re.escape(message)}$"):
+        BeneficiaryStore.load(lines, case_number="X-1")
+
+
+def test_store_load_for_a_case_finds_a_case_number_spelt_with_escapes():
+    escaped = store_line("X-1").replace('"X-1"', '"\\u0058\\u002d\\u0031"')
+    assert "X-1" not in escaped
+    store = BeneficiaryStore.load([store_line("X-0"), escaped], case_number="X-1")
+    assert store.lookup("X-1").institution == "U"
+
+
+def test_store_load_for_a_case_chooses_the_exact_record():
+    lines = [store_line("X-10", institution="ten"), store_line("X-1", institution="one"),
+             store_line("X-100", institution="hundred")]
+    for case, institution in [("X-1", "one"), ("X-10", "ten"), ("X-100", "hundred")]:
+        assert BeneficiaryStore.load(lines, case_number=case).lookup(case).institution == institution
+    with pytest.raises(BeneficiaryNotFoundError):
+        BeneficiaryStore.load(lines, case_number="X-1000").lookup("X-1000")
+
+
+def test_store_load_for_a_case_still_reads_the_file(tmp_path):
+    path = tmp_path / "absent.jsonl"
+    with pytest.raises(StoreFormatError, match=f"^cannot read store {re.escape(str(path))}: "):
+        BeneficiaryStore.load(path, case_number="X-1")
+
+
 def make_library():
     return (
         Template("so/15-1211", "specialty-occupation", frozenset({"15-1211"}),

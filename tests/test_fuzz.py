@@ -127,6 +127,26 @@ def test_store_load_mutants_match_reference(rfe_corpus_42, tmp_path):
     assert outcomes == {"ok", "error", "utf-8"}
 
 
+def test_store_load_for_a_case_matches_the_whole_store_load_on_mutants(rfe_corpus_42, tmp_path):
+    """Whenever the whole store loads, loading it for any of its case numbers
+    finds the same record."""
+    root, manifest = rfe_corpus_42
+    original = (root / manifest["paths"]["store"]).read_bytes()
+    rng = random.Random(4242)
+    path = tmp_path / "store.jsonl"
+    loaded = 0
+    for _ in range(MUTANTS):
+        path.write_bytes(mutate(original, rng))
+        try:
+            whole = BeneficiaryStore.load(path)
+        except StoreFormatError:
+            continue
+        loaded += 1
+        for case_number, record in whole._records.items():
+            assert BeneficiaryStore.load(path, case_number).lookup(case_number) == record
+    assert loaded > 20
+
+
 def test_bank_load_mutants_raise_only_bank_format_error(rfe_corpus_42, tmp_path):
     root, manifest = rfe_corpus_42
     original = (root / manifest["paths"]["bank"]).read_bytes()
