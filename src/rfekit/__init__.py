@@ -41,10 +41,10 @@ from .text import clean_tokens, load_stopwords, normalize, split_sentences, toke
 from .vectorize import (
     Vocabulary,
     cosine,
+    fit_tfidf,
     fit_vocab,
     ngrams,
     stack_dense,
-    tfidf_coo,
     tfidf_vector,
 )
 
@@ -83,6 +83,7 @@ __all__ = [
     "evaluate_attacks",
     "evaluate_documents",
     "extract_fields",
+    "fit_tfidf",
     "fit_vocab",
     "fuse",
     "generate_corpus",
@@ -100,7 +101,6 @@ __all__ = [
     "similarity_matrix",
     "split_sentences",
     "stack_dense",
-    "tfidf_coo",
     "tfidf_vector",
     "tokenize",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ioutil import read_records
 from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
-from .vectorize import Vocabulary, fit_vocab, norm, tfidf_vector
+from .vectorize import Vocabulary, fit_tfidf, norm, tfidf_vector
 
 DEFAULT_TAU = 0.6
 BANK_N_RANGE = (1, 2, 3)
@@ -133,11 +133,13 @@ def load_bank(source, stopwords=None) -> ExampleBank:
         raise BankFormatError(
             f"attack types with no surviving example sentences: {orphaned}"
         )
-    vocab = fit_vocab([list(tokens) for tokens, _ in examples], BANK_N_RANGE)
+    vocab, (row, col, value) = fit_tfidf([t for t, _ in examples], BANK_N_RANGE)
+    cols, weights = col.tolist(), value.tolist()
+    bounds = np.searchsorted(row, np.arange(len(examples) + 1)).tolist()
     norms = []
     postings: dict[int, list[tuple[int, float]]] = {}
-    for j, (tokens, _) in enumerate(examples):
-        vec = tfidf_vector(list(tokens), vocab)
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        vec = tuple(zip(cols[a:b], weights[a:b]))  # tfidf_vector of example j
         norms.append(norm(vec))
         for index, weight in vec:
             postings.setdefault(index, []).append((j, weight))

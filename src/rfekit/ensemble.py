@@ -31,11 +31,10 @@ from .ioutil import atomic_write_bytes, atomic_write_json, read_bytes, read_json
 from .text import normalize, tokenize
 from .vectorize import (
     Vocabulary,
-    fit_vocab,
+    fit_tfidf,
     load_vocab,
     save_vocab,
     stack_dense,
-    tfidf_coo,
     tfidf_vector,
 )
 
@@ -232,9 +231,8 @@ class EnsembleDocumentClassifier(ParamsMixin):
         self.classes_ = tuple(sorted(set(labels)))
 
         token_docs = [document_tokens(d.text) for d in docs]
-        self.vocabulary_ = fit_vocab(token_docs, self.n_range)
+        self.vocabulary_, (row, col, value) = fit_tfidf(token_docs, self.n_range)
         self.vocab_bytes_ = save_vocab(self.vocabulary_)
-        row, col, value = tfidf_coo(token_docs, self.vocabulary_)
         n_cols = self.vocabulary_.size
         self.text_model_ = self._head().fit_gram(
             coo_gram(row, col, value, len(docs)),

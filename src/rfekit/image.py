@@ -8,6 +8,7 @@ row-major, always 1024 values. A trainable linear head sits on top of it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -53,7 +54,7 @@ def decode_pgm(data: bytes) -> PageImage:
 
     Header comments (``#`` to end of line) are honored. Unsupported magic
     numbers, malformed headers, out-of-range samples, and short payloads all
-    raise explicit errors.
+    raise explicit errors. The pixels are ``uint8``.
     """
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
@@ -71,7 +72,7 @@ def decode_pgm(data: bytes) -> PageImage:
             raise PgmTruncatedError(
                 f"expected {count} pixel bytes, found {len(payload)}"
             )
-        values = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        values = np.frombuffer(payload, dtype=np.uint8).copy()
     else:
         tokens = _strip_comments(data[offset:]).split()
         if len(tokens) < count:
@@ -82,9 +83,12 @@ def decode_pgm(data: bytes) -> PageImage:
             values = np.array([int(t) for t in tokens[:count]], dtype=np.int64)
         except ValueError as exc:
             raise PgmFormatError(f"non-numeric pixel sample: {exc}") from None
+        except OverflowError:
+            raise PgmFormatError("pixel sample out of range") from None
     if values.min() < 0 or values.max() > maxval:
         raise PgmFormatError("pixel sample out of range")
-    return PageImage(width=width, height=height, pixels=values.reshape(height, width))
+    pixels = values.astype(np.uint8, copy=False).reshape(height, width)
+    return PageImage(width=width, height=height, pixels=pixels)
 
 
 def encode_pgm(image: PageImage) -> bytes:
@@ -138,22 +142,41 @@ def image_features(image: PageImage) -> np.ndarray:
     one). Every pixel belongs to exactly one cell, so at least one cell is
     always non-empty.
     """
-    row_starts, row_sizes, row_kept = _grid_bands(image.height)
-    col_starts, col_sizes, col_kept = _grid_bands(image.width)
+    row_starts, col_starts, areas, filled, source = _grid_layout(
+        image.height, image.width
+    )
     pixels = image.pixels.astype(np.float64)
-    # Empty bands are left out, not reduced: reduceat returns a[i], not 0, for
-    # an empty segment. The kept bands still tile the page, so each segment
-    # ends where the next kept band starts.
     sums = np.add.reduceat(
         np.add.reduceat(pixels, row_starts, axis=0), col_starts, axis=1
     )
-    cells = np.zeros((GRID, GRID))
-    cells[np.ix_(row_kept, col_kept)] = sums / np.outer(row_sizes, col_sizes) / 255.0
+    cells = np.zeros(FEATURE_DIM)
+    cells[filled] = (sums / areas / 255.0).ravel()
+    return cells[source]
+
+
+# Bounded: scanned pages come in many shapes, and each layout holds ~17 KB.
+@functools.lru_cache(maxsize=64)
+def _grid_layout(height: int, width: int) -> tuple[np.ndarray, ...]:
+    """The grid of one page shape: the start of each non-empty row and column
+    band, the pixel count of each non-empty cell, the mask of the non-empty
+    cells in scan order, and the cell each of the FEATURE_DIM features reads.
+
+    Empty bands are left out, not reduced: reduceat returns a[i], not 0, for
+    an empty segment. The kept bands still tile the page, so each segment
+    ends where the next kept band starts.
+    """
+    row_starts, row_sizes, row_kept = _grid_bands(height)
+    col_starts, col_sizes, col_kept = _grid_bands(width)
     filled = np.outer(row_kept, col_kept).ravel()
     # Each cell reads the last filled cell at or before it in scan order; the
     # head of the scan reads the first filled cell (filled.argmax()).
-    source = np.where(filled, np.arange(FEATURE_DIM), filled.argmax())
-    return cells.ravel()[np.maximum.accumulate(source)]
+    source = np.maximum.accumulate(
+        np.where(filled, np.arange(FEATURE_DIM), filled.argmax())
+    )
+    layout = (row_starts, col_starts, np.outer(row_sizes, col_sizes), filled, source)
+    for part in layout:
+        part.setflags(write=False)  # shared by every page of this shape
+    return layout
 
 
 def _grid_bands(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

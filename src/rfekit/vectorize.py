@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -29,13 +30,19 @@ def ngrams(tokens: list[str], n_range) -> list[str]:
     """All contiguous space-joined n-grams for each n, smallest n first.
 
     Within one n the document order is kept and duplicates are retained; a
-    token stream shorter than n contributes no n-grams for that n.
+    token stream shorter than n contributes no n-grams for that n. Each
+    n-gram is built from its (n-1)-gram plus one token.
     """
+    sizes = sorted(set(n_range))
+    if sizes and sizes[0] < 1:
+        raise ValueError(f"n-gram size must be >= 1, got {sizes[0]}")
     out: list[str] = []
-    for n in sorted(set(n_range)):
-        if n < 1:
-            raise ValueError(f"n-gram size must be >= 1, got {n}")
-        out.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    grams = tokens
+    for n in range(1, sizes[-1] + 1 if sizes else 1):
+        if n > 1:
+            grams = [g + " " + t for g, t in zip(grams, tokens[n - 1 :])]
+        if n in sizes:
+            out.extend(grams)
     return out
 
 
@@ -66,22 +73,57 @@ class Vocabulary:
         return len(self.ngram_to_index)
 
 
-def fit_vocab(corpus, n_range) -> Vocabulary:
-    """Fit a vocabulary over token streams; indices are lexicographic by n-gram."""
-    docs = list(corpus)
-    if not docs:
+def fit_tfidf(
+    token_docs, n_range
+) -> tuple[Vocabulary, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Fit a vocabulary over token streams and weight the same streams in it.
+
+    Returns the vocabulary, whose indices are lexicographic by n-gram, and the
+    nonzeros ``(row, col, value)`` of the documents' tf-idf design, sorted by
+    row and then by column: the entries of row r are
+    ``tfidf_vector(token_docs[r], vocab)``, bit for bit. The design itself,
+    ``len(token_docs)`` x ``vocab.size``, is never formed.
+
+    Each document's n-grams are built once and mapped to columns once; the
+    (row, column) pairs are then counted and weighted with numpy, and a
+    column's document frequency is the number of rows it occurs in. A row's
+    length is the builtin ``sum`` of its squared weights in ascending column
+    order, the primitive and order of :func:`norm`, so the rows match on
+    every Python (builtin float ``sum`` is compensated from 3.12, numpy's is
+    not).
+    """
+    doc_grams = [ngrams(tokens, n_range) for tokens in token_docs]
+    if not doc_grams:
         raise ValueError("cannot fit a vocabulary on an empty corpus")
-    df: dict[str, int] = {}
-    for tokens in docs:
-        for gram in set(ngrams(tokens, n_range)):
-            df[gram] = df.get(gram, 0) + 1
-    ordered = sorted(df)
-    return Vocabulary(
-        ngram_to_index={g: i for i, g in enumerate(ordered)},
-        doc_freq=tuple(df[g] for g in ordered),
-        corpus_size=len(docs),
+    n_docs = len(doc_grams)
+    lengths = [len(grams) for grams in doc_grams]
+    ngram_to_index = {g: i for i, g in enumerate(sorted(set().union(*doc_grams)))}
+    size = len(ngram_to_index)
+    lookup = ngram_to_index.__getitem__
+    cols = np.fromiter(
+        chain.from_iterable(map(lookup, grams) for grams in doc_grams),
+        dtype=np.int64,
+        count=sum(lengths),
+    )
+    doc_ids = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    keys, counts = np.unique(doc_ids * size + cols, return_counts=True)
+    row, col = np.divmod(keys, size)  # sorted by row, then by column
+    vocab = Vocabulary(
+        ngram_to_index=ngram_to_index,
+        doc_freq=tuple(np.bincount(col, minlength=size).tolist()),
+        corpus_size=n_docs,
         n_range=tuple(sorted(set(n_range))),
     )
+    weights = counts * np.frombuffer(vocab.idf_table)[col]
+    squares = (weights * weights).tolist()
+    bounds = np.searchsorted(row, np.arange(n_docs + 1)).tolist()
+    norms = np.array([math.sqrt(sum(squares[a:b])) for a, b in zip(bounds, bounds[1:])])
+    return vocab, (row, col, weights / norms[row])
+
+
+def fit_vocab(corpus, n_range) -> Vocabulary:
+    """Fit a vocabulary over token streams; indices are lexicographic by n-gram."""
+    return fit_tfidf(corpus, n_range)[0]
 
 
 def norm(vec) -> float:
@@ -109,37 +151,6 @@ def tfidf_vector(tokens: list[str], vocab: Vocabulary) -> tuple[tuple[int, float
     return tuple((i, w / length) for i, w in weighted)
 
 
-def tfidf_coo(token_docs, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros ``(row, col, value)`` of the documents' tf-idf design,
-    sorted by row and then by column: the entries of row r are
-    ``tfidf_vector(token_docs[r], vocab)``, bit for bit. The design itself,
-    ``len(token_docs)`` x ``vocab.size``, is never formed.
-
-    Each document's n-grams are mapped to columns once; the (row, column)
-    pairs are then counted and weighted with numpy. A row's length is the
-    builtin ``sum`` of its squared weights in ascending column order, the
-    primitive and order of :func:`norm`, so the rows match on every Python
-    (builtin float ``sum`` is compensated from 3.12, numpy's is not).
-    """
-    token_docs = list(token_docs)
-    n_docs = len(token_docs)
-    lookup = vocab.ngram_to_index.get
-    doc_ids: list[int] = []
-    col_ids: list[int] = []
-    for doc, tokens in enumerate(token_docs):
-        found = [i for i in map(lookup, ngrams(tokens, vocab.n_range)) if i is not None]
-        col_ids.extend(found)
-        doc_ids.extend([doc] * len(found))
-    pairs = np.array(doc_ids, dtype=np.int64) * vocab.size + np.array(col_ids, dtype=np.int64)
-    keys, counts = np.unique(pairs, return_counts=True)
-    row, col = np.divmod(keys, vocab.size)  # sorted by row, then by column
-    weights = counts * np.frombuffer(vocab.idf_table)[col]
-    squares = (weights * weights).tolist()
-    bounds = np.searchsorted(row, np.arange(n_docs + 1)).tolist()
-    lengths = np.array([math.sqrt(sum(squares[a:b])) for a, b in zip(bounds, bounds[1:])])
-    return row, col, weights / lengths[row]
-
-
 def cosine(u, v) -> float:
     """``u.v / (|u||v|)`` of two sparse vectors; zero when either is all-zero.
 
@@ -163,16 +174,18 @@ def save_vocab(vocab: Vocabulary) -> bytes:
     (comma-separated), ``size=``, then one ``index<TAB>doc_freq<TAB>ngram``
     row per column in index order. UTF-8, LF line endings.
     """
-    index_to_ngram = {i: g for g, i in vocab.ngram_to_index.items()}
+    grams = [""] * vocab.size
+    for gram, i in vocab.ngram_to_index.items():
+        grams[i] = gram
     lines = [
         f"{VOCAB_MAGIC} {VOCAB_VERSION}",
         f"corpus_size={vocab.corpus_size}",
         "n_range=" + ",".join(str(n) for n in vocab.n_range),
         f"size={vocab.size}",
     ]
-    lines.extend(
-        f"{i}\t{vocab.doc_freq[i]}\t{index_to_ngram[i]}" for i in range(vocab.size)
-    )
+    lines += [
+        f"{i}\t{df}\t{gram}" for i, df, gram in zip(range(vocab.size), vocab.doc_freq, grams)
+    ]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

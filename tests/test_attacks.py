@@ -13,7 +13,7 @@ from rfekit.attacks import (
     similarity_matrix,
 )
 from rfekit.text import load_stopwords, split_sentences
-from rfekit.vectorize import cosine, tfidf_vector
+from rfekit.vectorize import cosine, fit_vocab, norm, tfidf_vector
 
 
 def bank_line(attack_id, sentence, description=None):
@@ -366,3 +366,28 @@ def test_similarity_matrix_bit_identical_to_cosine_on_seed42_rfes(rfe_corpus_42)
         ones += int((matrix == 1.0).sum())
     assert len(manifest["rfes"]) == 49 and ones > 0
 
+
+
+def test_load_bank_norms_and_postings_are_the_example_vectors(rfe_corpus_42):
+    """The bank side of every similarity, built from ``fit_tfidf``'s rows,
+    is what one ``tfidf_vector`` per example builds, down to the order of
+    the postings' keys."""
+    root, manifest = rfe_corpus_42
+    rng = random.Random(4)
+    banks = [load_bank(SMALL_BANK), load_bank(root / manifest["paths"]["bank"])]
+    banks += [random_bank_case(rng)[0] for _ in range(40)]
+    for bank in banks:
+        tokens = [list(t) for t, _ in bank.examples]
+        assert bank.vocab == fit_vocab(tokens, (1, 2, 3))
+        norms, postings = [], {}
+        for j, example in enumerate(tokens):
+            vec = tfidf_vector(example, bank.vocab)
+            norms.append(norm(vec))
+            for index, weight in vec:
+                postings.setdefault(index, []).append((j, weight))
+        assert [n.hex() for n in bank.norms] == [n.hex() for n in norms]
+        assert list(bank.postings) == list(postings)
+        for index, pairs in postings.items():
+            got = bank.postings[index]
+            assert [j for j, _ in got] == [j for j, _ in pairs]
+            assert [(type(w), w.hex()) for _, w in got] == [(float, w.hex()) for _, w in pairs]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -177,6 +178,50 @@ def test_train_docs_bundle_is_independent_of_hash_seed(tmp_path, corpus_42):
     assert sorted(p.name for p in bundles[0].iterdir()) == names
     for name in names:
         assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes()
+
+
+# sha256 of each seed-42 bundle file. bundle.json and vocab.txt are text
+# written by Python alone, the same on every platform. The two model files
+# hold trained weights, whose last bits depend on the BLAS kernels and on the
+# Python version (builtin float sum is compensated from 3.12): they are pinned
+# for the platform they were recorded on, where training runs on one thread
+# of OpenBLAS's Haswell kernels.
+SEED42_BUNDLE_SHA256 = {
+    "bundle.json": "8f296dab325fc56b0382d65d2d521723f40cfaf1b9e6db3aedf36c9dd63f19b3",
+    "vocab.txt": "febaf4a33c285f236275fcd04e7aea85030f09710767fa0494519c6ffcc6fd14",
+}
+SEED42_MODEL_SHA256 = {
+    ("x86_64", (3, 11), "2.4.6"): {
+        "image-model.json": "58226337e528e5495625366018777d4197fe549d5cde4b4334109f64c349da24",
+        "text-model.json": "affae027f0e17dd91bc02a04c075c902b8cd8bfc4332afc86377c0ced35fc556",
+    },
+}
+
+
+def test_seed42_bundle_bytes_are_pinned(tmp_path, corpus_42):
+    """A change to the train path must leave every seed-42 bundle byte as it
+    was, unless it means to change the output."""
+    root, _ = corpus_42
+    models = SEED42_MODEL_SHA256.get(
+        (platform.machine(), sys.version_info[:2], np.__version__), {}
+    )
+    env = {
+        **os.environ,
+        **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"),
+        "PYTHONPATH": str(Path(rfekit.__file__).parents[1]),
+    }
+    if models:
+        env["OPENBLAS_CORETYPE"] = "Haswell"
+    bundle = tmp_path / "bundle"
+    subprocess.run(
+        [sys.executable, "-m", "rfekit", "train-docs", "--corpus", str(root),
+         "--out", str(bundle)],
+        env=env, check=True, capture_output=True,
+    )
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in bundle.iterdir()}
+    assert sorted(digests) == ["bundle.json", "image-model.json", "text-model.json", "vocab.txt"]
+    expected = {**SEED42_BUNDLE_SHA256, **models}
+    assert {name: digests[name] for name in expected} == expected
 
 
 # Seed-42 weights trained at one and at two BLAS threads differed by at most

@@ -21,11 +21,14 @@ def test_decode_ascii_pgm():
     img = decode_pgm(b"P2\n2 2\n255\n0 0 255 255\n")
     assert (img.width, img.height) == (2, 2)
     assert img.pixels.tolist() == [[0, 0], [255, 255]]
+    assert img.pixels.dtype == np.uint8
 
 
 def test_decode_binary_pgm():
     img = decode_pgm(b"P5\n3 1\n255\n" + bytes([10, 20, 30]))
     assert img.pixels.tolist() == [[10, 20, 30]]
+    assert img.pixels.dtype == np.uint8
+    assert img.pixels.flags.writeable  # a copy, not a view of the bytes
 
 
 def test_decode_header_comments():
@@ -53,6 +56,16 @@ def test_decode_truncated_payload():
 def test_decode_sample_above_maxval():
     with pytest.raises(PgmFormatError):
         decode_pgm(b"P2\n1 2\n100\n5 101\n")
+
+
+@pytest.mark.parametrize(
+    "sample", [b"256", b"300", b"-1", b"511", b"65536", b"18446744073709551615"]
+)
+def test_decode_ascii_sample_outside_a_byte_is_refused(sample):
+    """P2 samples are range-checked before the cast to uint8, so none wraps
+    around into a valid byte, and one past 64 bits is no stray OverflowError."""
+    with pytest.raises(PgmFormatError, match="out of range"):
+        decode_pgm(b"P2\n2 1\n255\n7 " + sample + b"\n")
 
 
 def test_roundtrip_through_encoder():
@@ -155,3 +168,23 @@ def test_features_match_per_cell_loop(shape):
     for _ in range(3):
         img = make_image(rng.integers(0, 256, size=shape))
         assert np.array_equal(image_features(img), loop_image_features(img))
+
+
+@pytest.mark.parametrize(
+    "shapes", [[(20, 9), (64, 48)], [(128, 96), (7, 31), (128, 96)], [(1, 40), (40, 1)]]
+)
+def test_features_are_the_same_for_every_pixel_dtype(shapes):
+    """The grid layout is shared by every page of one shape; each shape in
+    one process gets its own, and the pixel dtype never reaches a feature."""
+    rng = np.random.default_rng(sum(h * w for h, w in shapes))
+    for shape in shapes:
+        values = rng.integers(0, 256, size=shape)
+        pages = [
+            PageImage(width=shape[1], height=shape[0], pixels=values.astype(dtype))
+            for dtype in (np.uint8, np.int64, np.float64)
+        ]
+        expected = loop_image_features(pages[1])
+        for page in pages:
+            assert image_features(page).tobytes() == expected.tobytes()
+        encoded = decode_pgm(encode_pgm(pages[0]))
+        assert image_features(encoded).tobytes() == expected.tobytes()

@@ -10,35 +10,36 @@ from rfekit.vectorize import (
     Vocabulary,
     VocabularyFormatError,
     cosine,
+    fit_tfidf,
     fit_vocab,
     load_vocab,
     ngrams,
     norm,
     save_vocab,
     stack_dense,
-    tfidf_coo,
     tfidf_vector,
 )
 
 
+def join_ngrams(tokens, n_range):
+    """Reference n-grams: each one a ``" ".join`` of its slice of tokens."""
+    out = []
+    for n in sorted(set(n_range)):
+        for i in range(len(tokens) - n + 1):
+            out.append(" ".join(tokens[i : i + n]))
+    return out
+
+
 def dense_tfidf_reference(token_docs, doc_tokens, n_range):
     """Independent dense oracle: dict-based tf-idf with explicit loops."""
-
-    def grams(tokens):
-        out = []
-        for n in sorted(set(n_range)):
-            for i in range(len(tokens) - n + 1):
-                out.append(" ".join(tokens[i : i + n]))
-        return out
-
     df = {}
     for doc in token_docs:
-        for g in set(grams(doc)):
+        for g in set(join_ngrams(doc, n_range)):
             df[g] = df.get(g, 0) + 1
     vocab = sorted(df)
     n_docs = len(token_docs)
     tf = {}
-    for g in grams(doc_tokens):
+    for g in join_ngrams(doc_tokens, n_range):
         if g in df:
             tf[g] = tf.get(g, 0) + 1
     weights = {
@@ -61,8 +62,22 @@ def test_ngrams_mixed_sizes():
 
 
 def test_ngrams_rejects_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n-gram size must be >= 1, got 0$"):
         ngrams(["a"], {0, 1})
+    with pytest.raises(ValueError, match=r"^n-gram size must be >= 1, got -2$"):
+        ngrams([], {3, -2, 0})
+
+
+@pytest.mark.parametrize("n_range", [{1}, {2, 3}, {1, 2, 3}, {3}, {2, 5}])
+def test_ngrams_by_extension_match_joined_slices(n_range):
+    """Each n-gram extends its (n-1)-gram; the list is the joined slices,
+    also for sizes that skip one (2 and 5 build 3 and 4 without output)."""
+    rng = random.Random(sum(n_range) * 100 + len(n_range))
+    for length in range(9):
+        for _ in range(25):
+            tokens = [rng.choice(["a", "b", "cd", "e f", ""]) for _ in range(length)]
+            assert ngrams(tokens, n_range) == join_ngrams(tokens, n_range)
+    assert ngrams(("x", "y", "z"), n_range) == join_ngrams(("x", "y", "z"), n_range)
 
 
 def test_fit_vocab_counts_documents():
@@ -113,21 +128,44 @@ def test_idf_table_is_the_smoothed_formula_as_plain_floats():
             assert vocab.idf_table[i] == math.log((1 + n) / (1 + df)) + 1.0
 
 
-def assert_coo_is_stacked_vectors(token_docs, vocab):
-    """``tfidf_coo`` holds the stacked per-document vectors bit for bit,
-    sorted by row and then by column."""
-    expected = stack_dense([tfidf_vector(t, vocab) for t in token_docs], vocab.size)
-    row, col, value = tfidf_coo(token_docs, vocab)
+def set_loop_fit(token_docs, n_range):
+    """Reference vocabulary: each document's set of joined n-grams adds one to
+    the document frequency of each of its n-grams; indices are lexicographic."""
+    df = {}
+    for tokens in token_docs:
+        for gram in set(join_ngrams(tokens, n_range)):
+            df[gram] = df.get(gram, 0) + 1
+    ordered = sorted(df)
+    return Vocabulary(
+        {g: i for i, g in enumerate(ordered)},
+        tuple(df[g] for g in ordered),
+        len(token_docs),
+        tuple(sorted(set(n_range))),
+    )
+
+
+def assert_fit_tfidf_is_stacked_vectors(token_docs, n_range):
+    """``fit_tfidf`` fits the set-loop vocabulary, and its nonzeros, sorted by
+    row and then by column, are each document's ``tfidf_vector`` bit for bit."""
+    vocab, (row, col, value) = fit_tfidf(token_docs, n_range)
+    assert vocab == set_loop_fit(token_docs, n_range)
+    assert list(vocab.ngram_to_index.values()) == list(range(vocab.size))
+    assert all(type(df) is int for df in vocab.doc_freq)
     assert row.dtype == col.dtype == np.int64 and value.dtype == np.float64
     keys = row * vocab.size + col
     assert (np.diff(keys) > 0).all()  # sorted, one entry per (row, col)
     assert (value > 0).all()
-    got = np.zeros((len(token_docs), vocab.size))
-    got[row, col] = value
-    assert got.tobytes() == expected.tobytes()
+    bounds = np.searchsorted(row, np.arange(len(token_docs) + 1)).tolist()
+    for r, tokens in enumerate(token_docs):
+        a, b = bounds[r], bounds[r + 1]
+        got = tuple(zip(col[a:b].tolist(), value[a:b].tolist()))
+        expected = tfidf_vector(tokens, vocab)
+        assert [i for i, _ in got] == [i for i, _ in expected]
+        assert [w.hex() for _, w in got] == [w.hex() for _, w in expected]
+    return vocab, (row, col, value)
 
 
-def test_tfidf_coo_is_stacked_vectors_on_seed42_training_docs(corpus_42):
+def test_fit_tfidf_is_stacked_vectors_on_seed42_training_docs(corpus_42):
     root, manifest = corpus_42
     token_docs = [
         document_tokens(load_document(root, rec, "ocr").text)
@@ -135,38 +173,44 @@ def test_tfidf_coo_is_stacked_vectors_on_seed42_training_docs(corpus_42):
         if rec["split"] == "train"
     ]
     for n_range in ((2, 3), (1,)):
-        assert_coo_is_stacked_vectors(token_docs, fit_vocab(token_docs, n_range))
+        vocab, _ = assert_fit_tfidf_is_stacked_vectors(token_docs, n_range)
+        assert fit_vocab(token_docs, n_range) == vocab
+    assert vocab.corpus_size == 84
 
 
 @pytest.mark.parametrize("n_range", [(1,), (2, 3)])
-def test_tfidf_coo_edge_rows_are_stacked_vectors(n_range):
-    corpus = [["a", "b", "c", "a", "b"], ["b", "c", "d"], ["a", "a", "a"]]
-    vocab = fit_vocab(corpus, n_range)
+def test_fit_tfidf_edge_rows_are_stacked_vectors(n_range):
     token_docs = [
-        [],  # empty token list
-        ["x", "y", "z", "w"],  # only unseen n-grams: a zero row
+        [],  # empty token list: no n-grams, an empty row
+        ["a", "b", "c", "a", "b"],
+        ["x"],  # shorter than 2: no n-grams under (2, 3)
         ["a", "b", "a", "b", "a", "b", "c"],  # repeated n-grams
         ["a", "a", "a", "a"],
-        ["d"],
+        ["b", "c", "d"],
     ]
-    assert_coo_is_stacked_vectors(token_docs, vocab)
-    assert all(part.size == 0 for part in tfidf_coo(token_docs[:2], vocab))
+    _, (row, _, _) = assert_fit_tfidf_is_stacked_vectors(token_docs, n_range)
+    assert 0 not in row.tolist()
+    assert (2 in row.tolist()) == (n_range == (1,))
 
 
-def test_tfidf_coo_randomized_and_degenerate_shapes():
+def test_fit_tfidf_randomized_and_degenerate_shapes():
     rng = random.Random(17)
     for _ in range(100):
         corpus = [
             [rng.choice("abcdef") for _ in range(rng.randint(0, 8))]
             for _ in range(rng.randint(1, 8))
         ]
-        docs = [
-            [rng.choice("abcdefxy") for _ in range(rng.randint(0, 12))]
-            for _ in range(rng.randint(0, 6))
-        ]
-        assert_coo_is_stacked_vectors(docs, fit_vocab(corpus, {1, 2, 3}))
-    assert_coo_is_stacked_vectors([], fit_vocab([["a"]], {1}))  # (0, 1)
-    assert_coo_is_stacked_vectors([["a"]], fit_vocab([[]], {1}))  # (1, 0)
+        assert_fit_tfidf_is_stacked_vectors(corpus, rng.choice([{1}, {1, 2, 3}, {2, 4}]))
+    for corpus, n_range in (
+        ([[]], {1}),  # one document, no n-grams: shape (1, 0)
+        ([["a"], []], {2, 3}),  # no document has an n-gram
+        ([["a"], []], {1}),  # (2, 1) with an empty row
+        ([["a", "a"]], {1}),  # doc_freq counts a document once
+    ):
+        vocab, (row, col, value) = assert_fit_tfidf_is_stacked_vectors(corpus, n_range)
+    assert vocab.doc_freq == (1,) and value.tolist() == [1.0]
+    with pytest.raises(ValueError, match="empty corpus"):
+        fit_tfidf([], {1})
 
 
 def test_tfidf_no_known_ngrams_gives_zero_vector():
