@@ -119,33 +119,33 @@ class SoftmaxClassifier(ParamsMixin):
         return [self.classes_[i] for i in probs.argmax(axis=1)]
 
 
-# Floats in coo_gram's scatter buffer: 1 MiB, whatever the design's width.
-_GRAM_BUFFER_FLOATS = 2**17
+# Products per np.bincount call in coo_gram, unless one column alone has more.
+_GRAM_CHUNK_PAIRS = 2**16
 
 
 def coo_gram(row, col, value, n_rows: int) -> np.ndarray:
     """``X @ X.T`` of the n_rows-row design X whose nonzeros are
     ``(row, col, value)`` (at most one entry per (row, col)).
 
-    X is never formed: the entries are taken in blocks of
-    ``2**17 // n_rows`` consecutive columns, each block is scattered into a
-    zeroed n_rows x block buffer, and ``buf @ buf.T`` is added to K. Time
-    grows with n_rows**2 times the number of columns spanned, memory with
-    n_rows**2 plus the nonzeros.
+    X is never formed: each column's k nonzeros add their k x k outer
+    product to K, by one ``np.bincount`` of keys ``r_i * n_rows + r_j`` per
+    group of columns of one k, in calls of at most 2**16 products or one
+    column. No BLAS runs, so K is exactly symmetric and the same on every
+    BLAS build. Time grows with the sum of k**2; memory is K plus one call.
     """
-    width = max(1, _GRAM_BUFFER_FLOATS // max(n_rows, 1))
-    K = np.zeros((n_rows, n_rows))
-    buf = np.zeros((n_rows, width))
     order = np.argsort(col, kind="stable")
-    row, value = row[order], value[order]
-    block, offset = np.divmod(col[order], width)
-    starts = np.flatnonzero(np.diff(block, prepend=-1)).tolist()
-    for a, b in zip(starts, starts[1:] + [row.size]):
-        r, c = row[a:b], offset[a:b]
-        buf[r, c] = value[a:b]
-        K += buf @ buf.T
-        buf[r, c] = 0.0
-    return K
+    counts = np.bincount(col)
+    starts = np.cumsum(counts) - counts
+    K = np.zeros(n_rows * n_rows)
+    for k in np.unique(counts[counts > 0]).tolist():
+        group = starts[counts == k]
+        step = max(1, _GRAM_CHUNK_PAIRS // (k * k))
+        for a in range(0, group.size, step):
+            at = order[group[a:a + step, None] + np.arange(k)]
+            r, v = row[at], value[at]
+            K += np.bincount((r[:, :, None] * n_rows + r[:, None, :]).ravel(),
+                             (v[:, :, None] * v[:, None, :]).ravel(), n_rows * n_rows)
+    return K.reshape(n_rows, n_rows)
 
 
 def coo_matmul(G, row, col, value, n_cols: int) -> np.ndarray:

@@ -53,8 +53,8 @@ def decode_pgm(data: bytes) -> PageImage:
     """Decode a binary (P5) or ASCII (P2) PGM with maxval <= 255.
 
     Header comments (``#`` to end of line) are honored. Unsupported magic
-    numbers, malformed headers, out-of-range samples, and short payloads all
-    raise explicit errors. The pixels are ``uint8``.
+    numbers, malformed headers, samples out of range or not ASCII digits,
+    and short payloads all raise explicit errors. The pixels are ``uint8``.
     """
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
@@ -74,18 +74,18 @@ def decode_pgm(data: bytes) -> PageImage:
             )
         values = np.frombuffer(payload, dtype=np.uint8).copy()
     else:
-        tokens = _strip_comments(data[offset:]).split()
+        tokens = _strip_comments(data[offset:]).split()[:count]
         if len(tokens) < count:
             raise PgmTruncatedError(
                 f"expected {count} pixel samples, found {len(tokens)}"
             )
+        if bad := next((t for t in tokens if not t.isdigit()), None):  # as in the header
+            raise PgmFormatError(f"pixel sample {bad!r} out of range: want ASCII digits")
         try:
-            values = np.array([int(t) for t in tokens[:count]], dtype=np.int64)
-        except ValueError as exc:
-            raise PgmFormatError(f"non-numeric pixel sample: {exc}") from None
-        except OverflowError:
+            values = np.array([int(t) for t in tokens], dtype=np.int64)
+        except (ValueError, OverflowError):  # past int's digit limit or 64 bits
             raise PgmFormatError("pixel sample out of range") from None
-    if values.min() < 0 or values.max() > maxval:
+    if values.max() > maxval:
         raise PgmFormatError("pixel sample out of range")
     pixels = values.astype(np.uint8, copy=False).reshape(height, width)
     return PageImage(width=width, height=height, pixels=pixels)

@@ -12,6 +12,7 @@ from rfekit.classify import (
     ModelFormatError,
     SoftmaxClassifier,
     VocabMismatchError,
+    _GRAM_CHUNK_PAIRS,
     _payload_digest,
     coo_gram,
     coo_matmul,
@@ -453,13 +454,16 @@ def test_resigned_malformed_header_rejected(changes):
         load_model(json.dumps(payload).encode("utf-8"), expected_vocab_hash="")
 
 
-def _sparse_design(n, d, per_row, seed, n_classes=3):
+def _sparse_design(n, d, per_row, seed, n_classes=3, full_column=False):
     """A random n x d design as ``(X, (row, col, value))``, rows sorted by
-    (row, col), ``per_row`` nonzeros in each row except an all-zero row 0."""
+    (row, col), ``per_row`` nonzeros in each row except an all-zero row 0.
+    With ``full_column``, column 0 is then made nonzero in every row."""
     rng = np.random.default_rng(seed)
     X = np.zeros((n, d))
     for r in range(1, n):
         X[r, rng.choice(d, size=per_row, replace=False)] = rng.normal(size=per_row)
+    if full_column:
+        X[:, 0] = rng.normal(size=n)
     row, col = np.nonzero(X)
     y = [f"c{i % n_classes}" for i in range(n)]
     return X, (row, col, X[row, col]), y
@@ -468,14 +472,43 @@ def _sparse_design(n, d, per_row, seed, n_classes=3):
 _SPARSE_CASES = [(5, 7, 3), (40, 10_000, 1), (300, 2_000, 40), (1, 3, 2), (2_000, 150, 5)]
 
 
-@pytest.mark.parametrize("n, d, per_row", _SPARSE_CASES)
-def test_coo_gram_and_matmul_match_the_dense_products(n, d, per_row):
-    """Block-built K against ``X @ X.T`` (several column blocks once
-    n * d > 2**17) and bincount ``G @ X`` against the dense product."""
-    X, (row, col, value), _ = _sparse_design(n, d, per_row, seed=n + d)
+# The cases of _SPARSE_CASES, then three more: all 20 columns of (64, 20, 20)
+# hold 63 nonzeros, so their products split over calls of 16 and 4 columns;
+# column 0 of the other two is in every row, and its 300**2 products exceed
+# one call's cap.
+_GRAM_CASES = [
+    pytest.param(*case, False, id="-".join(map(str, case))) for case in _SPARSE_CASES
+] + [
+    pytest.param(64, 20, 20, False, id="64-20-20-split-group"),
+    pytest.param(300, 2_000, 40, True, id="300-2000-40-full-column"),
+    pytest.param(5, 7, 3, True, id="5-7-3-full-column"),
+]
+
+
+@pytest.mark.parametrize("n, d, per_row, full_column", _GRAM_CASES)
+def test_coo_gram_and_matmul_match_the_dense_products(n, d, per_row, full_column, monkeypatch):
+    """Pair-built K against ``X @ X.T``, exactly symmetric, from bincount
+    calls of at most ``_GRAM_CHUNK_PAIRS`` products unless a call holds one
+    column; and bincount ``G @ X`` against the dense product."""
+    X, (row, col, value), _ = _sparse_design(n, d, per_row, n + d, full_column=full_column)
+    calls, bincount = [], np.bincount
+
+    def counting_bincount(x, weights=None, minlength=0):
+        if weights is not None:
+            calls.append(x.size)
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", counting_bincount)
     K = coo_gram(row, col, value, n)
+    monkeypatch.undo()
+    column_sizes = set(np.bincount(col).tolist())
+    assert all(c <= _GRAM_CHUNK_PAIRS or math.isqrt(c) in column_sizes for c in calls)
+    assert (n * n in calls) == full_column
+    if (n, d, per_row) == (64, 20, 20):
+        assert calls == [16 * 63**2, 4 * 63**2]
     assert K.shape == (n, n)
     assert np.abs(K - X @ X.T).max() <= 1e-13 * np.abs(X @ X.T).max()
+    assert np.array_equal(K, K.T)
     G = np.random.default_rng(d).normal(size=(3, n))
     GX = coo_matmul(G, row, col, value, d)
     assert GX.shape == (3, d)
@@ -498,19 +531,22 @@ def test_coo_gram_and_matmul_match_the_dense_products(n, d, per_row):
     ],
 )
 def test_sparse_fit_matches_dense_fit(n, d, per_row, l2):
+    """The COO fit against ``fit(X)``. Unpenalized, a fit amplifies the
+    round-off between ``coo_gram`` and ``X @ X.T`` (weights 2.4e-2 apart on
+    one case here), so there the weights are compared with a dense-projection
+    fit on the same K, and ``fit(X)`` must still agree on steps and labels."""
     X, (row, col, value), y = _sparse_design(n, d, per_row, seed=7 * n + d)
+    K = coo_gram(row, col, value, n)
     dense = SoftmaxClassifier(l2=l2).fit(X, y, feature_kind="sparse")
     sparse = SoftmaxClassifier(l2=l2).fit_gram(
-        coo_gram(row, col, value, n),
-        lambda G: coo_matmul(G, row, col, value, d),
-        y,
-        feature_kind="sparse",
+        K, lambda G: coo_matmul(G, row, col, value, d), y, feature_kind="sparse"
     )
+    reference = dense if l2 else SoftmaxClassifier(l2=l2).fit_gram(K, lambda G: G @ X, y)
     assert dense.converged_
     assert (sparse.n_iter_, sparse.converged_) == (dense.n_iter_, dense.converged_)
     assert sparse.weights_.shape == dense.weights_.shape == (3, d + 1)
     assert sparse.n_features_ == d
-    assert np.abs(sparse.weights_ - dense.weights_).max() <= 1e-12
+    assert np.abs(sparse.weights_ - reference.weights_).max() <= 1e-12
     assert sparse.predict(X) == dense.predict(X)
 
 

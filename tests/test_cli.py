@@ -193,7 +193,7 @@ SEED42_BUNDLE_SHA256 = {
 SEED42_MODEL_SHA256 = {
     ("x86_64", (3, 11), "2.4.6"): {
         "image-model.json": "58226337e528e5495625366018777d4197fe549d5cde4b4334109f64c349da24",
-        "text-model.json": "affae027f0e17dd91bc02a04c075c902b8cd8bfc4332afc86377c0ced35fc556",
+        "text-model.json": "e038c09747c792d286572b0b55a86f22a94370efa463921573ae4a6208c95e8a",
     },
 }
 

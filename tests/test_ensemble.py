@@ -11,7 +11,7 @@ import pytest
 
 from rfekit import ioutil
 from rfekit.classify import SoftmaxClassifier, _payload_digest, load_model, save_model
-from rfekit.corpus import load_document
+from rfekit.corpus import load_document, load_manifest
 from rfekit.ensemble import (
     ClassDistribution,
     Document,
@@ -654,3 +654,39 @@ def test_bundle_save_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, fai
     assert renamed == order[:failing]
     assert not list(bundle.glob("*.tmp"))
     assert sorted(p.name for p in bundle.iterdir()) == sorted(order[:failing])
+
+
+# data/three-class-corpus.json adds a denial-notice class that shares the
+# approval layout, so the page images alone cannot tell the two apart.
+THREE_CLASS_CONFIG = Path(__file__).parent / "data" / "three-class-corpus.json"
+# Test-split documents (10 per class) that each head gets right, trained at
+# --seed 42 --noise 0.5. Every head's top two probabilities are at least
+# 3.8e-4 apart on every document, far above round-off.
+THREE_CLASS_CORRECT = {
+    "fused": {"approval-notice": 8, "receipt-notice": 10, "denial-notice": 8},
+    "p_image": {"approval-notice": 8, "receipt-notice": 10, "denial-notice": 7},
+    "p_text": {"approval-notice": 7, "receipt-notice": 3, "denial-notice": 7},
+}
+
+
+def test_three_class_corpus_pins_each_heads_correct_counts(tmp_path):
+    """On the default corpus each head alone is perfect and the image head
+    holds over 0.99 of the fusion weight, so a broken text head cannot show.
+    Here the heads differ, and fusion beats either one."""
+    from rfekit.cli import run
+
+    corpus, bundle = tmp_path / "corpus", tmp_path / "bundle"
+    assert run(["gen-corpus", "--config", str(THREE_CLASS_CONFIG), "--seed", "42",
+                "--noise", "0.5", "--out", str(corpus)]) == 0
+    assert run(["train-docs", "--corpus", str(corpus), "--out", str(bundle)]) == 0
+    model = EnsembleDocumentClassifier.load(bundle)
+    correct = {head: dict.fromkeys(counts, 0) for head, counts in THREE_CLASS_CORRECT.items()}
+    for record in load_manifest(corpus)["documents"]:
+        if record["split"] != "test":
+            continue
+        trace = model.classify(load_document(corpus, record))
+        for head in correct:
+            correct[head][record["label"]] += (
+                getattr(trace, head).argmax_label() == record["label"]
+            )
+    assert correct == THREE_CLASS_CORRECT

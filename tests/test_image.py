@@ -22,6 +22,7 @@ def test_decode_ascii_pgm():
     assert (img.width, img.height) == (2, 2)
     assert img.pixels.tolist() == [[0, 0], [255, 255]]
     assert img.pixels.dtype == np.uint8
+    assert decode_pgm(b"P2\n3 1\n255\n010 005 0\n").pixels.tolist() == [[10, 5, 0]]
 
 
 def test_decode_binary_pgm():
@@ -59,13 +60,26 @@ def test_decode_sample_above_maxval():
 
 
 @pytest.mark.parametrize(
-    "sample", [b"256", b"300", b"-1", b"511", b"65536", b"18446744073709551615"]
+    "sample",
+    [b"256", b"300", b"-1", b"-0", b"511", b"65536", b"18446744073709551615",
+     pytest.param(b"9" * 5000, id="5000-digits")],
 )
 def test_decode_ascii_sample_outside_a_byte_is_refused(sample):
     """P2 samples are range-checked before the cast to uint8, so none wraps
-    around into a valid byte, and one past 64 bits is no stray OverflowError."""
+    around into a valid byte, and one past 64 bits or past int's digit limit
+    is no stray OverflowError or ValueError."""
     with pytest.raises(PgmFormatError, match="out of range"):
         decode_pgm(b"P2\n2 1\n255\n7 " + sample + b"\n")
+
+
+@pytest.mark.parametrize(
+    "samples", [b"1_0 +5 0_0_7", b"10 +5 7", b"1_0 5 7", b"10 5 0x7", b"10 5 \xd9\xa7", b"10 5 7.0"]
+)
+def test_decode_ascii_sample_must_be_ascii_digits(samples):
+    """A P2 sample is ASCII digits only, like the header's fields: Python
+    ``int`` would read ``1_0 +5 0_0_7`` as 10, 5 and 7."""
+    with pytest.raises(PgmFormatError, match="want ASCII digits"):
+        decode_pgm(b"P2\n3 1\n255\n" + samples + b"\n")
 
 
 def test_roundtrip_through_encoder():
