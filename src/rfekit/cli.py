@@ -283,16 +283,15 @@ def _cmd_detect(args) -> int:
 def _cmd_draft(args) -> int:
     opts = _resolve(args, {"tau": DEFAULT_TAU, "today": None})
     rfe_text = read_text(args.input, RuntimeError, "RFE")
-    patterns = load_field_patterns(args.patterns)
-    case_number = extract_fields(rfe_text, patterns).case_number
+    fields = extract_fields(rfe_text, load_field_patterns(args.patterns))
     bank = load_bank(args.bank)
     # A draft needs one record: only the store lines that can hold its case
     # number are decoded, and none without one (the store is still read).
-    if case_number is None:
+    if fields.case_number is None:
         read_text(args.store, StoreFormatError, "store")
         store = BeneficiaryStore(())
     else:
-        store = BeneficiaryStore.load(args.store, case_number)
+        store = BeneficiaryStore.load(args.store, fields.case_number)
     library = load_template_library(args.templates)
     draft = draft_response(
         rfe_text,
@@ -300,7 +299,7 @@ def _cmd_draft(args) -> int:
         store,
         library,
         tau=opts["tau"],
-        patterns=patterns,
+        fields=fields,
         today=opts["today"],
     )
     atomic_write_text(args.out, draft.render())

@@ -116,17 +116,15 @@ class Template:
 
 
 def load_field_patterns(source=None) -> dict[str, re.Pattern]:
-    """Compile the field-pattern file at path ``source``, or in the bytes
-    ``source`` (defaults to the one shipped in-package).
+    """Compile the field-pattern file at path ``source`` (defaults to the one
+    shipped in-package).
 
     Each pattern must contain exactly one capture group; matching is
     line-anchored (MULTILINE). An error about a file at a path names it.
     """
-    what = "pattern file"
     if source is None:
         data = resources.files("rfekit.data").joinpath("field_patterns.json").read_bytes()
-    elif isinstance(source, bytes):
-        data = source
+        what = "pattern file"
     else:
         data = read_bytes(source, PatternFormatError, "pattern file")
         what = f"pattern file {source}"
@@ -151,14 +149,15 @@ def load_field_patterns(source=None) -> dict[str, re.Pattern]:
 
 
 def extract_fields(rfe_text: str, patterns: dict[str, re.Pattern] | None = None) -> RfeFields:
-    """Regex field extraction over the raw text; absence is data, not an error."""
+    """Regex field extraction over the raw text; absence is data, not an error.
+    A field is absent when its pattern does not match or its group took no part."""
     patterns = patterns if patterns is not None else load_field_patterns()
     found: dict[str, object] = {}
     for name, pattern in patterns.items():
         match = pattern.search(rfe_text)
-        if not match:
+        value = match and match.group(1)
+        if value is None:
             continue
-        value = match.group(1)
         if name in _DATE_FIELDS:
             parsed = parse_date(value)
             if parsed is not None:
@@ -353,24 +352,27 @@ def draft_response(
     library,
     *,
     tau: float = DEFAULT_TAU,
-    patterns: dict[str, re.Pattern] | None = None,
+    fields: RfeFields | None = None,
     today: date | None = None,
 ) -> ResponseDraft:
     """End-to-end drafting: detect, extract, look up, select, fill, assemble.
 
-    The case-header preamble and each selected template, in selection order,
-    are filled from one values map: the extracted fields, the beneficiary
-    record and ``today``. Status is ``complete`` only when no placeholder
-    anywhere (preamble included) went unresolved. A missing beneficiary
-    record is not fatal: selection falls back to wildcard templates and the
-    draft comes out ``incomplete`` with the unresolved names listed.
+    ``fields`` are the RFE's extracted fields; when None, they are extracted
+    from ``rfe_text`` with the packaged patterns. The case-header preamble
+    and each selected template, in selection order, are filled from one
+    values map: the extracted fields, the beneficiary record and ``today``.
+    Status is ``complete`` only when no placeholder anywhere (preamble
+    included) went unresolved. A missing beneficiary record is not fatal:
+    selection falls back to wildcard templates and the draft comes out
+    ``incomplete`` with the unresolved names listed.
     Detecting no attacks at all is fatal; there is nothing to draft.
     """
     report = detect_rfe(rfe_text, bank, tau)
     if not report.detected:
         raise DraftingError("no attack types detected; nothing to draft")
 
-    fields = extract_fields(rfe_text, patterns)
+    if fields is None:
+        fields = extract_fields(rfe_text)
     record = None
     if fields.case_number is not None:
         try:

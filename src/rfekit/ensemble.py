@@ -62,6 +62,8 @@ class ClassDistribution:
     def __post_init__(self):
         if len(self.classes) != len(self.probs):
             raise ValueError("classes and probabilities differ in length")
+        if not np.all(np.isfinite(self.probs)):  # NaN passes every comparison
+            raise ValueError(f"probabilities not finite: {self.probs}")
         if np.any(self.probs < -1e-12) or np.any(self.probs > 1 + 1e-12):
             raise ValueError("probabilities outside [0, 1]")
         if abs(float(self.probs.sum()) - 1.0) > 1e-9:

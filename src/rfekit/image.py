@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,12 @@ import numpy as np
 GRID = 32
 FEATURE_DIM = GRID * GRID
 FEATURIZER_VERSION = "grid-mean-32x32/1"
+
+
+# The netpbm header: the magic, then width, height and maxval, each after any
+# whitespace and ``#`` comments (to a newline), then one whitespace byte. A
+# field never starts with ``#``, so no backtracking reads a comment as one.
+_HEADER = re.compile(rb"P[25]" + rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)\s" * 3)
 
 
 class PgmError(ValueError):
@@ -59,8 +66,16 @@ def decode_pgm(data: bytes) -> PageImage:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise PgmFormatError(f"unsupported PGM magic {magic!r} (want P2 or P5)")
-    fields, offset = _header_fields(data)
-    width, height, maxval = fields
+    header = _HEADER.match(data)
+    if header is None:
+        raise PgmFormatError("header ended before width, height, maxval and a whitespace byte")
+    if bad := next((t for t in header.groups() if not t.isdigit()), None):
+        raise PgmFormatError(f"bad header token {bad!r}")
+    try:
+        width, height, maxval = map(int, header.groups())
+    except ValueError:  # past int's digit limit
+        raise PgmFormatError("header field out of range") from None
+    offset = header.end()
     if width < 1 or height < 1:
         raise PgmFormatError(f"bad dimensions {width}x{height}")
     if not 0 < maxval <= 255:
@@ -74,7 +89,7 @@ def decode_pgm(data: bytes) -> PageImage:
             )
         values = np.frombuffer(payload, dtype=np.uint8).copy()
     else:
-        tokens = _strip_comments(data[offset:]).split()[:count]
+        tokens = re.sub(rb"#[^\n]*", b"", data[offset:]).split()[:count]
         if len(tokens) < count:
             raise PgmTruncatedError(
                 f"expected {count} pixel samples, found {len(tokens)}"
@@ -100,37 +115,6 @@ def encode_pgm(image: PageImage) -> bytes:
 def read_pgm(path) -> PageImage:
     with open(path, "rb") as fh:
         return decode_pgm(fh.read())
-
-
-def _header_fields(data: bytes) -> tuple[tuple[int, int, int], int]:
-    """Parse width/height/maxval after the magic; returns fields + payload offset."""
-    fields: list[int] = []
-    pos = 2
-    while len(fields) < 3:
-        if pos >= len(data):
-            raise PgmFormatError("header ended before width/height/maxval")
-        c = data[pos : pos + 1]
-        if c == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        elif c.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            token = data[pos:end]
-            if not token.isdigit():
-                raise PgmFormatError(f"bad header token {token!r}")
-            fields.append(int(token))
-            pos = end
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise PgmFormatError("missing whitespace after maxval")
-    return (fields[0], fields[1], fields[2]), pos + 1
-
-
-def _strip_comments(data: bytes) -> bytes:
-    return b"\n".join(line.split(b"#", 1)[0] for line in data.split(b"\n"))
 
 
 def image_features(image: PageImage) -> np.ndarray:

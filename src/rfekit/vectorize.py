@@ -202,16 +202,13 @@ def load_vocab(data: bytes) -> Vocabulary:
         raise VocabularyFormatError(f"bad magic line {lines[0]!r}")
     if magic[1] != str(VOCAB_VERSION):
         raise VocabularyFormatError(f"unsupported vocabulary version {magic[1]!r}")
-    try:
-        corpus_size = int(_header_value(lines[1], "corpus_size"))
-        n_range = tuple(int(n) for n in _header_value(lines[2], "n_range").split(","))
-        size = int(_header_value(lines[3], "size"))
-    except ValueError as exc:
-        raise VocabularyFormatError(str(exc)) from None
+    corpus_size = _natural(_header_value(lines[1], "corpus_size"), lines[1])
+    n_range = tuple(_natural(n, lines[2]) for n in _header_value(lines[2], "n_range").split(","))
+    size = _natural(_header_value(lines[3], "size"), lines[3])
     if corpus_size < 1:
         raise VocabularyFormatError("corpus_size must be >= 1")
-    if min(n_range) < 1:
-        raise VocabularyFormatError(f"n-gram sizes must be >= 1, got {n_range}")
+    if min(n_range) < 1 or list(n_range) != sorted(set(n_range)):
+        raise VocabularyFormatError(f"n-gram sizes must be >= 1 and ascending, got {n_range}")
     rows = lines[4:]
     if len(rows) != size:
         raise VocabularyFormatError(f"expected {size} rows, found {len(rows)}")
@@ -221,10 +218,7 @@ def load_vocab(data: bytes) -> Vocabulary:
         parts = row.split("\t", 2)
         if len(parts) != 3:
             raise VocabularyFormatError(f"bad row {row!r}")
-        try:
-            index, freq, gram = int(parts[0]), int(parts[1]), parts[2]
-        except ValueError:
-            raise VocabularyFormatError(f"bad row {row!r}") from None
+        index, freq, gram = _natural(parts[0], row), _natural(parts[1], row), parts[2]
         if index != expected or not 1 <= freq <= corpus_size or gram in ngram_to_index:
             raise VocabularyFormatError(f"inconsistent row {row!r}")
         ngram_to_index[gram] = index
@@ -233,6 +227,17 @@ def load_vocab(data: bytes) -> Vocabulary:
         return Vocabulary(ngram_to_index, tuple(doc_freq), corpus_size, n_range)
     except OverflowError:
         raise VocabularyFormatError(f"corpus_size {corpus_size} is too large") from None
+
+
+def _natural(text: str, line: str) -> int:
+    """The integer spelt by ASCII digits ``text``, as save_vocab writes it:
+    ``int`` alone would take a sign, ``_``, spaces and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise VocabularyFormatError(f"bad integer {text!r} in {line!r}")
+    try:
+        return int(text)
+    except ValueError:  # past int's digit limit
+        raise VocabularyFormatError(f"integer out of range in {line!r}") from None
 
 
 def _header_value(line: str, key: str) -> str:

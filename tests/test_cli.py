@@ -823,6 +823,26 @@ def test_draft_refuses_a_store_whose_target_breaks_a_rule(
     assert not out.exists()
 
 
+def test_draft_extracts_the_fields_once(tmp_path, drafting_corpus, monkeypatch):
+    import rfekit.cli
+    import rfekit.drafting
+
+    corpus, rfe_file, _, clean = drafting_corpus
+    calls = []
+    extract = rfekit.drafting.extract_fields
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return extract(*args, **kwargs)
+
+    for module in (rfekit.cli, rfekit.drafting):
+        monkeypatch.setattr(module, "extract_fields", counted)
+    out = tmp_path / "draft.txt"
+    assert run(draft_args(corpus, rfe_file, out)) == 0
+    assert calls == [rfe_file.read_text("utf-8")]
+    assert out.read_bytes() == clean.read_bytes()
+
+
 def test_draft_without_a_case_number_decodes_no_store_line(tmp_path, drafting_corpus):
     corpus, rfe_file, case_number, _ = drafting_corpus
     rfe = tmp_path / "rfe.txt"

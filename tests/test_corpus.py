@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from rfekit.cli import run
 from rfekit.corpus import (
     BANK_SENTENCES,
     CorpusConfig,
@@ -69,6 +70,22 @@ def test_same_seed_gives_byte_identical_trees(tmp_path):
     generate_corpus(small_config(), tmp_path / "one")
     generate_corpus(small_config(), tmp_path / "two")
     assert tree_digest(tmp_path / "one") == tree_digest(tmp_path / "two")
+
+
+@pytest.mark.parametrize(
+    "options, digest",
+    [
+        ([], "931503794295f8ec6477189b95c1041ab0b6764bef76623b535f27aeebbe378a"),
+        (["--docs-per-class", "0", "--rfes", "0"],
+         "b5aa94ec0bbe99efd13639a9af229d4bedfa233a79fa364a754719b81847f48e"),
+    ],
+    ids=["default", "empty"],
+)
+def test_seed42_corpus_tree_is_pinned(tmp_path, options, digest):
+    """One byte tree per seed, across Python and numpy versions and across
+    commits: ``gen-corpus --seed 42`` writes exactly this tree."""
+    assert run(["gen-corpus", "--out", str(tmp_path / "c"), "--seed", "42", *options]) == 0
+    assert tree_digest(tmp_path / "c") == digest
 
 
 def test_different_seed_changes_tree(tmp_path):

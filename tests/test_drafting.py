@@ -88,7 +88,13 @@ def test_date_invariant_on_generated_layout():
     assert fields.response_due_date >= fields.rfe_date
 
 
-def test_load_patterns_rejects_multi_group():
+def write_patterns(tmp_path, data):
+    path = tmp_path / "patterns.json"
+    path.write_bytes(data)
+    return path
+
+
+def test_load_patterns_rejects_multi_group(tmp_path):
     bad = json.dumps(
         {
             "format": "field-patterns",
@@ -97,11 +103,25 @@ def test_load_patterns_rejects_multi_group():
         }
     )
     with pytest.raises(Exception, match="capture group"):
-        load_field_patterns(bad.encode())
+        load_field_patterns(write_patterns(tmp_path, bad.encode()))
 
 
 def pattern_file(patterns):
     return json.dumps({"format": "field-patterns", "version": 1, "patterns": patterns})
+
+
+@pytest.mark.parametrize(
+    "field, label, value, parsed",
+    [("rfe_date", "RFE Date:", "March 3, 2021", date(2021, 3, 3)),
+     ("employee_name", "Employee Name:", "Asha Rao", "Asha Rao")],
+)
+def test_extract_unmatched_group_is_an_absent_field(tmp_path, field, label, value, parsed):
+    """A pattern whose one group is optional can match without it; the field
+    is then absent, as when the pattern does not match at all."""
+    pattern = f"^{label}(?:[ \\t]+(.+))?$"
+    patterns = load_field_patterns(write_patterns(tmp_path, pattern_file({field: pattern}).encode()))
+    assert getattr(extract_fields(f"{label}\n", patterns), field) is None
+    assert getattr(extract_fields(f"{label} {value}\n", patterns), field) == parsed
 
 
 @pytest.mark.parametrize(
@@ -115,17 +135,18 @@ def pattern_file(patterns):
     ],
     ids=["top-level-list", "patterns-list", "non-string-pattern", "not-utf-8", "deep-nesting"],
 )
-def test_load_patterns_raises_pattern_format_error(data):
+def test_load_patterns_raises_pattern_format_error(tmp_path, data):
     with pytest.raises(PatternFormatError):
-        load_field_patterns(data)
+        load_field_patterns(write_patterns(tmp_path, data))
 
 
-def test_load_patterns_requires_the_patterns_key():
+def test_load_patterns_requires_the_patterns_key(tmp_path):
     """A misspelt key is an error, not an empty pattern set."""
     data = json.dumps({"format": "field-patterns", "version": 1, "pattern": {}}).encode()
+    path = re.escape(str(tmp_path / "patterns.json"))
     with pytest.raises(PatternFormatError,
-                       match="^pattern file: 'patterns' is missing or not an object$"):
-        load_field_patterns(data)
+                       match=f"^pattern file {path}: 'patterns' is missing or not an object$"):
+        load_field_patterns(write_patterns(tmp_path, data))
 
 
 def test_store_lookup_known_and_unknown():

@@ -170,6 +170,17 @@ def test_distribution_validates():
         ClassDistribution(("a",), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "probs", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [0.5, -np.inf]],
+    ids=["nan", "all-nan", "inf", "minus-inf"],
+)
+def test_distribution_refuses_non_finite_probabilities(probs):
+    """NaN passes every range and sum comparison; it would then carry zero
+    entropy and so the largest fusion weight."""
+    with pytest.raises(ValueError, match="not finite"):
+        ClassDistribution(("a", "b"), np.array(probs))
+
+
 def page(fill):
     return PageImage(width=8, height=8, pixels=np.full((8, 8), fill, dtype=np.int64))
 

@@ -248,10 +248,16 @@ def test_bundle_manifest_mutants_raise_only_value_error_naming_bundle(
                for o in outcomes)
 
 
-def test_pattern_mutants_raise_only_pattern_format_error(rfe_corpus_42):
+def test_pattern_mutants_raise_only_pattern_format_error(rfe_corpus_42, tmp_path):
     root, manifest = rfe_corpus_42
     original = (root / manifest["paths"]["patterns"]).read_bytes()
-    outcomes = fuzz_outcomes(load_field_patterns, original, PatternFormatError, seed=7)
+    path = tmp_path / "patterns.json"
+
+    def load(data):
+        path.write_bytes(data)
+        return load_field_patterns(path)
+
+    outcomes = fuzz_outcomes(load, original, PatternFormatError, seed=7)
     assert PatternFormatError in outcomes
     assert any(isinstance(o, dict) for o in outcomes)
 

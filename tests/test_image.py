@@ -4,6 +4,7 @@ import pytest
 from rfekit.image import (
     FEATURE_DIM,
     PageImage,
+    PgmError,
     PgmFormatError,
     PgmTruncatedError,
     decode_pgm,
@@ -35,6 +36,59 @@ def test_decode_binary_pgm():
 def test_decode_header_comments():
     img = decode_pgm(b"P2\n# a comment\n1 1\n255\n7\n")
     assert img.pixels.tolist() == [[7]]
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"P5#c\n2 1 255\n\x01\x02", [[1, 2]]),
+        (b"P5 2 #c\n1 #\n255\n\x01\x02", [[1, 2]]),
+        (b"P2 # c\n2 1 # c\n 255 # c\n1 # c\n2 # c", [[1, 2]]),
+        (b"P5 2 1 #c", PgmFormatError),
+        (b"P5 2 1 255 #c", [[35, 99]]),
+        (b"P2 1 1 255 #c", PgmTruncatedError),
+        (b"P5\r2\x0b1\x0c255\r\x01\x02", [[1, 2]]),
+        (b"P5\t2\t1\t255\t\t\x02", [[9, 2]]),
+        (b"P512 1\n255\n" + bytes(range(12)), [list(range(12))]),
+        (b"P5 1 1 255", PgmFormatError),
+        (b"P5 1 1 255\x07", PgmFormatError),
+        (b"P5 2 x 255 \x01\x02", PgmFormatError),
+        (b"P5 2#1 1 255 \x01\x02", PgmFormatError),
+        (b"P5 +2 1 255 \x01\x02", PgmFormatError),
+        (b"P5 2 1 \xd9\xa7 \x01\x02", PgmFormatError),
+        (b"P5", PgmFormatError),
+        (b"P5 2 1", PgmFormatError),
+        (b"P5 2 1 ", PgmFormatError),
+        (b"P5 02 01 0255 \x01\x02", [[1, 2]]),
+        (b"P5 " + b"1" * 5000 + b" 1 255 ", PgmError),
+    ],
+    ids=["comment-after-magic", "comment-between-fields", "p2-comments",
+         "comment-ends-file", "p5-comment-after-maxval-is-payload",
+         "p2-comment-after-maxval-is-no-sample", "cr-vt-ff",
+         "tab-then-payload-tab", "magic-glued-to-width", "no-whitespace-after-maxval",
+         "control-byte-after-maxval", "non-digit-field", "hash-inside-field",
+         "signed-field", "non-ascii-digit-field", "magic-only", "ends-before-maxval",
+         "ends-after-height", "leading-zeros", "5000-digit-width"],
+)
+def test_decode_header_table(data, expected):
+    """The PGM header grammar: the magic, then three runs of ASCII digits
+    each after whitespace or ``#`` comments running to a newline, then one
+    whitespace byte before the payload."""
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            decode_pgm(data)
+    else:
+        img = decode_pgm(data)
+        assert img.pixels.tolist() == expected
+        assert (img.height, img.width) == np.shape(expected)
+
+
+@pytest.mark.parametrize("data", [b"P5 2 1 #255\n\x01\x02", b"P5 2 1 # 255 \n\x01\x02"])
+def test_decode_header_comment_is_never_a_field(data):
+    """A ``#`` comment runs to its newline, even when the header then ends
+    early: a commented-out maxval is missing, not a bad token or a field."""
+    with pytest.raises(PgmFormatError, match="^header ended before"):
+        decode_pgm(data)
 
 
 def test_decode_rejects_p6():

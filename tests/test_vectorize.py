@@ -337,9 +337,19 @@ def test_vocab_row_count_mismatch():
         (b"n_range=1,2", b"n_range=-1,2"),
         (b"corpus_size=1", b"corpus_size=1" + b"0" * 400),
         (b"0\t1\ta", b"0\t2\ta"),
+        (b"0\t1\ta", b"0_0\t+1\ta"),
+        (b"1\t1\ta b", b" 1\t1 \ta b"),
+        (b"0\t1\ta", b"0" * 5000 + b"\t1\ta"),
+        (b"corpus_size=1", b"corpus_size=+1"),
+        (b"corpus_size=1", "corpus_size=\u0661".encode()),
+        (b"n_range=1,2", b"n_range=0_1, 2"),
+        (b"n_range=1,2", b"n_range=2,1"),
+        (b"n_range=1,2", b"n_range=1,1,2"),
     ],
     ids=["not-utf-8", "zero", "empty", "empty-item", "negative", "idf-overflow",
-         "doc-freq-above-corpus-size"],
+         "doc-freq-above-corpus-size", "underscore-and-sign-row", "spaces-row",
+         "5000-digit-index", "signed-header", "arabic-indic-digit", "underscore-and-space-n-range",
+         "descending-n-range", "repeated-n-range"],
 )
 def test_vocab_malformed_raises_format_error(old, new):
     data = save_vocab(fit_vocab([["a", "b"]], {1, 2}))
