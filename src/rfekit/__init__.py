@@ -9,6 +9,7 @@ from .attacks import (
     ExampleBank,
     detect_attacks,
     detect_rfe,
+    detect_rfes,
     load_bank,
     similarity_matrix,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "decode_pgm",
     "detect_attacks",
     "detect_rfe",
+    "detect_rfes",
     "draft_response",
     "entropy",
     "evaluate_attacks",

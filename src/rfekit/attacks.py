@@ -51,7 +51,7 @@ class ExampleBank:
     ``norms[j]`` is the norm of example ``j``'s TF-IDF vector, and
     ``postings`` maps a column index to the ``(example_index, weight)`` pairs
     of the examples that use it. ``stopwords`` is the list the examples were
-    cleaned with; :func:`detect_rfe` cleans an RFE with the same list.
+    cleaned with; :func:`detect_rfes` cleans an RFE with the same list.
     """
 
     attacks: tuple[AttackType, ...]
@@ -156,7 +156,7 @@ def load_bank(source, stopwords=None) -> ExampleBank:
 def similarity_matrix(rfe_sentences, bank: ExampleBank) -> np.ndarray:
     """Cosine similarity of every RFE sentence against every bank example.
 
-    RFE sentences are token lists, vectorized in the bank's fitted space;
+    RFE sentences are token sequences, vectorized in the bank's fitted space;
     the result is shape (n_sentences, n_examples) with entries in [0, 1].
 
     Every entry equals :func:`~rfekit.vectorize.cosine` of the pair bit for
@@ -183,20 +183,25 @@ def similarity_matrix(rfe_sentences, bank: ExampleBank) -> np.ndarray:
     return matrix
 
 
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+
+
 def detect_attacks(matrix: np.ndarray, bank: ExampleBank, tau: float = DEFAULT_TAU) -> AttackReport:
     """Flag every attack with at least one similarity strictly above ``tau``.
 
     Evidence keeps all qualifying (sentence, example, similarity) pairs sorted
     by similarity descending (index order breaks exact ties), not just the
     best one: reviewers and the drafting stage want every trigger.
+    ``matrix`` must be 2-D with one column per bank example.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    _check_tau(tau)
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.size and matrix.shape[1] != len(bank.examples):
+    if matrix.ndim != 2 or matrix.shape[1] != len(bank.examples):
         raise ValueError(
-            f"matrix has {matrix.shape[1]} columns but bank has "
-            f"{len(bank.examples)} examples"
+            f"matrix of shape {matrix.shape} is not 2-D with {len(bank.examples)} "
+            f"columns, one per bank example"
         )
     rows, cols = np.nonzero(matrix > tau)
     hits = list(map(Evidence, rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()))
@@ -206,12 +211,31 @@ def detect_attacks(matrix: np.ndarray, bank: ExampleBank, tau: float = DEFAULT_T
     return AttackReport(detected=detected, evidence=tuple(hits), threshold=tau)
 
 
-def detect_rfe(rfe_text: str, bank: ExampleBank, tau: float = DEFAULT_TAU) -> AttackReport:
-    """Split raw RFE text into sentences cleaned with the bank's own stopword
-    list and detect against ``bank``.
+def detect_rfes(rfe_texts, bank: ExampleBank, tau: float = DEFAULT_TAU) -> list[AttackReport]:
+    """One :class:`AttackReport` per raw RFE text of the iterable
+    ``rfe_texts``, in order, each RFE split into sentences cleaned with the
+    bank's own stopword list.
 
-    The one detection path: the CLI, the evaluation harness and drafting all
-    call it.
+    The one detection path: the CLI, the evaluation harness and, through
+    :func:`detect_rfe`, drafting call it. RFEs share most of their
+    boilerplate sentences, so each distinct cleaned sentence of the batch is
+    scored once, in one :func:`similarity_matrix` call, and each RFE keeps
+    only the row indices of its sentences. The index lives for this call
+    only. Every row is the same sums as in a per-RFE matrix, so each report
+    is identical to
+    ``detect_attacks(similarity_matrix(sentences, bank), bank, tau)``.
     """
-    sentences = split_sentences(rfe_text, bank.stopwords)
-    return detect_attacks(similarity_matrix(sentences, bank), bank, tau)
+    _check_tau(tau)
+    index: dict[tuple[str, ...], int] = {}
+    rows = [
+        [index.setdefault(tuple(tokens), len(index))
+         for tokens in split_sentences(text, bank.stopwords)]
+        for text in rfe_texts
+    ]
+    matrix = similarity_matrix(list(index), bank)
+    return [detect_attacks(matrix[r], bank, tau) for r in rows]
+
+
+def detect_rfe(rfe_text: str, bank: ExampleBank, tau: float = DEFAULT_TAU) -> AttackReport:
+    """The report of one raw RFE text: ``detect_rfes([rfe_text], bank, tau)[0]``."""
+    return detect_rfes([rfe_text], bank, tau)[0]

@@ -20,7 +20,7 @@ from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
-from .attacks import DEFAULT_TAU, detect_rfe, load_bank
+from .attacks import DEFAULT_TAU, detect_rfes, load_bank
 from .corpus import (
     CorpusConfig,
     generate_corpus,
@@ -272,10 +272,11 @@ def _cmd_detect(args) -> int:
     jobs = _rfe_inputs(Path(args.input))
     if not jobs:
         raise UsageError(f"no RFE text files under {args.input}")
-    records = []
-    for rfe_id, path in jobs:
-        report = detect_rfe(read_text(path, RuntimeError, "RFE"), bank, tau)
-        records.append({"id": rfe_id, **report.as_record()})
+    texts = (read_text(path, RuntimeError, "RFE") for _, path in jobs)
+    reports = detect_rfes(texts, bank, tau)
+    records = [
+        {"id": rfe_id, **report.as_record()} for (rfe_id, _), report in zip(jobs, reports)
+    ]
     _emit_records(records, args.out)
     return 0
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attacks import DEFAULT_TAU, ExampleBank, detect_rfe
+from .attacks import DEFAULT_TAU, ExampleBank, detect_rfes
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,16 @@ def evaluate_attacks(
     """Binary presence/absence confusion for one attack over (text, truth) pairs.
 
     ``rfes`` yields (rfe_text, ground_truth_attack_ids); the target must be an
-    attack type the bank knows about.
+    attack type the bank knows about. One :func:`detect_rfes` call covers
+    every text, so each distinct sentence of the set is scored once.
     """
     if target_attack not in bank.attack_ids:
         raise ValueError(f"unknown attack id {target_attack!r}")
+    rfes = list(rfes)
+    reports = detect_rfes((text for text, _ in rfes), bank, tau)
     tp = fp = fn = tn = 0
-    for text, truth_attacks in rfes:
-        flagged = target_attack in detect_rfe(text, bank, tau).detected
+    for (_, truth_attacks), report in zip(rfes, reports):
+        flagged = target_attack in report.detected
         present = target_attack in set(truth_attacks)
         if flagged and present:
             tp += 1

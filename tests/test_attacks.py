@@ -1,14 +1,18 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 
 from rfekit.attacks import (
+    DEFAULT_TAU,
+    AttackReport,
     BankFormatError,
     Evidence,
     detect_attacks,
     detect_rfe,
+    detect_rfes,
     load_bank,
     similarity_matrix,
 )
@@ -163,6 +167,16 @@ def test_detect_matrix_width_mismatch():
         detect_attacks(np.zeros((1, 3)), bank, 0.5)
 
 
+@pytest.mark.parametrize("shape", [(16,), (0, 5), (2, 16, 1)],
+                         ids=["1-d", "empty-wrong-width", "3-d"])
+def test_detect_rejects_a_matrix_that_is_not_sentences_by_examples(shape, rfe_corpus_42):
+    root, manifest = rfe_corpus_42
+    bank = load_bank(root / manifest["paths"]["bank"])
+    assert len(bank.examples) == 16
+    with pytest.raises(ValueError, match=rf"^matrix of shape {re.escape(str(shape))} .* columns"):
+        detect_attacks(np.zeros(shape), bank, 0.6)
+
+
 def test_detected_order_follows_bank_declaration():
     bank = load_bank(SMALL_BANK)
     matrix = np.zeros((1, 4))
@@ -299,6 +313,63 @@ def test_detect_rfe_cleans_the_rfe_with_the_bank_stopwords():
     report = detect_rfe(sentence, bank)
     assert report.detected == ("specialty-occupation",)
     assert report.evidence == (Evidence(0, 0, 1.0),)
+
+
+def per_text_reference(texts, bank, tau):
+    """``detect_rfes`` by its definition: one matrix and one report per text."""
+    return [
+        detect_attacks(similarity_matrix(split_sentences(t, bank.stopwords), bank), bank, tau)
+        for t in texts
+    ]
+
+
+def test_detect_rfes_equals_per_text_detection_on_seed42_rfes(rfe_corpus_42):
+    root, manifest = rfe_corpus_42
+    bank = load_bank(root / manifest["paths"]["bank"])
+    texts = [(root / rec["file"]).read_text("utf-8") for rec in manifest["rfes"]]
+    sentences = [tuple(s) for t in texts for s in split_sentences(t, bank.stopwords)]
+    assert len(texts) == 49 and len(set(sentences)) < len(sentences) / 2
+    for tau in (0.0, DEFAULT_TAU, 0.9):
+        reports = detect_rfes(iter(texts), bank, tau)
+        assert reports == per_text_reference(texts, bank, tau)
+        assert len(reports) == 49 and any(r.evidence for r in reports)
+
+
+def test_detect_rfes_equals_per_text_detection_with_repeated_sentences():
+    """Sentences repeat within one RFE and across RFEs, also as raw lines
+    that differ but clean to the same tokens; some RFEs clean to nothing."""
+    rng = random.Random(4242)
+    scored = distinct = empty = 0
+    for _ in range(120):
+        bank, pool = random_bank_case(rng)
+        pool = [" ".join(tokens) for tokens in pool] or ["zebra"]
+        variants = [line.upper() + " 2021!" for line in pool]
+        texts = []
+        for _ in range(rng.randint(0, 6)):
+            lines = rng.choices(pool + variants, k=rng.randint(0, 8))
+            lines += lines[: rng.randint(0, len(lines))]  # repeats within the RFE
+            rng.shuffle(lines)
+            texts.append("\n".join(lines) if rng.random() < 0.9 else "the 123 !!\n\nof")
+        tau = rng.choice([0.0, 0.3, DEFAULT_TAU, 0.999, 1.0])
+        assert detect_rfes(texts, bank, tau) == per_text_reference(texts, bank, tau)
+        split = [split_sentences(t, bank.stopwords) for t in texts]
+        scored += sum(map(len, split))
+        distinct += len({tuple(s) for sentences in split for s in sentences})
+        empty += split.count([])
+    assert distinct < scored / 3 and empty > 20
+
+
+def test_detect_rfes_on_an_empty_rfe_and_an_empty_batch():
+    bank = load_bank(SMALL_BANK)
+    hit = "The position requires specialized degree knowledge"
+    texts = ["The 123 of !!\n\n", hit, "", hit]
+    reports = detect_rfes(texts, bank)
+    assert reports == per_text_reference(texts, bank, DEFAULT_TAU)
+    assert reports[0] == reports[2] == AttackReport((), (), DEFAULT_TAU)
+    assert reports[1] == reports[3] and reports[1].detected == ("specialty-occupation",)
+    assert detect_rfes([], bank) == []
+    with pytest.raises(ValueError, match="tau"):
+        detect_rfes([], bank, tau=1.5)
 
 
 def cosine_reference(sentences, bank):

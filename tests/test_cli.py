@@ -372,6 +372,23 @@ def test_detect_on_corpus_and_single_file(tmp_path):
     assert run(["detect", "--bank", str(corpus / "bank.jsonl"), "--input", str(some_rfe)]) == 0
 
 
+def test_detect_on_a_directory_writes_the_single_file_runs_concatenated(tmp_path, rfe_corpus_42):
+    """One call scores the whole directory's sentences together, yet its
+    output is byte for byte the per-file runs in the same order."""
+    root, manifest = rfe_corpus_42
+    bank = str(root / manifest["paths"]["bank"])
+    batch = tmp_path / "batch.jsonl"
+    assert run(["detect", "--bank", bank, "--input", str(root), "--out", str(batch)]) == 0
+    singles = []
+    for rec in manifest["rfes"]:
+        out = tmp_path / f"{rec['id']}.jsonl"
+        assert run(["detect", "--bank", bank, "--input", str(root / rec["file"]),
+                    "--out", str(out)]) == 0
+        singles.append(out.read_bytes())
+    assert len(singles) == 49
+    assert batch.read_bytes() == b"".join(singles)
+
+
 def test_draft_writes_output_and_sidecar(tmp_path):
     corpus = gen_small_corpus(tmp_path)
     manifest = json.loads((corpus / "manifest.json").read_text("utf-8"))
