@@ -2,107 +2,57 @@
 response drafting for immigration casework, with a seeded synthetic corpus
 for end-to-end evaluation."""
 
-from ._base import NotFittedError
-from .attacks import (
-    AttackReport,
-    AttackType,
-    ExampleBank,
-    detect_attacks,
-    detect_rfe,
-    detect_rfes,
-    load_bank,
-    similarity_matrix,
-)
-from .classify import SoftmaxClassifier, load_model, save_model
-from .corpus import CorpusConfig, SeededRng, generate_corpus, paraphrase_sentence
-from .drafting import (
-    BeneficiaryRecord,
-    BeneficiaryStore,
-    ResponseDraft,
-    RfeFields,
-    Template,
-    draft_response,
-    extract_fields,
-    load_template_library,
-    select_templates,
-)
-from .ensemble import (
-    ClassDistribution,
-    Document,
-    EnsembleDocumentClassifier,
-    FusionTrace,
-    classify_document,
-    confidence,
-    entropy,
-    fuse,
-)
-from .evaluation import ConfusionCounts, Metrics, evaluate_attacks, evaluate_documents, metrics
-from .image import PageImage, decode_pgm, image_features
-from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
-from .vectorize import (
-    Vocabulary,
-    cosine,
-    fit_tfidf,
-    fit_vocab,
-    ngrams,
-    stack_dense,
-    tfidf_vector,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackReport",
-    "AttackType",
-    "BeneficiaryRecord",
-    "BeneficiaryStore",
-    "ClassDistribution",
-    "ConfusionCounts",
-    "CorpusConfig",
-    "Document",
-    "EnsembleDocumentClassifier",
-    "ExampleBank",
-    "FusionTrace",
-    "Metrics",
-    "NotFittedError",
-    "PageImage",
-    "ResponseDraft",
-    "RfeFields",
-    "SeededRng",
-    "SoftmaxClassifier",
-    "Template",
-    "Vocabulary",
-    "classify_document",
-    "clean_tokens",
-    "confidence",
-    "cosine",
-    "decode_pgm",
-    "detect_attacks",
-    "detect_rfe",
-    "detect_rfes",
-    "draft_response",
-    "entropy",
-    "evaluate_attacks",
-    "evaluate_documents",
-    "extract_fields",
-    "fit_tfidf",
-    "fit_vocab",
-    "fuse",
-    "generate_corpus",
-    "image_features",
-    "load_bank",
-    "load_model",
-    "load_stopwords",
-    "load_template_library",
-    "metrics",
-    "ngrams",
-    "normalize",
-    "paraphrase_sentence",
-    "save_model",
-    "select_templates",
-    "similarity_matrix",
-    "split_sentences",
-    "stack_dense",
-    "tfidf_vector",
-    "tokenize",
-]
+# The module that defines each public name. Names resolve on first use
+# (PEP 562), so ``import rfekit`` loads no submodule, and a detect or a draft
+# never imports numpy or the training modules.
+_EXPORTS = {
+    "_base": ("NotFittedError",),
+    "attacks": (
+        "AttackReport", "AttackType", "ExampleBank", "detect_attacks",
+        "detect_rfe", "detect_rfes", "load_bank", "similarity_matrix",
+    ),
+    "classify": ("SoftmaxClassifier", "load_model", "save_model"),
+    "corpus": ("CorpusConfig", "SeededRng", "generate_corpus", "paraphrase_sentence"),
+    "drafting": (
+        "BeneficiaryRecord", "BeneficiaryStore", "ResponseDraft", "RfeFields",
+        "Template", "draft_response", "extract_fields", "load_template_library",
+        "select_templates",
+    ),
+    "ensemble": (
+        "ClassDistribution", "Document", "EnsembleDocumentClassifier",
+        "FusionTrace", "classify_document", "confidence", "entropy", "fuse",
+    ),
+    "evaluation": (
+        "ConfusionCounts", "Metrics", "evaluate_attacks", "evaluate_documents",
+        "metrics",
+    ),
+    "image": ("PageImage", "decode_pgm", "image_features"),
+    "text": (
+        "clean_tokens", "load_stopwords", "normalize", "split_sentences",
+        "tokenize",
+    ),
+    "vectorize": (
+        "Vocabulary", "cosine", "fit_tfidf", "fit_vocab", "ngrams",
+        "stack_dense", "tfidf_vector",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Looked up afresh on every access, never cached here, so the name always
+    # reads what its module holds now.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

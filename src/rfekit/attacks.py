@@ -5,19 +5,22 @@ sentence. Detection vectorizes both the bank and the incoming RFE's sentences
 as TF-IDF weighted 1/2/3-grams *in the bank's space* (so a document's own
 statistics never influence its result), computes the full pairwise cosine
 matrix, and flags an attack whenever any pair strictly exceeds the threshold.
+
+Nothing here imports numpy: a detect or a draft runs in plain Python, and the
+matrix is rows of Python floats that ``np.asarray`` still converts.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
-
-import numpy as np
 
 from .ioutil import read_records
 from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
-from .vectorize import Vocabulary, fit_tfidf, norm, tfidf_vector
+from .vectorize import Vocabulary, ngrams, norm, tfidf_vector
 
 DEFAULT_TAU = 0.6
 BANK_N_RANGE = (1, 2, 3)
@@ -133,13 +136,23 @@ def load_bank(source, stopwords=None) -> ExampleBank:
         raise BankFormatError(
             f"attack types with no surviving example sentences: {orphaned}"
         )
-    vocab, (row, col, value) = fit_tfidf([t for t, _ in examples], BANK_N_RANGE)
-    cols, weights = col.tolist(), value.tolist()
-    bounds = np.searchsorted(row, np.arange(len(examples) + 1)).tolist()
+    # fit_tfidf's vocabulary and rows in one pass without numpy, which detect
+    # and draft never import: each example's vector is its tfidf_vector.
+    counts = [Counter(ngrams(tokens, BANK_N_RANGE)) for tokens, _ in examples]
+    doc_freq = Counter(chain.from_iterable(counts))
+    grams = sorted(doc_freq)
+    ngram_to_index = {g: i for i, g in enumerate(grams)}
+    vocab = Vocabulary(
+        ngram_to_index, tuple(map(doc_freq.__getitem__, grams)), len(examples), BANK_N_RANGE
+    )
+    idf = vocab.idf_table
     norms = []
     postings: dict[int, list[tuple[int, float]]] = {}
-    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        vec = tuple(zip(cols[a:b], weights[a:b]))  # tfidf_vector of example j
+    for j, example_counts in enumerate(counts):
+        columns = sorted(map(ngram_to_index.__getitem__, example_counts))
+        weighted = [(i, example_counts[grams[i]] * idf[i]) for i in columns]
+        length = norm(weighted)
+        vec = [(i, w / length) for i, w in weighted]
         norms.append(norm(vec))
         for index, weight in vec:
             postings.setdefault(index, []).append((j, weight))
@@ -153,11 +166,49 @@ def load_bank(source, stopwords=None) -> ExampleBank:
     )
 
 
-def similarity_matrix(rfe_sentences, bank: ExampleBank) -> np.ndarray:
+class SimilarityMatrix:
+    """A read-only (n_sentences, n_examples) matrix held as rows of Python
+    floats: ``m[i]`` is row ``i`` (a tuple), ``m[i, j]`` one entry, iteration
+    yields the rows, and ``np.asarray(m)`` is the float64 array."""
+
+    __slots__ = ("_rows", "_n_columns")
+
+    def __init__(self, rows: tuple[tuple[float, ...], ...], n_columns: int):
+        self._rows = rows
+        self._n_columns = n_columns
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self._rows), self._n_columns)
+
+    @property
+    def size(self) -> int:
+        return len(self._rows) * self._n_columns
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            i, j = key
+            return self._rows[i][j]
+        return self._rows[key]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a SimilarityMatrix converts to an array only by copying")
+        import numpy as np
+
+        return np.array(self._rows, dtype=np.float64 if dtype is None else dtype).reshape(
+            self.shape
+        )
+
+
+def similarity_matrix(rfe_sentences, bank: ExampleBank) -> SimilarityMatrix:
     """Cosine similarity of every RFE sentence against every bank example.
 
     RFE sentences are token sequences, vectorized in the bank's fitted space;
-    the result is shape (n_sentences, n_examples) with entries in [0, 1].
+    the result has shape (n_sentences, n_examples), entries in [0, 1].
 
     Every entry equals :func:`~rfekit.vectorize.cosine` of the pair bit for
     bit: each sentence vector and its norm are built once, the bank side
@@ -166,21 +217,25 @@ def similarity_matrix(rfe_sentences, bank: ExampleBank) -> np.ndarray:
     divide and clamp. A different summation (BLAS, ``np.dot``) rounds
     differently and can reorder exact 1.0 ties in the evidence.
     """
-    matrix = np.zeros((len(rfe_sentences), len(bank.examples)))
+    n_examples = len(bank.examples)
+    zeros = (0.0,) * n_examples
     postings, example_norms = bank.postings, bank.norms
-    for i, tokens in enumerate(rfe_sentences):
+    rows = []
+    for tokens in rfe_sentences:
         vec = tfidf_vector(list(tokens), bank.vocab)
         vec_norm = norm(vec)
         if vec_norm == 0.0:
+            rows.append(zeros)
             continue
         products: dict[int, list[float]] = {}
         for index, weight in vec:
             for j, example_weight in postings.get(index, ()):
                 products.setdefault(j, []).append(weight * example_weight)
-        row = matrix[i]
+        row = list(zeros)
         for j, terms in products.items():
             row[j] = max(-1.0, min(1.0, sum(terms) / (vec_norm * example_norms[j])))
-    return matrix
+        rows.append(tuple(row))
+    return SimilarityMatrix(tuple(rows), n_examples)
 
 
 def _check_tau(tau: float) -> None:
@@ -188,23 +243,45 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
 
 
-def detect_attacks(matrix: np.ndarray, bank: ExampleBank, tau: float = DEFAULT_TAU) -> AttackReport:
+def _float_rows(matrix, n_columns: int) -> tuple[tuple[float, ...], ...]:
+    """The rows of a 2-D array-like with ``n_columns`` columns, as floats."""
+    shape = getattr(matrix, "shape", None)
+    if shape is not None and (len(shape) != 2 or shape[1] != n_columns):
+        raise ValueError(
+            f"matrix of shape {shape} is not 2-D with {n_columns} columns, one per "
+            f"bank example"
+        )
+    if isinstance(matrix, SimilarityMatrix):
+        return matrix._rows
+    try:
+        rows = tuple(tuple(map(float, row)) for row in matrix)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"matrix is not a 2-D array of numbers ({exc})") from None
+    for i, row in enumerate(rows):
+        if len(row) != n_columns:
+            raise ValueError(
+                f"matrix row {i} has {len(row)} entries, not {n_columns} columns, one "
+                f"per bank example"
+            )
+    return rows
+
+
+def detect_attacks(matrix, bank: ExampleBank, tau: float = DEFAULT_TAU) -> AttackReport:
     """Flag every attack with at least one similarity strictly above ``tau``.
 
     Evidence keeps all qualifying (sentence, example, similarity) pairs sorted
     by similarity descending (index order breaks exact ties), not just the
     best one: reviewers and the drafting stage want every trigger.
-    ``matrix`` must be 2-D with one column per bank example.
+    ``matrix`` is a :class:`SimilarityMatrix` or any 2-D array-like of
+    numbers (an ndarray, nested lists) with one column per bank example.
     """
     _check_tau(tau)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != len(bank.examples):
-        raise ValueError(
-            f"matrix of shape {matrix.shape} is not 2-D with {len(bank.examples)} "
-            f"columns, one per bank example"
-        )
-    rows, cols = np.nonzero(matrix > tau)
-    hits = list(map(Evidence, rows.tolist(), cols.tolist(), matrix[rows, cols].tolist()))
+    hits = [
+        Evidence(i, j, v)
+        for i, row in enumerate(_float_rows(matrix, len(bank.examples)))
+        for j, v in enumerate(row)
+        if v > tau
+    ]
     flagged = {bank.attack_of(e.example_index) for e in hits}
     hits.sort(key=lambda e: (-e.similarity, e.sentence_index, e.example_index))
     detected = tuple(a for a in bank.attack_ids if a in flagged)
@@ -227,13 +304,17 @@ def detect_rfes(rfe_texts, bank: ExampleBank, tau: float = DEFAULT_TAU) -> list[
     """
     _check_tau(tau)
     index: dict[tuple[str, ...], int] = {}
-    rows = [
+    rfe_rows = [
         [index.setdefault(tuple(tokens), len(index))
          for tokens in split_sentences(text, bank.stopwords)]
         for text in rfe_texts
     ]
-    matrix = similarity_matrix(list(index), bank)
-    return [detect_attacks(matrix[r], bank, tau) for r in rows]
+    rows = similarity_matrix(list(index), bank)._rows
+    n_examples = len(bank.examples)
+    return [
+        detect_attacks(SimilarityMatrix(tuple(map(rows.__getitem__, r)), n_examples), bank, tau)
+        for r in rfe_rows
+    ]
 
 
 def detect_rfe(rfe_text: str, bank: ExampleBank, tau: float = DEFAULT_TAU) -> AttackReport:

@@ -13,7 +13,6 @@ import argparse
 import functools
 import hashlib
 import json
-import shutil
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -21,13 +20,6 @@ from datetime import date
 from pathlib import Path
 
 from .attacks import DEFAULT_TAU, detect_rfes, load_bank
-from .corpus import (
-    CorpusConfig,
-    generate_corpus,
-    load_document,
-    load_document_dir,
-    load_manifest,
-)
 from .drafting import (
     BeneficiaryStore,
     StoreFormatError,
@@ -36,10 +28,12 @@ from .drafting import (
     load_field_patterns,
     load_template_library,
 )
-from .ensemble import EnsembleDocumentClassifier
-from .evaluation import evaluate_attacks, evaluate_documents
 from .ioutil import (atomic_write_json, atomic_write_text, is_bare_file_name, read_bytes,
                      read_json, read_text)
+
+# A handler imports what only it uses (rfekit.corpus, .ensemble, .evaluation,
+# shutil) when it runs, so detect and draft never import numpy or the
+# training code.
 
 
 class UsageError(Exception):
@@ -159,6 +153,8 @@ def _emit_records(records, out_path) -> None:
 
 def _load_split(corpus, split: str, channel: str) -> tuple[list[dict], list]:
     """Manifest records of ``split`` ("all" for every one) and their documents."""
+    from .corpus import load_document, load_manifest
+
     records = [
         rec
         for rec in load_manifest(corpus)["documents"]
@@ -172,6 +168,8 @@ def _load_split(corpus, split: str, channel: str) -> tuple[list[dict], list]:
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_gen_corpus(args) -> int:
+    from .corpus import CorpusConfig, generate_corpus
+
     merged = _resolve(args, CorpusConfig().as_dict())
     try:
         config = CorpusConfig.from_dict(merged)
@@ -187,6 +185,8 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_train_docs(args) -> int:
+    from .ensemble import EnsembleDocumentClassifier
+
     params = EnsembleDocumentClassifier().get_params()
     n_range = params.pop("n_range")
     opts = _resolve(args, {"channel": "ocr", "split": "train", "ngrams": n_range, **params})
@@ -220,6 +220,11 @@ def _find_doc_dirs(input_dir: Path) -> list[Path]:
 
 
 def _cmd_classify(args) -> int:
+    import shutil
+
+    from .corpus import load_document_dir, load_manifest
+    from .ensemble import EnsembleDocumentClassifier
+
     opts = _resolve(args, {"channel": "ocr", "move": None, "out": None})
     model = EnsembleDocumentClassifier.load(args.bundle)
     for label in model.classes_ if args.move else ():
@@ -261,6 +266,8 @@ def _rfe_inputs(input_path: Path) -> list[tuple[str, Path]]:
     if input_path.is_file():
         return [(input_path.stem, input_path)]
     if (input_path / "manifest.json").exists():
+        from .corpus import load_manifest
+
         manifest = load_manifest(input_path)
         return [(rec["id"], input_path / rec["file"]) for rec in manifest["rfes"]]
     return [(p.stem, p) for p in sorted(input_path.glob("*.txt"))]
@@ -318,6 +325,9 @@ def _cmd_draft(args) -> int:
 
 
 def _cmd_eval_docs(args) -> int:
+    from .ensemble import EnsembleDocumentClassifier
+    from .evaluation import evaluate_documents
+
     opts = _resolve(args, {"channel": "ocr", "split": "test"})
     model = EnsembleDocumentClassifier.load(args.bundle)
     doc_records, docs = _load_split(args.corpus, opts["split"], opts["channel"])
@@ -330,6 +340,9 @@ def _cmd_eval_docs(args) -> int:
 
 
 def _cmd_eval_attacks(args) -> int:
+    from .corpus import load_manifest
+    from .evaluation import evaluate_attacks
+
     opts = _resolve(args, {"tau": DEFAULT_TAU, "attack": "specialty-occupation"})
     tau = opts["tau"]
     corpus_dir = Path(args.corpus)

@@ -61,7 +61,10 @@ def decode_pgm(data: bytes) -> PageImage:
 
     Header comments (``#`` to end of line) are honored. Unsupported magic
     numbers, malformed headers, samples out of range or not ASCII digits,
-    and short payloads all raise explicit errors. The pixels are ``uint8``.
+    and short payloads all raise explicit errors. The pixels are ``uint8``
+    intensities in [0, 255]: a sample ``v`` of a page with maxval ``m``
+    becomes ``v * 255 / m`` rounded to the nearest integer, halves up, so
+    white is 255 at every maxval.
     """
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
@@ -102,6 +105,8 @@ def decode_pgm(data: bytes) -> PageImage:
             raise PgmFormatError("pixel sample out of range") from None
     if values.max() > maxval:
         raise PgmFormatError("pixel sample out of range")
+    if maxval != 255:  # to [0, 255], to the nearest integer, halves up
+        values = (values.astype(np.int64) * 255 + maxval // 2) // maxval
     pixels = values.astype(np.uint8, copy=False).reshape(height, width)
     return PageImage(width=width, height=height, pixels=pixels)
 

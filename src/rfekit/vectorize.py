@@ -15,8 +15,10 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 VOCAB_MAGIC = "ngram-vocab"
 VOCAB_VERSION = 1
@@ -92,6 +94,8 @@ def fit_tfidf(
     every Python (builtin float ``sum`` is compensated from 3.12, numpy's is
     not).
     """
+    import numpy as np
+
     doc_grams = [ngrams(tokens, n_range) for tokens in token_docs]
     if not doc_grams:
         raise ValueError("cannot fit a vocabulary on an empty corpus")
@@ -249,6 +253,8 @@ def _header_value(line: str, key: str) -> str:
 
 def stack_dense(vectors, dim: int) -> np.ndarray:
     """Stack sparse vectors into a (len(vectors), dim) array for the linear head."""
+    import numpy as np
+
     out = np.zeros((len(vectors), dim))
     for row, vec in enumerate(vectors):
         for i, w in vec:

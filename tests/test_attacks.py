@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from rfekit import attacks
 from rfekit.attacks import (
     DEFAULT_TAU,
     AttackReport,
     BankFormatError,
     Evidence,
+    SimilarityMatrix,
     detect_attacks,
     detect_rfe,
     detect_rfes,
@@ -17,7 +19,7 @@ from rfekit.attacks import (
     similarity_matrix,
 )
 from rfekit.text import load_stopwords, split_sentences
-from rfekit.vectorize import cosine, fit_vocab, norm, tfidf_vector
+from rfekit.vectorize import cosine, fit_tfidf, fit_vocab, norm, tfidf_vector
 
 
 def bank_line(attack_id, sentence, description=None):
@@ -126,6 +128,7 @@ def test_matrix_shape_and_range():
     ]
     matrix = similarity_matrix(sentences, bank)
     assert matrix.shape == (3, 4)
+    matrix = np.asarray(matrix)
     assert np.all(matrix >= 0.0) and np.all(matrix <= 1.0 + 1e-12)
 
 
@@ -242,19 +245,100 @@ def test_adding_examples_fixed_vocab_never_removes_detection():
     assert bigger.attack_ids == bank.attack_ids
 
 
-def test_matches_exhaustive_oracle_randomized():
-    bank = load_bank(SMALL_BANK)
+def oracle_cases():
+    """200 random (n x 4 matrix, tau) pairs with exact threshold ties."""
     rng = random.Random(777)
     for _ in range(200):
         n = rng.randint(0, 5)
         matrix = np.array(
             [[rng.choice([0.0, 0.3, 0.6, 0.61, 0.9, 1.0]) for _ in range(4)] for _ in range(n)]
         ).reshape(n, 4)
-        tau = rng.choice([0.0, 0.3, 0.6, 0.9, 1.0])
+        yield matrix, rng.choice([0.0, 0.3, 0.6, 0.9, 1.0])
+
+
+def test_matches_exhaustive_oracle_randomized():
+    bank = load_bank(SMALL_BANK)
+    for matrix, tau in oracle_cases():
         report = detect_attacks(matrix, bank, tau)
         assert set(report.detected) == exhaustive_oracle(matrix.tolist(), bank, tau)
         for e in report.evidence:
             assert matrix[e.sentence_index, e.example_index] > tau
+
+
+def test_detect_reports_equal_for_every_matrix_form():
+    """An ndarray, a SimilarityMatrix and nested lists of the same entries
+    give equal reports."""
+    bank = load_bank(SMALL_BANK)
+    hits = 0
+    for matrix, tau in oracle_cases():
+        rows = tuple(map(tuple, matrix.tolist()))
+        report = detect_attacks(matrix, bank, tau)
+        assert detect_attacks(SimilarityMatrix(rows, 4), bank, tau) == report
+        assert detect_attacks([list(row) for row in rows], bank, tau) == report
+        hits += len(report.evidence)
+    assert hits > 100
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [([[0.0] * 4, [0.0] * 3], "row 1 has 3 entries"),
+     ([[0.0] * 5], "row 0 has 5 entries"),
+     ([[0.0, 0.0, "high", 0.0]], "not a 2-D array of numbers"),
+     ([[0.0, None, 0.0, 0.0]], "not a 2-D array of numbers"),
+     ([0.0, 0.0, 0.0, 0.0], "not a 2-D array of numbers"),
+     ([[[0.0]] * 4], "not a 2-D array of numbers")],
+    ids=["ragged", "too-wide", "string", "none", "1-d-list", "3-d-list"],
+)
+def test_detect_rejects_a_ragged_or_non_numeric_matrix(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        detect_attacks(matrix, load_bank(SMALL_BANK), 0.6)
+
+
+def test_similarity_matrix_reads_like_an_array():
+    bank = load_bank(SMALL_BANK)
+    sentences = [
+        ["position", "requires", "specialized", "degree", "knowledge"],
+        ["credentials", "evaluation"],
+        ["zebra"],
+    ]
+    matrix = similarity_matrix(sentences, bank)
+    reference = cosine_reference(sentences, bank)
+    assert (matrix.shape, matrix.size) == ((3, 4), 12)
+    assert [list(row) for row in matrix] == reference.tolist()
+    assert all(type(row) is tuple and all(type(v) is float for v in row) for row in matrix)
+    assert matrix[1] == tuple(reference[1].tolist()) and matrix[0, 0] == reference[0, 0] == 1.0
+    assert matrix[-1] == (0.0,) * 4 and matrix[1:] == (matrix[1], matrix[2])
+    array = np.asarray(matrix)
+    assert array.dtype == np.float64 and np.array_equal(array, reference)
+    assert np.array(matrix, dtype=np.float32).dtype == np.float32
+    assert np.array(matrix, copy=True).tolist() == reference.tolist()
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        with pytest.raises(ValueError, match="copying"):
+            np.asarray(matrix, copy=False)
+    with pytest.raises(AttributeError):
+        matrix.shape = (1, 12)
+    with pytest.raises(TypeError):
+        matrix[0] = (1.0,) * 4
+    empty = similarity_matrix([], bank)
+    assert (empty.shape, empty.size, list(empty)) == ((0, 4), 0, [])
+    assert np.asarray(empty).shape == (0, 4)
+
+
+def test_detect_rfes_hands_each_rfe_its_own_rows(monkeypatch):
+    """One matrix per RFE, of that RFE's sentences only; an RFE with none
+    gets an empty (0, n_examples) matrix."""
+    bank = load_bank(SMALL_BANK)
+    shapes = []
+
+    def spy(matrix, bank, tau):
+        shapes.append(matrix.shape)
+        return detect_attacks(matrix, bank, tau)
+
+    monkeypatch.setattr(attacks, "detect_attacks", spy)
+    texts = ["position requires degree\ncredentials evaluation", "", "zebra\nzebra\nquantum"]
+    reports = detect_rfes(texts, bank)
+    assert shapes == [(2, 4), (0, 4), (3, 4)]
+    assert reports == per_text_reference(texts, bank, DEFAULT_TAU)
 
 
 def evidence_loop_reference(matrix, tau):
@@ -418,7 +502,7 @@ def test_similarity_matrix_bit_identical_to_cosine_on_random_banks():
     ones = zero_rows = 0
     for _ in range(240):
         bank, rfe = random_bank_case(rng)
-        matrix = similarity_matrix(rfe, bank)
+        matrix = np.asarray(similarity_matrix(rfe, bank))
         assert np.array_equal(matrix, cosine_reference(rfe, bank))
         ones += int((matrix == 1.0).sum())
         zero_rows += int((~matrix.any(axis=1)).sum()) if matrix.size else 0
@@ -432,7 +516,7 @@ def test_similarity_matrix_bit_identical_to_cosine_on_seed42_rfes(rfe_corpus_42)
     ones = 0
     for rec in manifest["rfes"]:
         sentences = split_sentences((root / rec["file"]).read_text("utf-8"), stopwords)
-        matrix = similarity_matrix(sentences, bank)
+        matrix = np.asarray(similarity_matrix(sentences, bank))
         assert np.array_equal(matrix, cosine_reference(sentences, bank)), rec["id"]
         ones += int((matrix == 1.0).sum())
     assert len(manifest["rfes"]) == 49 and ones > 0
@@ -440,7 +524,7 @@ def test_similarity_matrix_bit_identical_to_cosine_on_seed42_rfes(rfe_corpus_42)
 
 
 def test_load_bank_norms_and_postings_are_the_example_vectors(rfe_corpus_42):
-    """The bank side of every similarity, built from ``fit_tfidf``'s rows,
+    """The bank side of every similarity, built in ``load_bank``'s one pass,
     is what one ``tfidf_vector`` per example builds, down to the order of
     the postings' keys."""
     root, manifest = rfe_corpus_42
@@ -462,3 +546,36 @@ def test_load_bank_norms_and_postings_are_the_example_vectors(rfe_corpus_42):
             got = bank.postings[index]
             assert [j for j, _ in got] == [j for j, _ in pairs]
             assert [(type(w), w.hex()) for _, w in got] == [(float, w.hex()) for _, w in pairs]
+
+
+def bank_side_from_fit_tfidf(examples):
+    """The vocabulary, norms and postings as ``load_bank`` built them from
+    ``fit_tfidf``'s rows, before it fitted the bank without numpy."""
+    vocab, (row, col, value) = fit_tfidf([list(t) for t, _ in examples], (1, 2, 3))
+    cols, weights = col.tolist(), value.tolist()
+    bounds = np.searchsorted(row, np.arange(len(examples) + 1)).tolist()
+    norms, postings = [], {}
+    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        vec = tuple(zip(cols[a:b], weights[a:b]))
+        norms.append(norm(vec))
+        for index, weight in vec:
+            postings.setdefault(index, []).append((j, weight))
+    return vocab, norms, postings
+
+
+def test_load_bank_equals_the_bank_fitted_with_fit_tfidf(rfe_corpus_42):
+    root, manifest = rfe_corpus_42
+    rng = random.Random(24)
+    seed42 = load_bank(root / manifest["paths"]["bank"])
+    banks = [seed42, load_bank(SMALL_BANK)] + [random_bank_case(rng)[0] for _ in range(60)]
+    for bank in banks:
+        vocab, norms, postings = bank_side_from_fit_tfidf(bank.examples)
+        assert bank.vocab.ngram_to_index == vocab.ngram_to_index
+        assert list(bank.vocab.ngram_to_index) == list(vocab.ngram_to_index)
+        assert bank.vocab.doc_freq == vocab.doc_freq
+        assert bank.vocab == vocab
+        assert [n.hex() for n in bank.norms] == [n.hex() for n in norms]
+        assert list(bank.postings) == list(postings)
+        assert {i: [(j, w.hex()) for j, w in p] for i, p in bank.postings.items()} == {
+            i: [(j, w.hex()) for j, w in p] for i, p in postings.items()}
+    assert seed42.vocab.size == 249 and sum(map(len, seed42.postings.values())) == 297

@@ -113,6 +113,48 @@ def test_decode_sample_above_maxval():
         decode_pgm(b"P2\n1 2\n100\n5 101\n")
 
 
+def pgm_page(magic, width, height, maxval, samples):
+    header = f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii")
+    if magic == "P5":
+        return header + bytes(samples)
+    return header + " ".join(map(str, samples)).encode("ascii") + b"\n"
+
+
+@pytest.mark.parametrize("maxval", [1, 15])
+@pytest.mark.parametrize("magic", ["P5", "P2"])
+def test_decode_scales_samples_by_maxval(magic, maxval):
+    """A page at maxval 1 or 15 decodes to the same pixels, and so the same
+    features, as the same page written at maxval 255 (255 / maxval is an
+    integer here, so the copy is exact)."""
+    width, height = 37, 33  # past the 32 x 32 grid
+    rng = np.random.default_rng(maxval)
+    samples = [0, maxval] + rng.integers(0, maxval + 1, width * height - 2).tolist()
+    page = decode_pgm(pgm_page(magic, width, height, maxval, samples))
+    copy = decode_pgm(pgm_page(magic, width, height, 255, [v * (255 // maxval) for v in samples]))
+    assert page.pixels.dtype == np.uint8
+    assert page.pixels.tolist() == copy.pixels.tolist()
+    assert page.pixels.max() == 255
+    assert np.array_equal(image_features(page), image_features(copy))
+
+
+def test_decode_all_white_page_is_white_at_every_maxval():
+    for maxval in (1, 2, 15, 100, 255):
+        for magic in ("P5", "P2"):
+            page = decode_pgm(pgm_page(magic, 40, 40, maxval, [maxval] * 1600))
+            assert np.array_equal(image_features(page), np.ones(FEATURE_DIM)), (magic, maxval)
+
+
+@pytest.mark.parametrize(
+    "maxval, sample, pixel",
+    [(2, 1, 128), (3, 1, 85), (6, 1, 43), (254, 1, 1), (254, 127, 128), (254, 253, 254),
+     (100, 37, 94), (255, 200, 200)],
+)
+def test_decode_rounds_scaled_samples_to_nearest_halves_up(maxval, sample, pixel):
+    """``v * 255 / maxval`` to the nearest integer, a half rounding up."""
+    for magic in ("P5", "P2"):
+        assert decode_pgm(pgm_page(magic, 1, 1, maxval, [sample])).pixels.tolist() == [[pixel]]
+
+
 @pytest.mark.parametrize(
     "sample",
     [b"256", b"300", b"-1", b"-0", b"511", b"65536", b"18446744073709551615",
