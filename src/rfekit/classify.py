@@ -84,10 +84,8 @@ class SoftmaxClassifier(ParamsMixin):
         unknown = [lab for lab in labels if lab not in index]
         if unknown:
             raise ValueError(f"labels outside the class set: {sorted(set(unknown))}")
-        counts = {c: 0 for c in self.classes_}
-        for lab in labels:
-            counts[lab] += 1
-        empty = [c for c, n in counts.items() if n == 0]
+        present = set(labels)
+        empty = [c for c in self.classes_ if c not in present]
         if empty:
             raise ValueError(f"classes with zero training examples: {empty}")
         y_index = np.array([index[lab] for lab in labels])
@@ -171,18 +169,18 @@ def _newton_cg_gram(K, project, y_index, n_classes, l2, max_iters, grad_tol):
     so every gradient and Newton step lies in the row span of X and every
     iterate is ``W = A @ X`` for (n_classes, n) coefficients A. X enters only
     through ``project(G) = G @ X`` and the Gram matrix ``K = X @ X.T``,
-    which is eigendecomposed once,
-    ``K = Q @ diag(lam) @ Q.T``, and the loop runs on ``V = A @ Q @
-    diag(sqrt(lam))`` over the n x r features ``F = Q @ diag(sqrt(lam))``:
-    the scores are ``F @ V.T + b`` and the penalty is ``l2/2 * ||V||^2``. So
-    the Euclidean inner product of V is the K inner product
+    which is eigendecomposed once, ``K = Q @ diag(lam) @ Q.T``; eigenvalues
+    at round-off level (``lam <= lam_max * n * eps``) are dropped, as in A
+    they span directions that leave W unchanged and round-off in CG would
+    grow A there without bound. The loop's one unknown is the (n_classes,
+    r + 1) array ``[V | b]``, ``V = A @ Q @ diag(sqrt(lam))``, over the
+    features ``F = [Q @ diag(sqrt(lam)) | 1]`` (the ones column is appended
+    after the cut, so the cut never drops b); the penalty is l2 on V, 0 on
+    b. The Euclidean inner product of V is the K inner product
     ``tr(S @ K @ T.T)`` of A, the primal one of ``S @ X`` and ``T @ X``.
-    Eigenvalues at round-off level (``lam <= lam_max * n * eps``) are dropped:
-    in A they span directions that leave W unchanged, and there round-off in
-    CG would grow A without bound.
 
     Each outer step checks the exact primal stop rule
-    ``max(|grad_bias|, |project(g)|) < grad_tol`` with
+    ``max(|grad_b|, |project(g)|) < grad_tol`` with
     ``g = delta.T / n + l2 * A``,
     takes a Newton step from :func:`_newton_direction`, and backtracks from
     t = 1 by halving until the Armijo condition holds (Lin, Weng & Keerthi,
@@ -194,101 +192,95 @@ def _newton_cg_gram(K, project, y_index, n_classes, l2, max_iters, grad_tol):
     no decrease ends the loop unconverged.
     """
     n = K.shape[0]
-    rows = np.arange(n)
     lam, basis = np.linalg.eigh(K)
     keep = lam > lam[-1] * n * np.finfo(float).eps
     root, basis = np.sqrt(lam[keep]), basis[:, keep]
-    features = basis * root
-    coords = np.zeros((n_classes, root.size))
-    bias = np.zeros(n_classes)
-    loss, probs = _objective(features, coords, bias, y_index, l2)
+    features = np.hstack([basis * root, np.ones((n, 1))])
+    penalty = np.append(np.full(root.size, l2), 0.0)
+    state = np.zeros((n_classes, root.size + 1))
+    loss, probs = _objective(features, state, y_index, penalty)
     for n_iter in range(max_iters + 1):
-        coef = (coords / root) @ basis.T
+        coef = (state[:, :-1] / root) @ basis.T
         delta = probs.copy()
-        delta[rows, y_index] -= 1.0
-        grad_bias = delta.sum(axis=0) / n
+        delta[np.arange(n), y_index] -= 1.0
+        grad = delta.T @ features / n + penalty * state
         grad_max = float(np.maximum(  # NaN-propagating, unlike builtin max
-            np.abs(grad_bias).max(),
+            np.abs(grad[:, -1]).max(),
             np.abs(project(delta.T / n + l2 * coef)).max(initial=0.0),
         ))
         if not np.isfinite(grad_max):
             raise FloatingPointError("training diverged: non-finite gradient")
         if grad_max < grad_tol:
-            return coef, bias, n_iter, True, grad_max
+            return coef, state[:, -1], n_iter, True, grad_max
         if n_iter == max_iters:
             break
-        grad = delta.T @ features / n + l2 * coords
-        step, step_bias = _newton_direction(grad, grad_bias, probs, features, l2)
-        slope = float(np.sum(grad * step) + grad_bias @ step_bias)
+        step = _newton_direction(grad, probs, features, penalty)
+        slope = float(np.sum(grad * step))
         if not slope < 0.0:
             break
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = (coords + t * step, bias + t * step_bias)
-            trial_loss, trial_probs = _objective(features, *trial, y_index, l2)
+            trial = state + t * step
+            trial_loss, trial_probs = _objective(features, trial, y_index, penalty)
             if trial_loss <= loss + _ARMIJO_C * t * slope:
                 break
             t *= 0.5
         else:
             break
-        (coords, bias), loss, probs = trial, trial_loss, trial_probs
-    return coef, bias, n_iter, False, grad_max
+        state, loss, probs = trial, trial_loss, trial_probs
+    return coef, state[:, -1], n_iter, False, grad_max
 
 
-def _objective(features, coords, bias, y_index, l2):
-    """``(loss, probs)`` at the point ``(V, b)`` of :func:`_newton_cg_gram`:
-    the loss is the mean cross-entropy of ``probs = softmax(F @ V.T + b)``
-    plus ``(l2/2) * ||V||^2``, which equals the primal loss at ``W = A @ X``.
-    The cross-entropy is taken by log-sum-exp, so it stays finite when a
-    true-class probability underflows to zero."""
-    scores = features @ coords.T + bias
+def _objective(features, state, y_index, penalty):
+    """``(loss, probs)`` at the point ``[V | b]`` of :func:`_newton_cg_gram`:
+    the loss is the mean cross-entropy of ``probs = softmax(F @ [V | b].T)``
+    plus ``sum(penalty * [V | b]**2) / 2`` (that is, ``(l2/2) * ||V||^2``),
+    the primal loss at ``W = A @ X``. The cross-entropy is taken by
+    log-sum-exp, so it stays finite when a true-class probability underflows
+    to zero."""
+    scores = features @ state.T
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1)
     ce = float(np.mean(np.log(total) - shifted[np.arange(len(y_index)), y_index]))
-    return ce + 0.5 * l2 * float(np.sum(coords * coords)), exp / total[:, None]
+    return ce + 0.5 * float(np.sum(penalty * state * state)), exp / total[:, None]
 
 
-def _newton_direction(grad, grad_bias, probs, features, l2):
-    """Approximate solution ``(S, s_b)`` of ``H(S, s_b) = -(grad, grad_bias)``
-    by conjugate gradients, H being the Hessian of :func:`_objective`.
+def _newton_direction(grad, probs, features, penalty):
+    """Approximate solution S (shaped as ``[V | b]``) of ``H S = -grad`` by
+    conjugate gradients, H being the Hessian of :func:`_objective`.
 
-    The Hessian-vector product is ``dZ = F @ S.T + s_b``,
-    ``R = P*dZ - P*rowsum(P*dZ)``, ``H(S, s_b) = (R.T @ F / n + l2*S,
-    colsum(R) / n)``. CG stops at a residual norm of at most
-    ``min(0.5, sqrt(|g|)) * |g|``, after ``C * (r + 1)`` iterations (the
-    number of unknowns), or on non-positive curvature (where a first
-    iteration returns the steepest descent direction).
+    The Hessian-vector product is ``dZ = F @ S.T``,
+    ``R = P*dZ - P*rowsum(P*dZ)``, ``H S = R.T @ F / n + penalty * S``. CG
+    stops at a residual norm of at most ``min(0.5, sqrt(|g|)) * |g|``, after
+    ``S.size`` iterations (the number of unknowns), or on non-positive
+    curvature (where a first iteration returns the steepest descent
+    direction).
     """
     n = probs.shape[0]
-    step, step_bias = np.zeros_like(grad), np.zeros_like(grad_bias)
-    res, res_bias = -grad, -grad_bias
-    dir_, dir_bias = res, res_bias
-    res_sq = float(np.sum(res * res) + res_bias @ res_bias)
+    step = np.zeros_like(grad)
+    res = dir_ = -grad
+    res_sq = float(np.sum(res * res))
     grad_norm = np.sqrt(res_sq)
     tol_sq = (min(0.5, np.sqrt(grad_norm)) * grad_norm) ** 2
-    for it in range(res.size + res_bias.size):
+    for it in range(step.size):
         if res_sq <= tol_sq:
             break
-        p_dz = probs * (features @ dir_.T + dir_bias)
+        p_dz = probs * (features @ dir_.T)
         r = p_dz - probs * p_dz.sum(axis=1, keepdims=True)
-        h, h_bias = r.T @ features / n + l2 * dir_, r.sum(axis=0) / n
-        curvature = float(np.sum(h * dir_) + h_bias @ dir_bias)
+        h = r.T @ features / n + penalty * dir_
+        curvature = float(np.sum(h * dir_))
         if not curvature > 0.0:
             if it == 0:
-                return dir_, dir_bias
+                return dir_
             break
         alpha = res_sq / curvature
         step += alpha * dir_
-        step_bias += alpha * dir_bias
         res = res - alpha * h
-        res_bias = res_bias - alpha * h_bias
-        new_sq = float(np.sum(res * res) + res_bias @ res_bias)
-        beta = new_sq / res_sq
+        new_sq = float(np.sum(res * res))
+        dir_ = res + (new_sq / res_sq) * dir_
         res_sq = new_sq
-        dir_ = res + beta * dir_
-        dir_bias = res_bias + beta * dir_bias
-    return step, step_bias
+    return step
 
 
 def _as_design_input(X) -> np.ndarray:

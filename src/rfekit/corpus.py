@@ -14,6 +14,7 @@ byte-identical output tree.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -21,12 +22,9 @@ from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .drafting import BeneficiaryRecord, RfeFields
-from .ensemble import Document
-from .image import PageImage, encode_pgm, read_pgm
 from .ioutil import (
     PATH,
     atomic_write_bytes,
@@ -37,6 +35,9 @@ from .ioutil import (
     read_json,
     read_text,
 )
+
+if TYPE_CHECKING:  # imported by _page_modules: a manifest needs no numpy
+    from .ensemble import Document
 
 MANIFEST_MAGIC = "rfe-corpus-manifest"
 MANIFEST_VERSION = 1
@@ -342,8 +343,7 @@ PAGE_WIDTH = 96
 PAGE_HEIGHT = 128
 
 
-def _render_approval(rng: SeededRng) -> np.ndarray:
-    page = np.full((PAGE_HEIGHT, PAGE_WIDTH), 240, dtype=np.int64)
+def _render_approval(page, rng: SeededRng) -> None:
     off = rng.randint(-2, 2)
     ink = rng.randint(-8, 8)
     page[8 + off : 26 + off, 8:88] = 45 + ink
@@ -351,11 +351,9 @@ def _render_approval(rng: SeededRng) -> np.ndarray:
     for row in (84, 92, 100, 108):
         page[row : row + 2, 8:88] = 150
     page[118:124, 8:88] = 60 + ink
-    return page
 
 
-def _render_receipt(rng: SeededRng) -> np.ndarray:
-    page = np.full((PAGE_HEIGHT, PAGE_WIDTH), 240, dtype=np.int64)
+def _render_receipt(page, rng: SeededRng) -> None:
     off = rng.randint(-2, 2)
     ink = rng.randint(-8, 8)
     page[8 + off : 26 + off, 8:88] = 130 + ink
@@ -363,18 +361,13 @@ def _render_receipt(rng: SeededRng) -> np.ndarray:
     for row in (70, 78, 86, 94, 102, 110):
         page[row : row + 2, 8:88] = 150
     page[8:120, 2:7] = 70 + ink
-    return page
 
 
+# Each layout's renderer draws on a blank page of 240s.
 _LAYOUTS = {
     "approval-layout": _render_approval,
     "receipt-layout": _render_receipt,
 }
-
-
-def render_page(layout: str, rng: SeededRng) -> PageImage:
-    pixels = _LAYOUTS[layout](rng)
-    return PageImage(width=PAGE_WIDTH, height=PAGE_HEIGHT, pixels=pixels)
 
 
 # --- text channels -----------------------------------------------------------
@@ -569,6 +562,7 @@ def generate_corpus(config: CorpusConfig, out_dir) -> dict:
 
 
 def _generate_documents(config: CorpusConfig, out_dir: Path, root: SeededRng) -> list[dict]:
+    np, image, _ = _page_modules()
     records = []
     doc_index = 0
     for spec in config.classes:
@@ -588,9 +582,11 @@ def _generate_documents(config: CorpusConfig, out_dir: Path, root: SeededRng) ->
             n_pages = 1 + (1 if rng.random() < 0.35 else 0)
             page_files = []
             for page_no in range(n_pages):
-                page = render_page(spec.layout, rng.child(f"page/{page_no}"))
+                pixels = np.full((PAGE_HEIGHT, PAGE_WIDTH), 240, dtype=np.int64)
+                _LAYOUTS[spec.layout](pixels, rng.child(f"page/{page_no}"))
+                page = image.PageImage(width=PAGE_WIDTH, height=PAGE_HEIGHT, pixels=pixels)
                 name = f"page-{page_no}.pgm"
-                atomic_write_bytes(doc_dir / name, encode_pgm(page))
+                atomic_write_bytes(doc_dir / name, image.encode_pgm(page))
                 page_files.append(name)
 
             text_rng = rng.child("text")
@@ -749,20 +745,32 @@ def load_document_dir(doc_dir, channel: str = "ocr") -> Document:
     return _read_document(path.parent, meta, channel, "text")
 
 
+@functools.cache
+def _page_modules():
+    """``(numpy, rfekit.image, rfekit.ensemble)``, imported once, at the first
+    page made or read: a manifest read imports none of them, and a document
+    read no import (two cost 3 us, 8% of loading the seed-42 train split).
+    Callers read attributes per call, so a function replaced in its module runs."""
+    import numpy
+
+    from . import ensemble, image
+
+    return numpy, image, ensemble
+
+
 def _read_document(doc_dir: Path, meta: dict, channel: str, ocr_key: str) -> Document:
     """Pages and one text channel of a document; ``meta`` names its files (the
     OCR text under ``ocr_key``, which differs between manifest and doc.json).
     A named file that cannot be read raises :class:`CorpusFormatError`."""
+    _, image, ensemble = _page_modules()
     if channel not in ("ocr", "clean"):
         raise ValueError(f"unknown text channel {channel!r}")
-    pages = tuple(_read_page(doc_dir / name) for name in meta["pages"])
+    pages = []
+    for name in meta["pages"]:
+        try:
+            pages.append(image.read_pgm(doc_dir / name))
+        except (OSError, UnicodeError) as exc:
+            raise CorpusFormatError(f"cannot read page {doc_dir / name}: {exc}") from None
     text_path = doc_dir / meta[ocr_key if channel == "ocr" else "clean_text"]
     text = read_text(text_path, CorpusFormatError, "document text")
-    return Document(doc_id=meta["id"], pages=pages, text=text)
-
-
-def _read_page(path: Path) -> PageImage:
-    try:
-        return read_pgm(path)
-    except (OSError, UnicodeError) as exc:
-        raise CorpusFormatError(f"cannot read page {path}: {exc}") from None
+    return ensemble.Document(doc_id=meta["id"], pages=tuple(pages), text=text)

@@ -7,6 +7,7 @@ type across a set of RFEs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .attacks import DEFAULT_TAU, ExampleBank, detect_rfes
@@ -118,10 +119,7 @@ class ClassificationReport:
 def classification_report(outcomes) -> ClassificationReport:
     """Build the table from (doc_id, truth, predicted) triples."""
     outcomes = tuple(outcomes)
-    labels: list[str] = []
-    for _, truth, _ in outcomes:
-        if truth not in labels:
-            labels.append(truth)
+    labels = dict.fromkeys(truth for _, truth, _ in outcomes)  # first-seen order
     rows = tuple(
         ClassRow(
             label=label,
@@ -136,15 +134,18 @@ def classification_report(outcomes) -> ClassificationReport:
 def evaluate_documents(model, docs, labels, doc_ids=None) -> ClassificationReport:
     """Classify ``docs`` with a fitted ensemble and tabulate per-class accuracy.
 
-    Every ground-truth label must be in the model's class set.
+    Every ground-truth label must be in the model's class set, and
+    ``doc_ids``, when given, must hold one id per document.
     """
     docs, labels = list(docs), list(labels)
+    doc_ids = [d.doc_id for d in docs] if doc_ids is None else list(doc_ids)
     if len(docs) != len(labels):
         raise ValueError(f"{len(docs)} documents but {len(labels)} labels")
+    if len(docs) != len(doc_ids):
+        raise ValueError(f"{len(docs)} documents but {len(doc_ids)} doc_ids")
     unknown = sorted(set(labels) - set(model.classes_))
     if unknown:
         raise ValueError(f"manifest labels missing from the model: {unknown}")
-    doc_ids = doc_ids or [d.doc_id for d in docs]
     outcomes = [
         (doc_id, truth, model.classify(doc).predicted)
         for doc_id, doc, truth in zip(doc_ids, docs, labels)
@@ -168,17 +169,11 @@ def evaluate_attacks(
         raise ValueError(f"unknown attack id {target_attack!r}")
     rfes = list(rfes)
     reports = detect_rfes((text for text, _ in rfes), bank, tau)
-    tp = fp = fn = tn = 0
-    for (_, truth_attacks), report in zip(rfes, reports):
-        flagged = target_attack in report.detected
-        present = target_attack in set(truth_attacks)
-        if flagged and present:
-            tp += 1
-        elif flagged and not present:
-            fp += 1
-        elif not flagged and present:
-            fn += 1
-        else:
-            tn += 1
-    counts = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    # (flagged, present) of each RFE
+    seen = Counter(
+        (target_attack in report.detected, target_attack in set(truth_attacks))
+        for (_, truth_attacks), report in zip(rfes, reports)
+    )
+    counts = ConfusionCounts(tp=seen[True, True], fp=seen[True, False],
+                             fn=seen[False, True], tn=seen[False, False])
     return counts, metrics(counts)

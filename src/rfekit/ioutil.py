@@ -16,15 +16,20 @@ _temp_serial = itertools.count()
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a temp file in the same directory, then rename into place.
 
-    Each write gets its own temp name (``<name>.<pid>.<serial>.tmp``), so
+    Each write gets its own temp name, ``<name>.<pid>.<serial>.tmp``, so
     concurrent writers to one path never clobber each other's temp file: the
-    last rename wins and readers see one complete version. A failed write
-    removes its temp file. There is no fsync, so the rename is atomic against
-    other processes and crashes of this one, not against power loss.
+    last rename wins and readers see one complete version. A name over 64
+    bytes gives up as many of its last bytes as the suffix adds (keeping 64),
+    so a temp name is no longer than the longer of its name and 64 bytes plus
+    the suffix. A failed write removes its temp file. There is no fsync, so the
+    rename is atomic against other processes and crashes of this one, not
+    against power loss.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_temp_serial)}.tmp")
+    name = os.fsencode(path.name)
+    suffix = f".{os.getpid()}.{next(_temp_serial)}.tmp".encode()
+    tmp = path.with_name(os.fsdecode(name[:max(64, len(name) - len(suffix))] + suffix))
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from rfekit.attacks import load_bank
+from rfekit.attacks import DEFAULT_TAU, detect_rfes, load_bank
 from rfekit.evaluation import (
     ConfusionCounts,
     accuracy_percent_str,
@@ -165,17 +166,57 @@ def test_evaluate_attacks_tau_one_flags_nothing():
     assert counts.fn == 1 and counts.tn == 1
 
 
+# data/near-miss-rfes.json: RFEs whose sentences quote the default bank's
+# wording without demanding the evidence, for example "this office does not
+# dispute that the proffered position qualifies as a specialty occupation",
+# next to plain demands and one paraphrased demand. On the generated corpus
+# no absent attack scores above 0.26, so the false-positive side of the
+# strict > tau rule never runs there.
+NEAR_MISS_RFES = Path(__file__).parent / "data" / "near-miss-rfes.json"
+# Per attack, against the seed-42 bank at DEFAULT_TAU: (tp, fp, fn, tn), and
+# the highest similarity of the attack in an RFE that does not demand it.
+NEAR_MISS_PINS = {
+    "specialty-occupation": ((1, 1, 1, 4), 0.801702),
+    "beneficiary-qualification": ((1, 1, 0, 5), 0.770654),
+    "employer-employee-relationship": ((1, 0, 0, 6), 0.586572),
+}
+
+
+def test_near_miss_rfes_pin_each_attacks_counts_and_highest_absent_score(rfe_corpus_42):
+    """Quoted bank wording is a false positive above tau and a true negative
+    just below it; an absent attack between 0.4 and tau means that scaling
+    every similarity by 1.5 flips a decision and moves a pinned count."""
+    root, manifest = rfe_corpus_42
+    bank = load_bank(root / manifest["paths"]["bank"])
+    rfes = [("\n".join(r["lines"]) + "\n", r["attacks"])
+            for r in json.loads(NEAR_MISS_RFES.read_text("utf-8"))["rfes"]]
+    reports = detect_rfes([text for text, _ in rfes], bank, 0.0)
+    found, near_misses = {}, []
+    for attack in bank.attack_ids:
+        counts, _ = evaluate_attacks(bank, rfes, attack, DEFAULT_TAU)
+        absent = [
+            max([e.similarity for e in report.evidence
+                 if bank.attack_of(e.example_index) == attack], default=0.0)
+            for (_, truth), report in zip(rfes, reports) if attack not in truth
+        ]
+        found[attack] = ((counts.tp, counts.fp, counts.fn, counts.tn), max(absent))
+        near_misses += [score for score in absent if DEFAULT_TAU / 1.5 < score <= DEFAULT_TAU]
+    assert found == {attack: (counts, pytest.approx(score, abs=1e-6))
+                     for attack, (counts, score) in NEAR_MISS_PINS.items()}
+    assert len(near_misses) == 7
+
+
 def test_evaluate_attacks_unknown_target():
     bank = load_bank(BANK)
     with pytest.raises(ValueError, match="unknown attack"):
         evaluate_attacks(bank, [], "never-heard-of-it", 0.6)
 
 
-def test_evaluate_documents_label_outside_model_classes():
+def bright_dim_model():
+    """Four documents of two classes and an ensemble fitted to them."""
     import numpy as np
 
     from rfekit.ensemble import Document, EnsembleDocumentClassifier
-    from rfekit.evaluation import evaluate_documents
     from rfekit.image import PageImage
 
     def doc(i, fill, word):
@@ -184,6 +225,34 @@ def test_evaluate_documents_label_outside_model_classes():
 
     docs = [doc(0, 250, "light"), doc(1, 5, "dark")] * 2
     labels = ["bright", "dim", "bright", "dim"]
-    model = EnsembleDocumentClassifier(n_range=(1,), max_iters=50).fit(docs, labels)
+    return docs, labels, EnsembleDocumentClassifier(n_range=(1,), max_iters=50).fit(docs, labels)
+
+
+def test_evaluate_documents_label_outside_model_classes():
+    from rfekit.evaluation import evaluate_documents
+
+    docs, _, model = bright_dim_model()
     with pytest.raises(ValueError, match="missing from the model"):
         evaluate_documents(model, docs, ["bright", "dim", "bright", "unknown-class"])
+
+
+@pytest.mark.parametrize("n_ids", [0, 3, 5])
+def test_evaluate_documents_refuses_doc_ids_of_another_length(n_ids):
+    """One id per document, or ValueError: zip would cut the report short."""
+    from rfekit.evaluation import evaluate_documents
+
+    docs, labels, model = bright_dim_model()
+    ids = [f"id{i}" for i in range(n_ids)]
+    with pytest.raises(ValueError, match=f"^4 documents but {n_ids} doc_ids$"):
+        evaluate_documents(model, docs, labels, ids)
+
+
+def test_evaluate_documents_reports_under_the_given_doc_ids():
+    from rfekit.evaluation import evaluate_documents
+
+    docs, labels, model = bright_dim_model()
+    report = evaluate_documents(model, docs, labels, ["w", "x", "y", "z"])
+    assert [doc_id for doc_id, _, _ in report.predictions] == ["w", "x", "y", "z"]
+    assert report.overall.count == 4
+    default = evaluate_documents(model, docs, labels)
+    assert [doc_id for doc_id, _, _ in default.predictions] == ["d0", "d1", "d0", "d1"]

@@ -109,6 +109,40 @@ def test_failed_data_write_removes_temp(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_writes_to_names_of_the_longest_length_leave_no_temp(tmp_path, monkeypatch):
+    """A name of NAME_MAX bytes takes a temp name no longer than itself. Two
+    such names of two-byte characters start them at even and at odd offsets,
+    so one temp name is cut inside a character and still names a file."""
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    temps = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        temps.append(Path(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(ioutil.os, "replace", replace)
+    for lead, unit in (("", "a"), ("", "é"), ("b", "é")):
+        body = lead + unit * ((name_max - len(lead)) // len(unit.encode()))
+        target = tmp_path / (body + "c" * (name_max - len(body.encode())))
+        assert len(os.fsencode(target.name)) == name_max
+        atomic_write_bytes(target, b"long")
+        assert target.read_bytes() == b"long"
+        assert list(tmp_path.iterdir()) == [target]
+        target.unlink()
+    assert [t.parent for t in temps] == [tmp_path] * 3
+    assert all(t.name.endswith(".tmp") and len(os.fsencode(t.name)) <= name_max for t in temps)
+    assert any("\udc80" <= ch <= "\udcff" for t in temps for ch in t.name)
+
+
+def test_a_short_name_keeps_its_whole_name_in_the_temp(tmp_path, monkeypatch):
+    temps = []
+    monkeypatch.setattr(ioutil.os, "replace", lambda src, dst: temps.append(Path(src)))
+    atomic_write_bytes(tmp_path / "out.txt", b"x")
+    [temp] = temps
+    assert temp.name.startswith(f"out.txt.{os.getpid()}.") and temp.name.endswith(".tmp")
+
+
 def test_file_mode_follows_umask(tmp_path):
     plain = tmp_path / "plain"
     plain.write_bytes(b"x")

@@ -79,7 +79,8 @@ def test_import_rfekit_loads_no_submodule():
 def test_detect_and_draft_processes_never_import_numpy(rfe_corpus_42, tmp_path):
     """``python -m rfekit detect`` and ``draft`` on the golden RFE (#3 of the
     seed-42 corpus) import neither numpy nor a training module, and the
-    draft is still the golden one."""
+    draft is still the golden one. A detect over the corpus directory reads
+    its manifest with :mod:`rfekit.corpus`, and imports no more than that."""
     root, manifest = rfe_corpus_42
     paths = {key: str(root / value) for key, value in manifest["paths"].items()}
     rfe = str(root / manifest["rfes"][3]["file"])
@@ -89,11 +90,15 @@ def test_detect_and_draft_processes_never_import_numpy(rfe_corpus_42, tmp_path):
                    "--out", str(tmp_path / "detect.jsonl")],
         "draft": ["draft", "--bank", paths["bank"], "--store", paths["store"],
                   "--templates", paths["templates"], "--input", rfe, "--out", str(out)],
+        "detect corpus": ["detect", "--bank", paths["bank"], "--input", str(root),
+                          "--out", str(tmp_path / "detect-corpus.jsonl")],
     }
     for command, argv in runs.items():
         modules = imported_modules(python("-X", "importtime", "-m", "rfekit", *argv).stderr)
         assert "rfekit.attacks" in modules and "rfekit.cli" in modules, command
         assert not {m for m in modules if m == "numpy" or m.startswith("numpy.")}, command
-        assert not modules & TRAINING_MODULES, command
+        assert modules & TRAINING_MODULES == ({"rfekit.corpus"} if "corpus" in command
+                                              else set()), command
     assert out.read_bytes() == GOLDEN_DRAFT.read_bytes()
     assert (tmp_path / "detect.jsonl").read_text("utf-8").count("\n") == 1
+    assert (tmp_path / "detect-corpus.jsonl").read_text("utf-8").count("\n") == 49
