@@ -13,14 +13,12 @@ matrix is rows of Python floats that ``np.asarray`` still converts.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 from .ioutil import read_records
 from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
-from .vectorize import Vocabulary, ngrams, norm, tfidf_vector
+from .vectorize import Vocabulary, fit_vectors, norm, tfidf_vector
 
 DEFAULT_TAU = 0.6
 BANK_N_RANGE = (1, 2, 3)
@@ -106,20 +104,13 @@ def load_bank(source, stopwords=None) -> ExampleBank:
     if not records:
         raise BankFormatError("example bank is empty")
 
-    attacks: list[AttackType] = []
-    descriptions: dict[str, str] = {}
+    descriptions: dict[str, str] = {}  # first-seen order is declaration order
     examples: list[tuple[tuple[str, ...], str]] = []
     for position, rec in enumerate(records):
         attack_id, description, sentence = rec
-        if attack_id in descriptions:
-            if descriptions[attack_id] != description:
-                raise BankFormatError(
-                    f"attack id {attack_id!r} declared twice with different "
-                    f"descriptions"
-                )
-        else:
-            descriptions[attack_id] = description
-            attacks.append(AttackType(attack_id, description))
+        if descriptions.setdefault(attack_id, description) != description:
+            raise BankFormatError(
+                f"attack id {attack_id!r} declared twice with different descriptions")
         tokens = clean_tokens(tokenize(normalize(sentence)), stopwords)
         if not tokens:
             warnings.warn(
@@ -131,38 +122,18 @@ def load_bank(source, stopwords=None) -> ExampleBank:
         examples.append((tuple(tokens), attack_id))
 
     surviving = {attack_id for _, attack_id in examples}
-    orphaned = [a.attack_id for a in attacks if a.attack_id not in surviving]
+    orphaned = [attack_id for attack_id in descriptions if attack_id not in surviving]
     if orphaned:
-        raise BankFormatError(
-            f"attack types with no surviving example sentences: {orphaned}"
-        )
-    # fit_tfidf's vocabulary and rows in one pass without numpy, which detect
-    # and draft never import: each example's vector is its tfidf_vector.
-    counts = [Counter(ngrams(tokens, BANK_N_RANGE)) for tokens, _ in examples]
-    doc_freq = Counter(chain.from_iterable(counts))
-    grams = sorted(doc_freq)
-    ngram_to_index = {g: i for i, g in enumerate(grams)}
-    vocab = Vocabulary(
-        ngram_to_index, tuple(map(doc_freq.__getitem__, grams)), len(examples), BANK_N_RANGE
-    )
-    idf = vocab.idf_table
-    norms = []
+        raise BankFormatError(f"attack types with no surviving example sentences: {orphaned}")
+    vocab, vectors = fit_vectors([tokens for tokens, _ in examples], BANK_N_RANGE)
     postings: dict[int, list[tuple[int, float]]] = {}
-    for j, example_counts in enumerate(counts):
-        columns = sorted(map(ngram_to_index.__getitem__, example_counts))
-        weighted = [(i, example_counts[grams[i]] * idf[i]) for i in columns]
-        length = norm(weighted)
-        vec = [(i, w / length) for i, w in weighted]
-        norms.append(norm(vec))
+    for j, vec in enumerate(vectors):
         for index, weight in vec:
             postings.setdefault(index, []).append((j, weight))
     return ExampleBank(
-        attacks=tuple(attacks),
-        examples=tuple(examples),
-        vocab=vocab,
-        norms=tuple(norms),
-        postings=postings,
-        stopwords=stopwords,
+        attacks=tuple([AttackType(*item) for item in descriptions.items()]),
+        examples=tuple(examples), vocab=vocab, norms=tuple([norm(v) for v in vectors]),
+        postings=postings, stopwords=stopwords,
     )
 
 

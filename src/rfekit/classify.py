@@ -73,6 +73,8 @@ class SoftmaxClassifier(ParamsMixin):
             raise ValueError(f"{K.shape[0]} rows but {len(labels)} labels")
         if not labels:
             raise ValueError("empty training set")
+        if not np.isfinite(K).all():
+            raise ValueError("K holds a NaN or an infinite value")
         self.classes_ = tuple(classes) if classes is not None else tuple(
             sorted(set(labels))
         )
@@ -287,6 +289,8 @@ def _as_design_input(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D (samples x features), got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("X holds a NaN or an infinite value")
     return X
 
 

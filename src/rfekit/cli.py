@@ -231,8 +231,6 @@ def _cmd_classify(args) -> int:
         if not is_bare_file_name(label):  # the class folder must stay inside DEST
             raise RuntimeError(f"cannot move into class {label!r}: not a file name")
     input_dir = Path(args.input)
-
-    jobs: list[tuple[str, Path]] = []
     if (input_dir / "manifest.json").exists():
         manifest = load_manifest(input_dir)
         jobs = [(rec["id"], input_dir / rec["dir"]) for rec in manifest["documents"]]
@@ -255,6 +253,9 @@ def _cmd_classify(args) -> int:
     for _, target in moves:
         if target.exists() or taken[target.resolve()] > 1:
             raise RuntimeError(f"move target exists or is taken twice: {target}")
+        folder = next(p for p in target.parents if p.exists())
+        if not folder.is_dir():
+            raise RuntimeError(f"cannot move {target}: {folder} is not a directory")
     _emit_records(records, args.out)
     for src, target in moves:
         target.parent.mkdir(parents=True, exist_ok=True)

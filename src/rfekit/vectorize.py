@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -125,9 +126,27 @@ def fit_tfidf(
     return vocab, (row, col, weights / norms[row])
 
 
+def fit_vectors(token_docs, n_range) -> tuple[Vocabulary, list[tuple[tuple[int, float], ...]]]:
+    """:func:`fit_tfidf`'s vocabulary and each document's :func:`tfidf_vector`,
+    without numpy: each document's n-grams are counted once, into a
+    ``Counter``, and the vocabulary is the sorted union of the counters. A
+    bank fits here; training keeps :func:`fit_tfidf`, faster on its corpus."""
+    n_range = tuple(sorted(set(n_range)))
+    counts = [Counter(ngrams(tokens, n_range)) for tokens in token_docs]
+    if not counts:
+        raise ValueError("cannot fit a vocabulary on an empty corpus")
+    doc_freq = Counter(chain.from_iterable(counts))
+    grams = sorted(doc_freq)
+    vocab = Vocabulary({g: i for i, g in enumerate(grams)},
+                       tuple(map(doc_freq.__getitem__, grams)), len(counts), n_range)
+    column, idf = vocab.ngram_to_index.__getitem__, vocab.idf_table
+    return vocab, [_unit([(i, c[grams[i]] * idf[i]) for i in sorted(map(column, c))])
+                   for c in counts]
+
+
 def fit_vocab(corpus, n_range) -> Vocabulary:
     """Fit a vocabulary over token streams; indices are lexicographic by n-gram."""
-    return fit_tfidf(corpus, n_range)[0]
+    return fit_vectors(corpus, n_range)[0]
 
 
 def norm(vec) -> float:
@@ -148,11 +167,16 @@ def tfidf_vector(tokens: list[str], vocab: Vocabulary) -> tuple[tuple[int, float
         if index is not None:
             counts[index] = counts.get(index, 0) + 1
     idf = vocab.idf_table
-    weighted = [(i, c * idf[i]) for i, c in sorted(counts.items())]
+    return _unit([(i, c * idf[i]) for i, c in sorted(counts.items())])
+
+
+def _unit(weighted) -> tuple[tuple[int, float], ...]:
+    """The sparse vector ``weighted`` over its length; ``()`` if that is zero."""
     length = norm(weighted)
     if length == 0.0:
         return ()
-    return tuple((i, w / length) for i, w in weighted)
+    # Sized from a list, not a generator, so tuple free lists do not creep.
+    return tuple([(i, w / length) for i, w in weighted])
 
 
 def cosine(u, v) -> float:

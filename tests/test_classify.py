@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rfekit import classify
 from rfekit.classify import (
     ModelFormatError,
     SoftmaxClassifier,
@@ -548,6 +549,98 @@ def test_sparse_fit_matches_dense_fit(n, d, per_row, l2):
     assert sparse.n_features_ == d
     assert np.abs(sparse.weights_ - reference.weights_).max() <= 1e-12
     assert sparse.predict(X) == dense.predict(X)
+
+
+def _short_v1_model() -> bytes:
+    """The committed v1 model file re-signed with its last weight row cut."""
+    model = load_model(V1_FIXTURE.read_bytes())
+    model.weights_ = model.weights_[:-1]
+    return encode_model_v1(model)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SoftmaxClassifier().fit(np.zeros((0, 2)), []), "empty training set"),
+        (lambda: SoftmaxClassifier().fit_gram(np.zeros((0, 0)), lambda G: G, []),
+         "empty training set"),
+        (lambda: SoftmaxClassifier().fit(np.eye(2), ["a", "a"]), "at least 2 classes"),
+        (lambda: SoftmaxClassifier().fit_gram(np.eye(2), lambda G: G, ["a", "a"]),
+         "at least 2 classes"),
+        (lambda: SoftmaxClassifier().fit(np.eye(2), ["a", "b"], classes=["a", "b", "a"]),
+         "duplicate class labels"),
+        (lambda: SoftmaxClassifier().fit_gram(np.eye(2), lambda G: G, ["a", "b"],
+                                              classes=["a", "b", "a"]),
+         "duplicate class labels"),
+        (lambda: load_model(_short_v1_model()), r"weight shape \(2, 4\) inconsistent"),
+    ],
+    ids=["fit-empty", "fit_gram-empty", "fit-one-class", "fit_gram-one-class",
+         "fit-duplicate-classes", "fit_gram-duplicate-classes", "load_model-v1-short"],
+)
+def test_invalid_training_set_or_model_file_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "entry", ["fit", "fit_gram", "decision_function", "predict_proba", "predict"]
+)
+def test_a_non_finite_design_is_refused_by_name(entry, bad):
+    """A NaN or an infinity fails with a ValueError naming X (or K), not as an
+    eigensolver failure in ``fit`` or a NaN row that ``predict`` turns into
+    the first class."""
+    X, y = np.array([[0.0, 1.0], [1.0, 0.0]]), ["a", "b"]
+    fitted = SoftmaxClassifier().fit(X, y)
+    X[1, 0] = bad
+    with pytest.raises(ValueError, match=f"{'K' if entry == 'fit_gram' else 'X'} holds a NaN"):
+        if entry == "fit":
+            SoftmaxClassifier().fit(X, y)
+        elif entry == "fit_gram":
+            SoftmaxClassifier().fit_gram(X, lambda G: G, y)  # X is 2 x 2: a K
+        else:
+            getattr(fitted, entry)(X)
+
+
+def test_line_search_backtracks_and_every_step_lowers_the_loss(monkeypatch):
+    """Features of scale 100 make full Newton steps overshoot: the Armijo
+    search rejects trial points, and the loss after ``max_iters=k`` steps
+    never rises with k."""
+    X = np.random.default_rng(3).normal(size=(12, 3)) * 100
+    y = [f"c{i % 3}" for i in range(12)]
+    evaluations = []
+    objective = classify._objective
+    monkeypatch.setattr(
+        classify, "_objective", lambda *args: evaluations.append(1) or objective(*args)
+    )
+    final = SoftmaxClassifier().fit(X, y)
+    monkeypatch.undo()
+    assert final.converged_
+    # one evaluation at the start, then one per trial point; each step accepts one
+    assert len(evaluations) - 1 - final.n_iter_ > 0
+    losses = [
+        loss_and_gradient(
+            SoftmaxClassifier(max_iters=k).fit(X, y).weights_, X, np.arange(12) % 3, 1e-3
+        )[0]
+        for k in range(final.n_iter_ + 1)
+    ]
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
+
+
+def test_a_step_that_finds_no_decrease_ends_the_fit_unconverged():
+    """Separable data with no penalty has no optimum: the loss falls toward 0
+    until a Newton step finds no decrease, which ends the fit unconverged
+    before ``max_iters``."""
+    clf = SoftmaxClassifier(l2=0.0, grad_tol=0.0, max_iters=500).fit(np.eye(2), ["a", "b"])
+    assert not clf.converged_ and clf.n_iter_ < 500
+    assert clf.predict(np.eye(2)) == ["a", "b"]
+
+
+def test_newton_direction_on_flat_curvature_is_steepest_descent():
+    grad = np.array([[0.5, -1.0], [-0.5, 1.0]])
+    probs = np.full((3, 2), 0.5)
+    step = classify._newton_direction(grad, probs, np.zeros((3, 2)), np.zeros(2))
+    assert np.array_equal(step, -grad)
 
 
 def test_fit_gram_rejects_a_gram_matrix_of_the_wrong_size():

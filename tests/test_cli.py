@@ -101,6 +101,34 @@ def test_gen_corpus_invalid_noise_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x" / "manifest.json").exists()  # nothing written
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["train-docs", "--corpus", "{rfes_only}", "--out", "{tmp}/out"],
+         "no documents with split 'train' in {rfes_only}"),
+        (["classify", "--bundle", "{bundle}", "--input", "{tmp}/empty"],
+         "no documents found under {tmp}/empty"),
+        (["detect", "--bank", "{rfes_only}/bank.jsonl", "--input", "{tmp}/empty"],
+         "no RFE text files under {tmp}/empty"),
+        (["eval-attacks", "--corpus", "{docs_only}"], "corpus {docs_only} has no RFEs"),
+    ],
+    ids=["split-without-documents", "input-without-documents", "input-without-rfes",
+         "corpus-without-rfes"],
+)
+def test_an_input_with_nothing_to_do_is_a_usage_error(tmp_path, capsys, request, command,
+                                                       message):
+    paths = {
+        "tmp": tmp_path,
+        "rfes_only": gen_small_corpus(tmp_path, "rfes-only", rfes=2, docs=0),
+        "docs_only": gen_small_corpus(tmp_path, "docs-only", rfes=0, docs=1),
+        "bundle": request.getfixturevalue("trained_bundle")[1] if "{bundle}" in command else "",
+    }
+    (tmp_path / "empty").mkdir()
+    capsys.readouterr()
+    assert run([part.format(**paths) for part in command]) == 2
+    assert f"\nusage error: {message.format(**paths)}\n" in "\n" + capsys.readouterr().err
+
+
 def test_gen_corpus_config_file_precedence(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 5, "docs_per_class": 2, "n_rfes": 3}), "utf-8")
@@ -138,11 +166,13 @@ def test_train_docs_seed42_heads_converge_and_print_fit_record(tmp_path, capsys)
     assert run(["train-docs", "--corpus", str(corpus), "--out", str(bundle)]) == 0
     lines = capsys.readouterr().out.splitlines()[1:]
     assert [line.split(":")[0] for line in lines] == ["text head", "image head"]
-    for line in lines:
+    # The README's seed-42 step counts: the model digests that would also
+    # catch a solver change are pinned for one (machine, Python, numpy) only.
+    for line, pinned in zip(lines, (4, 10)):
         steps, converged, grad = re.fullmatch(
             r"\w+ head: (\d+) Newton steps, converged (\w+), max\|grad\| (\S+)", line
         ).groups()
-        assert 0 < int(steps) < 2000 and converged == "true" and float(grad) < 1e-6
+        assert int(steps) == pinned and converged == "true" and float(grad) < 1e-6
 
 
 def test_train_docs_defaults_are_the_estimator_defaults(tmp_path, corpus_42, capsys):
@@ -564,21 +594,32 @@ def test_config_values_in_flag_text_list_and_number_forms(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("clash", ["existing-target", "duplicate-target"])
+@pytest.mark.parametrize(
+    "clash", ["existing-target", "duplicate-target", "class-path-is-a-file", "dest-is-a-file"]
+)
 def test_classify_move_clash_moves_nothing(tmp_path, trained_bundle, clash):
     import shutil
 
     corpus, bundle = trained_bundle
     docs = json.loads((corpus / "manifest.json").read_text("utf-8"))["documents"]
     inbox, dest = tmp_path / "inbox", tmp_path / "sorted"
-    if clash == "existing-target":
-        for rec in docs[:2]:
+    if clash != "duplicate-target":
+        other = next(rec for rec in docs if rec["label"] != docs[0]["label"])
+        for rec in docs[:2] if clash == "existing-target" else [docs[0], other]:
             shutil.copytree(corpus / rec["dir"], inbox / rec["id"])
         traces = tmp_path / "traces.jsonl"
         argv = ["classify", "--bundle", str(bundle), "--input", str(inbox)]
         assert run([*argv, "--out", str(traces)]) == 0
-        second = [json.loads(line) for line in traces.read_text("utf-8").splitlines()][1]
-        (dest / second["predicted"] / second["id"]).mkdir(parents=True)
+        first, second = [json.loads(line) for line in traces.read_text("utf-8").splitlines()]
+        if clash == "existing-target":
+            (dest / second["predicted"] / second["id"]).mkdir(parents=True)
+        elif clash == "class-path-is-a-file":
+            # the first document's class folder can be made, the second's is a file
+            assert first["predicted"] != second["predicted"]
+            dest.mkdir()
+            (dest / second["predicted"]).write_text("x", "utf-8")
+        else:
+            dest.write_text("x", "utf-8")
     else:
         # one document twice under the same name: both copies map to one target
         for folder in ("a", "b"):

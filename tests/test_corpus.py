@@ -8,6 +8,8 @@ import pytest
 from rfekit.cli import run
 from rfekit.corpus import (
     BANK_SENTENCES,
+    AttackMix,
+    ClassSpec,
     CorpusConfig,
     CorpusFormatError,
     SeededRng,
@@ -233,6 +235,28 @@ def test_config_validation():
         from rfekit.corpus import AttackMix
 
         CorpusConfig(attack_mix=(AttackMix(("specialty-occupation",), 0.5),)).validate()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CorpusConfig(docs_per_class=-1).validate(), "docs_per_class and n_rfes"),
+        (lambda: CorpusConfig(n_rfes=-1).validate(), "docs_per_class and n_rfes"),
+        (lambda: CorpusConfig(train_fraction=1.5).validate(), r"train_fraction must be in"),
+        (lambda: CorpusConfig(classes=()).validate(), "no classes configured"),
+        (lambda: CorpusConfig(classes=(ClassSpec("a", "no-layout", "A", ("x",)),)).validate(),
+         "unknown layout style 'no-layout'"),
+        (lambda: CorpusConfig(attack_mix=(AttackMix(("no-attack",), 1.0),)).validate(),
+         r"unknown attacks \['no-attack'\]"),
+        (lambda: SeededRng(1).randbelow(0), "randbelow needs n >= 1, got 0"),
+        (lambda: SeededRng(1).sample([1, 2], 3), "cannot sample 3 from 2 items"),
+    ],
+    ids=["negative-docs", "negative-rfes", "train-fraction", "no-classes", "unknown-layout",
+         "unknown-attack", "randbelow-0", "sample-too-many"],
+)
+def test_invalid_config_or_rng_request_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_config_roundtrip_through_dict():

@@ -356,9 +356,10 @@ def library_manifest(**entry):
         (library_manifest(file="a\u0000.txt"), b"Body"),
         (b"\xff" + json.dumps(library_manifest()).encode(), b"Body"),
         (library_manifest(), b"Body \xff"),
+        ({**library_manifest(), "templates": library_manifest()["templates"] * 2}, b"Body"),
     ],
     ids=["top-level-list", "templates-int", "soc-codes-int", "soc-code-int", "id-list",
-         "file-is-dir", "file-nul", "manifest-not-utf-8", "body-not-utf-8"],
+         "file-is-dir", "file-nul", "manifest-not-utf-8", "body-not-utf-8", "duplicate-id"],
 )
 def test_template_library_raises_template_format_error(tmp_path, manifest, body):
     write_library(tmp_path / "templates", manifest, body)

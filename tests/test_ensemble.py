@@ -242,6 +242,32 @@ def test_classify_document_rejects_empty_document():
         )
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dist(1.5, -0.5), r"outside \[0, 1\]"),
+        (lambda: classify_document(
+            Document(doc_id="d", pages=(page(245),), text="bright page"),
+            tiny_heads()[0],
+            SoftmaxClassifier(max_iters=1).fit(np.eye(2), ["light", "other"]),
+            tiny_heads()[2],
+        ), "disagree on the class set"),
+        (lambda: EnsembleDocumentClassifier().fit(
+            [Document(doc_id="d", pages=(page(245),), text="bright page")], ["light", "dark"]
+        ), "^1 documents but 2 labels$"),
+        (lambda: EnsembleDocumentClassifier(n_range=(1,)).fit(
+            [Document(doc_id="a", pages=(), text="bright page"),
+             Document(doc_id="b", pages=(), text="dim page")], ["light", "dark"]
+        ), "no page images"),
+    ],
+    ids=["probabilities-outside-0-1", "heads-classes-differ", "fit-labels-length",
+         "fit-no-page-images"],
+)
+def test_invalid_distribution_heads_or_training_set_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # FusionTrace.as_record() of the tiny heads' three document kinds, as written
 # before one-head traces were built by fuse.
 TINY_TRACES = {

@@ -247,6 +247,15 @@ def test_evaluate_documents_refuses_doc_ids_of_another_length(n_ids):
         evaluate_documents(model, docs, labels, ids)
 
 
+@pytest.mark.parametrize("n_labels", [3, 5])
+def test_evaluate_documents_refuses_labels_of_another_length(n_labels):
+    from rfekit.evaluation import evaluate_documents
+
+    docs, labels, model = bright_dim_model()
+    with pytest.raises(ValueError, match=f"^4 documents but {n_labels} labels$"):
+        evaluate_documents(model, docs, (labels * 2)[:n_labels])
+
+
 def test_evaluate_documents_reports_under_the_given_doc_ids():
     from rfekit.evaluation import evaluate_documents
 

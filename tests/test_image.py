@@ -61,6 +61,8 @@ def test_decode_header_comments():
         (b"P5 2 1 ", PgmFormatError),
         (b"P5 02 01 0255 \x01\x02", [[1, 2]]),
         (b"P5 " + b"1" * 5000 + b" 1 255 ", PgmError),
+        (b"P5 0 2 255 ", PgmFormatError),
+        (b"P5 2 0 255 ", PgmFormatError),
     ],
     ids=["comment-after-magic", "comment-between-fields", "p2-comments",
          "comment-ends-file", "p5-comment-after-maxval-is-payload",
@@ -68,7 +70,8 @@ def test_decode_header_comments():
          "tab-then-payload-tab", "magic-glued-to-width", "no-whitespace-after-maxval",
          "control-byte-after-maxval", "non-digit-field", "hash-inside-field",
          "signed-field", "non-ascii-digit-field", "magic-only", "ends-before-maxval",
-         "ends-after-height", "leading-zeros", "5000-digit-width"],
+         "ends-after-height", "leading-zeros", "5000-digit-width", "zero-width",
+         "zero-height"],
 )
 def test_decode_header_table(data, expected):
     """The PGM header grammar: the magic, then three runs of ASCII digits

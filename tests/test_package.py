@@ -76,6 +76,12 @@ def test_import_rfekit_loads_no_submodule():
     assert "numpy" not in loaded
 
 
+def test_fit_vocab_never_imports_numpy():
+    done = python("-c", "import sys\nfrom rfekit.vectorize import fit_vocab\n"
+                  "fit_vocab([['a', 'b'], ['b', 'c']], (1, 2))\nprint(' '.join(sys.modules))")
+    assert not {m for m in done.stdout.split() if m == "numpy" or m.startswith("numpy.")}
+
+
 def test_detect_and_draft_processes_never_import_numpy(rfe_corpus_42, tmp_path):
     """``python -m rfekit detect`` and ``draft`` on the golden RFE (#3 of the
     seed-42 corpus) import neither numpy nor a training module, and the

@@ -11,6 +11,7 @@ from rfekit.vectorize import (
     VocabularyFormatError,
     cosine,
     fit_tfidf,
+    fit_vectors,
     fit_vocab,
     load_vocab,
     ngrams,
@@ -146,9 +147,13 @@ def set_loop_fit(token_docs, n_range):
 
 def assert_fit_tfidf_is_stacked_vectors(token_docs, n_range):
     """``fit_tfidf`` fits the set-loop vocabulary, and its nonzeros, sorted by
-    row and then by column, are each document's ``tfidf_vector`` bit for bit."""
+    row and then by column, are each document's ``tfidf_vector`` bit for bit;
+    ``fit_vectors`` fits the same vocabulary, and its vectors are those rows."""
     vocab, (row, col, value) = fit_tfidf(token_docs, n_range)
-    assert vocab == set_loop_fit(token_docs, n_range)
+    plain_vocab, vectors = fit_vectors(token_docs, n_range)
+    assert vocab == set_loop_fit(token_docs, n_range) == plain_vocab
+    assert list(plain_vocab.ngram_to_index) == list(vocab.ngram_to_index)
+    assert len(vectors) == len(token_docs)
     assert list(vocab.ngram_to_index.values()) == list(range(vocab.size))
     assert all(type(df) is int for df in vocab.doc_freq)
     assert row.dtype == col.dtype == np.int64 and value.dtype == np.float64
@@ -160,8 +165,9 @@ def assert_fit_tfidf_is_stacked_vectors(token_docs, n_range):
         a, b = bounds[r], bounds[r + 1]
         got = tuple(zip(col[a:b].tolist(), value[a:b].tolist()))
         expected = tfidf_vector(tokens, vocab)
-        assert [i for i, _ in got] == [i for i, _ in expected]
-        assert [w.hex() for _, w in got] == [w.hex() for _, w in expected]
+        for vec in (expected, vectors[r]):
+            assert [i for i, _ in got] == [i for i, _ in vec]
+            assert [w.hex() for _, w in got] == [w.hex() for _, w in vec]
     return vocab, (row, col, value)
 
 
@@ -209,8 +215,9 @@ def test_fit_tfidf_randomized_and_degenerate_shapes():
     ):
         vocab, (row, col, value) = assert_fit_tfidf_is_stacked_vectors(corpus, n_range)
     assert vocab.doc_freq == (1,) and value.tolist() == [1.0]
-    with pytest.raises(ValueError, match="empty corpus"):
-        fit_tfidf([], {1})
+    for fit in (fit_tfidf, fit_vectors, fit_vocab):
+        with pytest.raises(ValueError, match="empty corpus"):
+            fit([], {1})
 
 
 def test_tfidf_no_known_ngrams_gives_zero_vector():
@@ -317,6 +324,12 @@ def test_vocab_bad_version():
     data = save_vocab(fit_vocab([["a"]], {1})).replace(b"ngram-vocab 1", b"ngram-vocab 9")
     with pytest.raises(VocabularyFormatError):
         load_vocab(data)
+
+
+def test_vocab_with_no_documents_is_refused():
+    """``corpus_size=0``: with no rows, no document frequency can catch it."""
+    with pytest.raises(VocabularyFormatError, match="^corpus_size must be >= 1$"):
+        load_vocab(b"ngram-vocab 1\ncorpus_size=0\nn_range=1\nsize=0\n")
 
 
 def test_vocab_row_count_mismatch():
