@@ -1,9 +1,10 @@
 """Multinomial logistic regression trained by truncated Newton (Newton-CG).
 
 One implementation serves both heads of the document ensemble: the image head
-(dense grid features) and the text head (TF-IDF vectors). Training is
-deterministic: zero initialization, fixed iteration order, no randomness, so
-identical data always yields identical weights.
+(dense grid features) and the text head (TF-IDF vectors, held as a
+:class:`CooMatrix` of their nonzeros). Training is deterministic: zero
+initialization, fixed iteration order, no randomness, so identical data
+always yields identical weights.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from typing import Sequence
 
 import numpy as np
@@ -37,15 +39,42 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+class CooMatrix:
+    """An n x d matrix held as its nonzeros, ``value[k]`` at ``(row[k],
+    col[k])`` (entries at one position add), with the solver's two products
+    ``X @ B`` and ``A @ X`` for B of one or more columns and A of one or
+    more rows: one ``np.bincount`` over the nonzeros per column of B or row
+    of A, so X is never formed densely. A non-finite value or an index
+    outside ``shape`` raises ``ValueError``."""
+
+    __array_ufunc__ = None  # an ndarray's ``A @ X`` defers to __rmatmul__
+
+    def __init__(self, row, col, value, shape):
+        self.row, self.col = np.asarray(row, dtype=np.intp), np.asarray(col, dtype=np.intp)
+        self.value, self.shape = np.asarray(value, dtype=np.float64), tuple(shape)
+        if not np.isfinite(self.value).all():
+            raise ValueError("X holds a NaN or an infinite value")
+        for index, size in ((self.row, self.shape[0]), (self.col, self.shape[1])):
+            if index.size and not 0 <= index.min() <= index.max() < size:
+                raise ValueError(f"X has an index outside its shape {self.shape}")
+
+    def __matmul__(self, B) -> np.ndarray:
+        return np.column_stack([np.bincount(self.row, b[self.col] * self.value, self.shape[0])
+                                for b in np.asarray(B).T])
+
+    def __rmatmul__(self, A) -> np.ndarray:
+        return np.array([np.bincount(self.col, a[self.row] * self.value, self.shape[1])
+                         for a in np.asarray(A)])
+
+
 class SoftmaxClassifier(ParamsMixin):
     """sklearn-style estimator: ``fit(X, y)``, ``predict_proba``, ``predict``.
 
     X is a 2-D numeric array (rows are samples); y is a sequence of class
-    labels. :meth:`fit_gram` trains from X's Gram matrix and right product
-    instead, for a design too large to hold densely. Class order is frozen
-    at fit time (pass ``classes`` to pin it explicitly; defaults to sorted
-    unique labels) and argmax ties resolve to the earliest class in that
-    order.
+    labels. ``fit`` also takes X as a :class:`CooMatrix`, for a design too
+    large to hold densely. Class order is frozen at fit time (pass
+    ``classes`` to pin it explicitly; defaults to sorted unique labels) and
+    argmax ties resolve to the earliest class in that order.
     """
 
     def __init__(self, l2=1e-3, max_iters=2000, grad_tol=1e-6):
@@ -55,26 +84,20 @@ class SoftmaxClassifier(ParamsMixin):
 
     def fit(self, X, y, classes: Sequence[str] | None = None,
             feature_kind: str = "dense", vocab_hash: str = ""):
-        """Fit on the 2-D design X: :meth:`fit_gram` with ``K = X @ X.T``."""
-        X = _as_design_input(X)
-        return self.fit_gram(
-            X @ X.T, lambda G: G @ X, y, classes, feature_kind, vocab_hash
-        )
-
-    def fit_gram(self, K, project, y, classes: Sequence[str] | None = None,
-                 feature_kind: str = "dense", vocab_hash: str = ""):
-        """Fit on a design X given only through its Gram matrix ``K = X @ X.T``
-        (n x n) and its right product ``project(G) = G @ X`` for
-        (n_classes, n) arrays G. ``n_features_`` is the width of that
-        product, so X itself is never needed (see :func:`coo_gram` and
-        :func:`coo_matmul` for a design held as its nonzeros)."""
+        """Fit on the design X, a 2-D array or a :class:`CooMatrix`. An ``l2``
+        that is negative or not finite, a negative ``max_iters`` or a NaN
+        ``grad_tol`` is refused before any work."""
+        for name, valid in (("l2", 0 <= self.l2 < math.inf), ("max_iters", self.max_iters >= 0),
+                            ("grad_tol", not math.isnan(self.grad_tol))):
+            if not valid:
+                raise ValueError(f"{name} is out of range: {getattr(self, name)!r}")
         labels = list(y)
-        if K.shape != (len(labels), len(labels)):
-            raise ValueError(f"{K.shape[0]} rows but {len(labels)} labels")
+        if not isinstance(X, CooMatrix):
+            X = _as_design_input(X)
+        if X.shape[0] != len(labels):
+            raise ValueError(f"{X.shape[0]} rows but {len(labels)} labels")
         if not labels:
             raise ValueError("empty training set")
-        if not np.isfinite(K).all():
-            raise ValueError("K holds a NaN or an infinite value")
         self.classes_ = tuple(classes) if classes is not None else tuple(
             sorted(set(labels))
         )
@@ -92,12 +115,13 @@ class SoftmaxClassifier(ParamsMixin):
             raise ValueError(f"classes with zero training examples: {empty}")
         y_index = np.array([index[lab] for lab in labels])
 
-        coef, bias, self.n_iter_, self.converged_, self.grad_max_ = _newton_cg_gram(
-            K, project, y_index, len(self.classes_), self.l2, self.max_iters,
+        features, scale, unfold = _features(X)
+        state, self.n_iter_, self.converged_, self.grad_max_ = _newton_cg(
+            features, scale, y_index, len(self.classes_), self.l2, self.max_iters,
             self.grad_tol,
         )
-        self.weights_ = np.hstack([project(coef), bias[:, None]])
-        self.n_features_ = self.weights_.shape[1] - 1
+        self.weights_ = unfold(state)
+        self.n_features_ = X.shape[1]
         self.feature_kind_ = feature_kind
         self.vocab_hash_ = vocab_hash
         return self
@@ -119,101 +143,78 @@ class SoftmaxClassifier(ParamsMixin):
         return [self.classes_[i] for i in probs.argmax(axis=1)]
 
 
-# Products per np.bincount call in coo_gram, unless one column alone has more.
-_GRAM_CHUNK_PAIRS = 2**16
+def _features(X):
+    """``(F, scale, unfold)`` for the solver on the n x d design X: the
+    features ``F = [X' | 1]``, the factor from each of their coordinates'
+    gradient to the largest primal gradient it stands for, and the map from
+    the solver's state to the (C, d + 1) weights ``[W | b]``.
 
-
-def coo_gram(row, col, value, n_rows: int) -> np.ndarray:
-    """``X @ X.T`` of the n_rows-row design X whose nonzeros are
-    ``(row, col, value)`` (at most one entry per (row, col)).
-
-    X is never formed: each column's k nonzeros add their k x k outer
-    product to K, by one ``np.bincount`` of keys ``r_i * n_rows + r_j`` per
-    group of columns of one k, in calls of at most 2**16 products or one
-    column. No BLAS runs, so K is exactly symmetric and the same on every
-    BLAS build. Time grows with the sum of k**2; memory is K plus one call.
+    X' is X, except that a :class:`CooMatrix` drops its empty columns and
+    folds the columns with one nonzero (the n-grams of one training document)
+    into one column per row that has any, valued at the norm ``s_i`` of that
+    row's entries in them. Under an L2 penalty the fold is exact: row i's
+    folded weight v stands for the weights ``v * x_ij / s_i``, which give the
+    same scores and penalty, and from zero every step stays in their span.
+    Their gradients are ``x_ij / s_i`` times v's.
     """
-    order = np.argsort(col, kind="stable")
-    counts = np.bincount(col)
-    starts = np.cumsum(counts) - counts
-    K = np.zeros(n_rows * n_rows)
-    for k in np.unique(counts[counts > 0]).tolist():
-        group = starts[counts == k]
-        step = max(1, _GRAM_CHUNK_PAIRS // (k * k))
-        for a in range(0, group.size, step):
-            at = order[group[a:a + step, None] + np.arange(k)]
-            r, v = row[at], value[at]
-            K += np.bincount((r[:, :, None] * n_rows + r[:, None, :]).ravel(),
-                             (v[:, :, None] * v[:, None, :]).ravel(), n_rows * n_rows)
-    return K.reshape(n_rows, n_rows)
-
-
-def coo_matmul(G, row, col, value, n_cols: int) -> np.ndarray:
-    """``G @ X`` for (k, n) ``G`` and the n x n_cols design X whose nonzeros
-    are ``(row, col, value)``: one ``np.bincount`` over the nonzeros per row
-    of G, so X is never formed."""
-    out = np.empty((len(G), n_cols))
-    for k, g in enumerate(G):
-        out[k] = np.bincount(col, weights=g[row] * value, minlength=n_cols)
-    return out
+    n, d = X.shape
+    if not isinstance(X, CooMatrix):
+        return np.hstack([X, np.ones((n, 1))]), 1.0, lambda state: state
+    nonzero = X.value != 0
+    row, col, value = X.row[nonzero], X.col[nonzero], X.value[nonzero]
+    counts = np.bincount(col, minlength=d)
+    single = counts[col] == 1
+    shared = np.flatnonzero(counts > 1)
+    folded, slot = np.unique(row[single], return_inverse=True)
+    peak = np.zeros(folded.size)
+    np.maximum.at(peak, slot, np.abs(value[single]))
+    ratio = value[single] / peak[slot]  # over the row's peak, so no square underflows
+    norm = peak * np.sqrt(np.bincount(slot, ratio * ratio, folded.size))
+    k, width = shared.size, shared.size + folded.size
+    features = CooMatrix(
+        np.concatenate([row[~single], folded, np.arange(n)]),
+        np.concatenate([np.searchsorted(shared, col[~single]), np.arange(k, width),
+                        np.full(n, width)]),
+        np.concatenate([value[~single], norm, np.ones(n)]),
+        (n, width + 1),
+    )
+    spread = CooMatrix(  # W = [W' | v] @ spread: v * x_ij / s_i on each folded column
+        np.concatenate([np.arange(k), k + slot]), np.concatenate([shared, col[single]]),
+        np.concatenate([np.ones(k), value[single] / norm[slot]]), (width, d),
+    )
+    scale = np.concatenate([np.ones(k), peak / norm, [1.0]])
+    return features, scale, lambda state: np.hstack([state[:, :-1] @ spread, state[:, -1:]])
 
 
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking search
 _MAX_HALVINGS = 60
 
 
-def _newton_cg_gram(K, project, y_index, n_classes, l2, max_iters, grad_tol):
-    """Truncated-Newton (Newton-CG) minimization of the mean cross-entropy
-    of ``softmax(X @ W.T + b)`` plus ``(l2/2) * ||W||^2`` (the bias b is not
-    penalized), run in Gram (representer) form.
-
-    Weights start at zero and only the weights (not the bias) are penalized,
-    so every gradient and Newton step lies in the row span of X and every
-    iterate is ``W = A @ X`` for (n_classes, n) coefficients A. X enters only
-    through ``project(G) = G @ X`` and the Gram matrix ``K = X @ X.T``,
-    which is eigendecomposed once, ``K = Q @ diag(lam) @ Q.T``; eigenvalues
-    at round-off level (``lam <= lam_max * n * eps``) are dropped, as in A
-    they span directions that leave W unchanged and round-off in CG would
-    grow A there without bound. The loop's one unknown is the (n_classes,
-    r + 1) array ``[V | b]``, ``V = A @ Q @ diag(sqrt(lam))``, over the
-    features ``F = [Q @ diag(sqrt(lam)) | 1]`` (the ones column is appended
-    after the cut, so the cut never drops b); the penalty is l2 on V, 0 on
-    b. The Euclidean inner product of V is the K inner product
-    ``tr(S @ K @ T.T)`` of A, the primal one of ``S @ X`` and ``T @ X``.
-
-    Each outer step checks the exact primal stop rule
-    ``max(|grad_b|, |project(g)|) < grad_tol`` with
-    ``g = delta.T / n + l2 * A``,
-    takes a Newton step from :func:`_newton_direction`, and backtracks from
-    t = 1 by halving until the Armijo condition holds (Lin, Weng & Keerthi,
-    JMLR 2008; Nocedal & Wright, *Numerical Optimization*, ch. 7).
-
-    Returns ``(A, bias, n_iter, converged, grad_max)``: n_iter counts the
-    Newton steps taken, converged says whether the stop rule fired, and
-    grad_max is the primal max|grad| at the returned point. A step that finds
+def _newton_cg(features, scale, y_index, n_classes, l2, max_iters, grad_tol):
+    """Truncated-Newton (Newton-CG) minimization, from zero, of the mean
+    cross-entropy of ``softmax(F @ S.T)`` plus ``(l2/2) * ||W||^2`` over the
+    state ``S = [W | b]``, for the features ``F = [X | 1]`` of
+    :func:`_features` (the bias b is not penalized). Each outer step checks
+    the stop rule ``max|grad * scale| < grad_tol``, takes a Newton step from
+    :func:`_newton_direction`, and halves it from t = 1 until the Armijo
+    condition holds (Lin, Weng & Keerthi, JMLR 2008; Nocedal & Wright,
+    *Numerical Optimization*, ch. 7). Returns ``(S, n_iter, converged,
+    grad_max)``, grad_max being the primal max|grad| at S. A step that finds
     no decrease ends the loop unconverged.
     """
-    n = K.shape[0]
-    lam, basis = np.linalg.eigh(K)
-    keep = lam > lam[-1] * n * np.finfo(float).eps
-    root, basis = np.sqrt(lam[keep]), basis[:, keep]
-    features = np.hstack([basis * root, np.ones((n, 1))])
-    penalty = np.append(np.full(root.size, l2), 0.0)
-    state = np.zeros((n_classes, root.size + 1))
+    n, width = features.shape
+    penalty = np.append(np.full(width - 1, l2), 0.0)
+    state = np.zeros((n_classes, width))
     loss, probs = _objective(features, state, y_index, penalty)
     for n_iter in range(max_iters + 1):
-        coef = (state[:, :-1] / root) @ basis.T
         delta = probs.copy()
         delta[np.arange(n), y_index] -= 1.0
         grad = delta.T @ features / n + penalty * state
-        grad_max = float(np.maximum(  # NaN-propagating, unlike builtin max
-            np.abs(grad[:, -1]).max(),
-            np.abs(project(delta.T / n + l2 * coef)).max(initial=0.0),
-        ))
+        grad_max = float(np.abs(grad * scale).max())  # NaN-propagating
         if not np.isfinite(grad_max):
             raise FloatingPointError("training diverged: non-finite gradient")
         if grad_max < grad_tol:
-            return coef, state[:, -1], n_iter, True, grad_max
+            return state, n_iter, True, grad_max
         if n_iter == max_iters:
             break
         step = _newton_direction(grad, probs, features, penalty)
@@ -230,16 +231,15 @@ def _newton_cg_gram(K, project, y_index, n_classes, l2, max_iters, grad_tol):
         else:
             break
         state, loss, probs = trial, trial_loss, trial_probs
-    return coef, state[:, -1], n_iter, False, grad_max
+    return state, n_iter, False, grad_max
 
 
 def _objective(features, state, y_index, penalty):
-    """``(loss, probs)`` at the point ``[V | b]`` of :func:`_newton_cg_gram`:
-    the loss is the mean cross-entropy of ``probs = softmax(F @ [V | b].T)``
-    plus ``sum(penalty * [V | b]**2) / 2`` (that is, ``(l2/2) * ||V||^2``),
-    the primal loss at ``W = A @ X``. The cross-entropy is taken by
-    log-sum-exp, so it stays finite when a true-class probability underflows
-    to zero."""
+    """``(loss, probs)`` at the state ``S = [W | b]`` of :func:`_newton_cg`:
+    the loss is the mean cross-entropy of ``probs = softmax(F @ S.T)`` plus
+    ``sum(penalty * S**2) / 2`` (that is, ``(l2/2) * ||W||^2``). The
+    cross-entropy is taken by log-sum-exp, so it stays finite when a
+    true-class probability underflows to zero."""
     scores = features @ state.T
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -249,7 +249,7 @@ def _objective(features, state, y_index, penalty):
 
 
 def _newton_direction(grad, probs, features, penalty):
-    """Approximate solution S (shaped as ``[V | b]``) of ``H S = -grad`` by
+    """Approximate solution S (shaped as ``[W | b]``) of ``H S = -grad`` by
     conjugate gradients, H being the Hessian of :func:`_objective`.
 
     The Hessian-vector product is ``dZ = F @ S.T``,
@@ -336,6 +336,8 @@ def load_model(data: bytes, expected_vocab_hash: str | None = None) -> SoftmaxCl
         raise ModelFormatError("negative n_features")
     if len(payload["classes"]) < 2:
         raise ModelFormatError("fewer than 2 classes")
+    if len(set(payload["classes"])) != len(payload["classes"]):
+        raise ModelFormatError("duplicate class labels")
     params = check_params(payload.get("params"), ModelFormatError)
     if expected_vocab_hash is not None and payload["vocab_hash"] != expected_vocab_hash:
         raise VocabMismatchError(

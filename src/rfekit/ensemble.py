@@ -19,10 +19,9 @@ import numpy as np
 from ._base import ParamsMixin, check_is_fitted
 from .classify import (
     _PARAM_TYPES,
+    CooMatrix,
     SoftmaxClassifier,
     check_params,
-    coo_gram,
-    coo_matmul,
     load_model,
     save_model,
 )
@@ -235,10 +234,8 @@ class EnsembleDocumentClassifier(ParamsMixin):
         token_docs = [document_tokens(d.text) for d in docs]
         self.vocabulary_, (row, col, value) = fit_tfidf(token_docs, self.n_range)
         self.vocab_bytes_ = save_vocab(self.vocabulary_)
-        n_cols = self.vocabulary_.size
-        self.text_model_ = self._head().fit_gram(
-            coo_gram(row, col, value, len(docs)),
-            lambda G: coo_matmul(G, row, col, value, n_cols),
+        self.text_model_ = self._head().fit(
+            CooMatrix(row, col, value, (len(docs), self.vocabulary_.size)),
             labels,
             classes=self.classes_,
             feature_kind="sparse",

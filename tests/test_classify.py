@@ -10,13 +10,11 @@ import pytest
 
 from rfekit import classify
 from rfekit.classify import (
+    CooMatrix,
     ModelFormatError,
     SoftmaxClassifier,
     VocabMismatchError,
-    _GRAM_CHUNK_PAIRS,
     _payload_digest,
-    coo_gram,
-    coo_matmul,
     load_model,
     save_model,
     softmax,
@@ -430,6 +428,7 @@ DROP = object()
         {"version": True, "weights": [["0x0.0p+0"] * 3] * 2},
         {"version": 1.0, "weights": [["0x0.0p+0"] * 3] * 2},
         {"version": 2.0},
+        {"classes": ["a", "a"]},
     ],
     ids=["no-vocab_hash", "no-classes", "no-n_features", "no-feature_kind",
          "no-weights", "string-classes", "non-string-class", "string-n_features",
@@ -439,7 +438,7 @@ DROP = object()
          "bool-grad_tol", "v2-non-base64", "v2-short-weights", "v2-partial-float",
          "v2-long-weights", "v2-weight-rows", "v2-nan-weights", "v1-string-weights",
          "no-classes-empty-weights", "one-class", "v1-negative-n_features",
-         "bool-version", "float-version-1", "float-version-2"],
+         "bool-version", "float-version-1", "float-version-2", "duplicate-classes"],
 )
 def test_resigned_malformed_header_rejected(changes):
     clf = SoftmaxClassifier(max_iters=1).fit(np.eye(2), ["a", "b"])
@@ -474,47 +473,30 @@ _SPARSE_CASES = [(5, 7, 3), (40, 10_000, 1), (300, 2_000, 40), (1, 3, 2), (2_000
 
 
 # The cases of _SPARSE_CASES, then three more: all 20 columns of (64, 20, 20)
-# hold 63 nonzeros, so their products split over calls of 16 and 4 columns;
-# column 0 of the other two is in every row, and its 300**2 products exceed
-# one call's cap.
-_GRAM_CASES = [
+# hold 63 nonzeros, and column 0 of the other two is in every row.
+_PRODUCT_CASES = [
     pytest.param(*case, False, id="-".join(map(str, case))) for case in _SPARSE_CASES
 ] + [
-    pytest.param(64, 20, 20, False, id="64-20-20-split-group"),
+    pytest.param(64, 20, 20, False, id="64-20-20-full-columns"),
     pytest.param(300, 2_000, 40, True, id="300-2000-40-full-column"),
     pytest.param(5, 7, 3, True, id="5-7-3-full-column"),
 ]
 
 
-@pytest.mark.parametrize("n, d, per_row, full_column", _GRAM_CASES)
-def test_coo_gram_and_matmul_match_the_dense_products(n, d, per_row, full_column, monkeypatch):
-    """Pair-built K against ``X @ X.T``, exactly symmetric, from bincount
-    calls of at most ``_GRAM_CHUNK_PAIRS`` products unless a call holds one
-    column; and bincount ``G @ X`` against the dense product."""
+@pytest.mark.parametrize("n, d, per_row, full_column", _PRODUCT_CASES)
+def test_coo_products_match_the_dense_products(n, d, per_row, full_column):
+    """``X @ B`` and ``A @ X`` of a CooMatrix against the dense products, and
+    both zero for the same shape with no nonzeros."""
     X, (row, col, value), _ = _sparse_design(n, d, per_row, n + d, full_column=full_column)
-    calls, bincount = [], np.bincount
-
-    def counting_bincount(x, weights=None, minlength=0):
-        if weights is not None:
-            calls.append(x.size)
-        return bincount(x, weights, minlength)
-
-    monkeypatch.setattr(np, "bincount", counting_bincount)
-    K = coo_gram(row, col, value, n)
-    monkeypatch.undo()
-    column_sizes = set(np.bincount(col).tolist())
-    assert all(c <= _GRAM_CHUNK_PAIRS or math.isqrt(c) in column_sizes for c in calls)
-    assert (n * n in calls) == full_column
-    if (n, d, per_row) == (64, 20, 20):
-        assert calls == [16 * 63**2, 4 * 63**2]
-    assert K.shape == (n, n)
-    assert np.abs(K - X @ X.T).max() <= 1e-13 * np.abs(X @ X.T).max()
-    assert np.array_equal(K, K.T)
-    G = np.random.default_rng(d).normal(size=(3, n))
-    GX = coo_matmul(G, row, col, value, d)
-    assert GX.shape == (3, d)
-    assert np.abs(GX - G @ X).max() <= 1e-13 * np.abs(G @ X).max()
-    assert not coo_gram(row[:0], col[:0], value[:0], n).any()
+    rng = np.random.default_rng(d)
+    B, A = rng.normal(size=(d, 3)), rng.normal(size=(3, n))
+    coo = CooMatrix(row, col, value, X.shape)
+    for product, dense in ((coo @ B, X @ B), (A @ coo, A @ X)):
+        assert product.shape == dense.shape
+        assert np.abs(product - dense).max() <= 1e-13 * np.abs(dense).max()
+    empty = CooMatrix(row[:0], col[:0], value[:0], X.shape)
+    for product, shape in ((empty @ B, (n, 3)), (A @ empty, (3, d))):
+        assert product.shape == shape and not product.any()
 
 
 @pytest.mark.parametrize(
@@ -532,23 +514,88 @@ def test_coo_gram_and_matmul_match_the_dense_products(n, d, per_row, full_column
     ],
 )
 def test_sparse_fit_matches_dense_fit(n, d, per_row, l2):
-    """The COO fit against ``fit(X)``. Unpenalized, a fit amplifies the
-    round-off between ``coo_gram`` and ``X @ X.T`` (weights 2.4e-2 apart on
-    one case here), so there the weights are compared with a dense-projection
-    fit on the same K, and ``fit(X)`` must still agree on steps and labels."""
+    """``fit(CooMatrix)`` against ``fit(X)``: the same steps, stop and
+    labels, and with l2 > 0 the same max|grad| and weights. Unpenalized, a
+    fit amplifies the round-off between the bincount and the BLAS products
+    (on one case here, weights 2.5e-2 apart and max|grad| 0.2% apart at
+    equal steps), so there only the stop is compared;
+    test_coo_products_match_the_dense_products holds the products themselves
+    equal."""
     X, (row, col, value), y = _sparse_design(n, d, per_row, seed=7 * n + d)
-    K = coo_gram(row, col, value, n)
     dense = SoftmaxClassifier(l2=l2).fit(X, y, feature_kind="sparse")
-    sparse = SoftmaxClassifier(l2=l2).fit_gram(
-        K, lambda G: coo_matmul(G, row, col, value, d), y, feature_kind="sparse"
+    sparse = SoftmaxClassifier(l2=l2).fit(
+        CooMatrix(row, col, value, X.shape), y, feature_kind="sparse"
     )
-    reference = dense if l2 else SoftmaxClassifier(l2=l2).fit_gram(K, lambda G: G @ X, y)
     assert dense.converged_
     assert (sparse.n_iter_, sparse.converged_) == (dense.n_iter_, dense.converged_)
     assert sparse.weights_.shape == dense.weights_.shape == (3, d + 1)
     assert sparse.n_features_ == d
-    assert np.abs(sparse.weights_ - reference.weights_).max() <= 1e-12
+    if l2:
+        assert sparse.grad_max_ == pytest.approx(dense.grad_max_, rel=1e-6)
+        assert np.abs(sparse.weights_ - dense.weights_).max() <= 1e-12
     assert sparse.predict(X) == dense.predict(X)
+
+
+# Columns 0-3 are shared by two or more rows, 4-7 are each in one row only
+# (row 4 has two of them), and 8-9 are in none.
+_FOLD_BASE = np.array([
+    [0.9, 0.4, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.3, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.6, 0.5, 0.0, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0],
+    [0.2, 0.0, 0.0, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.1, 0.0, 0.9, 0.0, 0.0, 0.3, 0.6, 0.0, 0.0],
+    [0.5, 0.0, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+])
+
+
+def _fold_case(case):
+    X = _FOLD_BASE.copy()
+    if case == "zero-row":
+        X[3] = 0.0
+    elif case == "empty":
+        X[:] = 0.0
+    elif case == "all-single-row":
+        X[1] = 0.0
+        X[1, 8:] = [0.7, 0.05]
+    elif case == "negative-single":
+        X[4, 7] = X[2, 5] = -0.6
+    elif case == "tiny-singles":  # their squares underflow to 0
+        X[4, 6:8] = [3e-170, 6e-170]
+    return X
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["zero-row", "empty", "all-single-row", "negative-single", "tiny-singles", "stored-zero"],
+)
+def test_folded_single_columns_fit_as_the_dense_design(case):
+    """The columns with one nonzero fold into one column per row that has
+    any, and the COO fit still equals the dense fit: steps, stop, max|grad|,
+    weights and labels. At l2=1e-3 this six-row design is so weakly bound
+    that its dense fit alone moves 3.4e-12 when its columns are permuted, so
+    the cases use l2=1e-2."""
+    X = _fold_case(case)
+    y = ["a", "b", "a", "c", "b", "a"]
+    row, col = np.nonzero(X)
+    value = X[row, col]
+    if case == "stored-zero":  # alone in its column, and row 3's only such entry
+        row, col, value = np.append(row, 3), np.append(col, 9), np.append(value, 0.0)
+    coo = CooMatrix(row, col, value, X.shape)
+    present = X != 0
+    single = present & (present.sum(axis=0) == 1)
+    width = (present.sum(axis=0) > 1).sum() + single.any(axis=1).sum() + 1
+    assert classify._features(coo)[0].shape == (6, width)
+    dense = SoftmaxClassifier(l2=1e-2).fit(X, y)
+    sparse = SoftmaxClassifier(l2=1e-2).fit(coo, y)
+    assert dense.converged_
+    assert (sparse.n_iter_, sparse.converged_) == (dense.n_iter_, dense.converged_)
+    assert sparse.grad_max_ == pytest.approx(dense.grad_max_, rel=1e-6)
+    assert np.abs(sparse.weights_ - dense.weights_).max() <= 1e-12
+    assert sparse.predict(X) == dense.predict(X)
+
+
+def _coo_eye(n) -> CooMatrix:
+    return CooMatrix(np.arange(n), np.arange(n), np.ones(n), (n, n))
 
 
 def _short_v1_model() -> bytes:
@@ -562,20 +609,18 @@ def _short_v1_model() -> bytes:
     "call, message",
     [
         (lambda: SoftmaxClassifier().fit(np.zeros((0, 2)), []), "empty training set"),
-        (lambda: SoftmaxClassifier().fit_gram(np.zeros((0, 0)), lambda G: G, []),
+        (lambda: SoftmaxClassifier().fit(CooMatrix([], [], [], (0, 2)), []),
          "empty training set"),
         (lambda: SoftmaxClassifier().fit(np.eye(2), ["a", "a"]), "at least 2 classes"),
-        (lambda: SoftmaxClassifier().fit_gram(np.eye(2), lambda G: G, ["a", "a"]),
-         "at least 2 classes"),
+        (lambda: SoftmaxClassifier().fit(_coo_eye(2), ["a", "a"]), "at least 2 classes"),
         (lambda: SoftmaxClassifier().fit(np.eye(2), ["a", "b"], classes=["a", "b", "a"]),
          "duplicate class labels"),
-        (lambda: SoftmaxClassifier().fit_gram(np.eye(2), lambda G: G, ["a", "b"],
-                                              classes=["a", "b", "a"]),
+        (lambda: SoftmaxClassifier().fit(_coo_eye(2), ["a", "b"], classes=["a", "b", "a"]),
          "duplicate class labels"),
         (lambda: load_model(_short_v1_model()), r"weight shape \(2, 4\) inconsistent"),
     ],
-    ids=["fit-empty", "fit_gram-empty", "fit-one-class", "fit_gram-one-class",
-         "fit-duplicate-classes", "fit_gram-duplicate-classes", "load_model-v1-short"],
+    ids=["fit-empty", "fit_coo-empty", "fit-one-class", "fit_coo-one-class",
+         "fit-duplicate-classes", "fit_coo-duplicate-classes", "load_model-v1-short"],
 )
 def test_invalid_training_set_or_model_file_is_refused_by_name(call, message):
     with pytest.raises(ValueError, match=message):
@@ -584,22 +629,43 @@ def test_invalid_training_set_or_model_file_is_refused_by_name(call, message):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "entry", ["fit", "fit_gram", "decision_function", "predict_proba", "predict"]
+    "entry", ["fit", "CooMatrix", "decision_function", "predict_proba", "predict"]
 )
 def test_a_non_finite_design_is_refused_by_name(entry, bad):
-    """A NaN or an infinity fails with a ValueError naming X (or K), not as an
-    eigensolver failure in ``fit`` or a NaN row that ``predict`` turns into
-    the first class."""
+    """A NaN or an infinity fails with a ValueError naming X, not as a
+    diverged fit or a NaN row that ``predict`` turns into the first class."""
     X, y = np.array([[0.0, 1.0], [1.0, 0.0]]), ["a", "b"]
     fitted = SoftmaxClassifier().fit(X, y)
     X[1, 0] = bad
-    with pytest.raises(ValueError, match=f"{'K' if entry == 'fit_gram' else 'X'} holds a NaN"):
+    with pytest.raises(ValueError, match="X holds a NaN"):
         if entry == "fit":
             SoftmaxClassifier().fit(X, y)
-        elif entry == "fit_gram":
-            SoftmaxClassifier().fit_gram(X, lambda G: G, y)  # X is 2 x 2: a K
+        elif entry == "CooMatrix":
+            row, col = np.nonzero(X)
+            SoftmaxClassifier().fit(CooMatrix(row, col, X[row, col], X.shape), y)
         else:
             getattr(fitted, entry)(X)
+
+
+@pytest.mark.parametrize(
+    "row, col", [([0, 2], [0, 1]), ([0, 1], [0, 2]), ([-1, 1], [0, 1])],
+    ids=["row", "col", "negative"],
+)
+def test_a_coo_index_outside_the_shape_is_refused_by_name(row, col):
+    with pytest.raises(ValueError, match=r"X has an index outside its shape \(2, 2\)"):
+        SoftmaxClassifier().fit(CooMatrix(row, col, [1.0, 1.0], (2, 2)), ["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "param, value",
+    [("l2", -1.0), ("l2", math.nan), ("l2", math.inf), ("max_iters", -1),
+     ("grad_tol", math.nan)],
+    ids=["negative-l2", "nan-l2", "inf-l2", "negative-max_iters", "nan-grad_tol"],
+)
+def test_out_of_range_training_params_are_refused_by_name(param, value):
+    """Checked before the training set, which here is empty."""
+    with pytest.raises(ValueError, match=f"^{param} "):
+        SoftmaxClassifier(**{param: value}).fit(np.zeros((0, 2)), [])
 
 
 def test_line_search_backtracks_and_every_step_lowers_the_loss(monkeypatch):
@@ -643,9 +709,10 @@ def test_newton_direction_on_flat_curvature_is_steepest_descent():
     assert np.array_equal(step, -grad)
 
 
-def test_fit_gram_rejects_a_gram_matrix_of_the_wrong_size():
+@pytest.mark.parametrize("X", [np.eye(3), _coo_eye(3)], ids=["dense", "coo"])
+def test_fit_rejects_a_design_whose_rows_differ_from_the_labels(X):
     with pytest.raises(ValueError, match="3 rows but 2 labels"):
-        SoftmaxClassifier().fit_gram(np.eye(3), lambda G: G, ["a", "b"])
+        SoftmaxClassifier().fit(X, ["a", "b"])
 
 
 def test_sparse_fit_never_allocates_the_dense_design():
@@ -659,9 +726,7 @@ def test_sparse_fit_never_allocates_the_dense_design():
     y = [f"c{i % 3}" for i in range(n)]
     tracemalloc.start()
     try:
-        clf = SoftmaxClassifier().fit_gram(
-            coo_gram(row, col, value, n), lambda G: coo_matmul(G, row, col, value, d), y
-        )
+        clf = SoftmaxClassifier().fit(CooMatrix(row, col, value, (n, d)), y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
