@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ioutil import read_records
-from .text import clean_tokens, load_stopwords, normalize, split_sentences, tokenize
+from .text import clean_tokens, load_stopwords, normalize, normalized_blocks, tokenize
 from .vectorize import Vocabulary, fit_vectors, norm, tfidf_vector
 
 DEFAULT_TAU = 0.6
@@ -237,6 +237,22 @@ def _float_rows(matrix, n_columns: int) -> tuple[tuple[float, ...], ...]:
     return rows
 
 
+def _hits(row, tau: float) -> list[tuple[int, float]]:
+    """The ``(example_index, similarity)`` pairs of one matrix row strictly
+    above ``tau``, in example order."""
+    return [(j, v) for j, v in enumerate(row) if v > tau]
+
+
+def _report(sentence_hits, bank: ExampleBank, tau: float) -> AttackReport:
+    """The report of one RFE from the :func:`_hits` of each of its sentences,
+    in sentence order; every report is built here."""
+    evidence = [Evidence(i, j, v) for i, hits in enumerate(sentence_hits) for j, v in hits]
+    flagged = {bank.attack_of(e.example_index) for e in evidence}
+    evidence.sort(key=lambda e: (-e.similarity, e.sentence_index, e.example_index))
+    detected = tuple(a for a in bank.attack_ids if a in flagged)
+    return AttackReport(detected=detected, evidence=tuple(evidence), threshold=tau)
+
+
 def detect_attacks(matrix, bank: ExampleBank, tau: float = DEFAULT_TAU) -> AttackReport:
     """Flag every attack with at least one similarity strictly above ``tau``.
 
@@ -247,16 +263,8 @@ def detect_attacks(matrix, bank: ExampleBank, tau: float = DEFAULT_TAU) -> Attac
     numbers (an ndarray, nested lists) with one column per bank example.
     """
     _check_tau(tau)
-    hits = [
-        Evidence(i, j, v)
-        for i, row in enumerate(_float_rows(matrix, len(bank.examples)))
-        for j, v in enumerate(row)
-        if v > tau
-    ]
-    flagged = {bank.attack_of(e.example_index) for e in hits}
-    hits.sort(key=lambda e: (-e.similarity, e.sentence_index, e.example_index))
-    detected = tuple(a for a in bank.attack_ids if a in flagged)
-    return AttackReport(detected=detected, evidence=tuple(hits), threshold=tau)
+    rows = _float_rows(matrix, len(bank.examples))
+    return _report([_hits(row, tau) for row in rows], bank, tau)
 
 
 def detect_rfes(rfe_texts, bank: ExampleBank, tau: float = DEFAULT_TAU) -> list[AttackReport]:
@@ -266,26 +274,29 @@ def detect_rfes(rfe_texts, bank: ExampleBank, tau: float = DEFAULT_TAU) -> list[
 
     The one detection path: the CLI, the evaluation harness and, through
     :func:`detect_rfe`, drafting call it. RFEs share most of their
-    boilerplate sentences, so each distinct cleaned sentence of the batch is
-    scored once, in one :func:`similarity_matrix` call, and each RFE keeps
-    only the row indices of its sentences. The index lives for this call
-    only. Every row is the same sums as in a per-RFE matrix, so each report
-    is identical to
+    boilerplate lines, so each distinct normalized line of the batch is
+    cleaned once, each distinct cleaned sentence is scored once, in one
+    :func:`similarity_matrix` call, and each scored row is thresholded once;
+    each RFE keeps only the row indices of its sentences. The index lives
+    for this call only. Every row is the same sums as in a per-RFE matrix,
+    so each report is identical to
     ``detect_attacks(similarity_matrix(sentences, bank), bank, tau)``.
     """
     _check_tau(tau)
+    block_rows: dict[str, int | None] = {}  # None: the block cleans to nothing
     index: dict[tuple[str, ...], int] = {}
-    rfe_rows = [
-        [index.setdefault(tuple(tokens), len(index))
-         for tokens in split_sentences(text, bank.stopwords)]
-        for text in rfe_texts
-    ]
-    rows = similarity_matrix(list(index), bank)._rows
-    n_examples = len(bank.examples)
-    return [
-        detect_attacks(SimilarityMatrix(tuple(map(rows.__getitem__, r)), n_examples), bank, tau)
-        for r in rfe_rows
-    ]
+    rfe_rows = []
+    for text in rfe_texts:
+        rows = []
+        for block in normalized_blocks(text):
+            if block not in block_rows:
+                tokens = tuple(clean_tokens(tokenize(block), bank.stopwords))
+                block_rows[block] = index.setdefault(tokens, len(index)) if tokens else None
+            if (row := block_rows[block]) is not None:
+                rows.append(row)
+        rfe_rows.append(rows)
+    hits = [_hits(row, tau) for row in similarity_matrix(list(index), bank)._rows]
+    return [_report([hits[r] for r in rows], bank, tau) for rows in rfe_rows]
 
 
 def detect_rfe(rfe_text: str, bank: ExampleBank, tau: float = DEFAULT_TAU) -> AttackReport:

@@ -85,10 +85,10 @@ class SoftmaxClassifier(ParamsMixin):
     def fit(self, X, y, classes: Sequence[str] | None = None,
             feature_kind: str = "dense", vocab_hash: str = ""):
         """Fit on the design X, a 2-D array or a :class:`CooMatrix`. An ``l2``
-        that is negative or not finite, a negative ``max_iters`` or a NaN
-        ``grad_tol`` is refused before any work."""
+        that is negative or not finite, a negative ``max_iters`` or a negative
+        or NaN ``grad_tol`` is refused before any work."""
         for name, valid in (("l2", 0 <= self.l2 < math.inf), ("max_iters", self.max_iters >= 0),
-                            ("grad_tol", not math.isnan(self.grad_tol))):
+                            ("grad_tol", self.grad_tol >= 0)):
             if not valid:
                 raise ValueError(f"{name} is out of range: {getattr(self, name)!r}")
         labels = list(y)

@@ -13,6 +13,8 @@ import argparse
 import functools
 import hashlib
 import json
+import math
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -40,13 +42,20 @@ class UsageError(Exception):
     """Bad invocation detected after argparse (e.g. config file contents)."""
 
 
-def _tau_value(text: str) -> float:
-    try:
-        if 0.0 <= (tau := float(text)) <= 1.0:
-            return tau
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"tau must be a number in [0, 1], got {text!r}")
+def _number_value(name: str, convert, rule: str, valid):
+    """The converter of a number option whose value must pass ``valid``, so an
+    out-of-range value is a usage error before any work."""
+
+    def value(text: str):
+        try:
+            if valid(number := convert(text)):
+                return number
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text!r}")
+
+    value.number = convert  # a JSON number is accepted from --config
+    return value
 
 
 def _date_value(text: str) -> date:
@@ -84,8 +93,12 @@ _OPTION_TYPES = {
     "seed": int, "docs_per_class": int, "n_rfes": int,
     "ocr_noise_rate": float, "train_fraction": float,
     "channel": _choice_value("ocr", "clean"), "split": _choice_value("train", "test", "all"),
-    "ngrams": _ngrams_value, "l2": float, "max_iters": int, "grad_tol": float,
-    "tau": _tau_value, "today": _date_value,
+    "ngrams": _ngrams_value,
+    "l2": _number_value("l2", float, "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
+    "max_iters": _number_value("max_iters", int, "an integer >= 0", lambda v: v >= 0),
+    "grad_tol": _number_value("grad_tol", float, "a number >= 0", lambda v: v >= 0.0),
+    "tau": _number_value("tau", float, "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "today": _date_value,
 }
 
 
@@ -98,7 +111,7 @@ def _config_value(key: str, value):
         return value
     if convert is _ngrams_value and isinstance(value, list):
         value = ",".join(map(str, value))
-    elif convert in (int, float, _tau_value) and isinstance(value, (int, float)):
+    elif getattr(convert, "number", convert) in (int, float) and isinstance(value, (int, float)):
         value = str(value)
     try:
         if not isinstance(value, str):
@@ -271,7 +284,14 @@ def _rfe_inputs(input_path: Path) -> list[tuple[str, Path]]:
 
         manifest = load_manifest(input_path)
         return [(rec["id"], input_path / rec["file"]) for rec in manifest["rfes"]]
-    return [(p.stem, p) for p in sorted(input_path.glob("*.txt"))]
+    # The entries sorted(input_path.glob("*.txt")) lists, directories and
+    # dot-files included, sorted by name with no Path built to compare.
+    try:
+        with os.scandir(input_path) as entries:
+            names = sorted(entry.name for entry in entries if entry.name.endswith(".txt"))
+    except (FileNotFoundError, NotADirectoryError, PermissionError):
+        return []  # a glob lists nothing here either
+    return [(Path(name).stem, input_path / name) for name in names]
 
 
 def _cmd_detect(args) -> int:

@@ -36,14 +36,19 @@ def clean_tokens(tokens: list[str], stopwords) -> list[str]:
     return [t for t in tokens if t not in stopwords]
 
 
-def split_sentences(text: str, stopwords) -> list[list[str]]:
-    """One cleaned token list per newline-separated block of ``text``.
+def normalized_blocks(text: str) -> list[str]:
+    """The blocks of ``normalize(text)`` between newline runs, in order."""
+    return _NEWLINE_RUN.split(normalize(text))
 
-    Applies :func:`normalize`, :func:`tokenize`, and :func:`clean_tokens` to
-    each block; blocks that clean down to zero tokens are dropped.
+
+def split_sentences(text: str, stopwords) -> list[list[str]]:
+    """One cleaned token list per block of :func:`normalized_blocks`.
+
+    Applies :func:`tokenize` and :func:`clean_tokens` to each block; blocks
+    that clean down to zero tokens are dropped.
     """
     sentences = []
-    for block in _NEWLINE_RUN.split(normalize(text)):
+    for block in normalized_blocks(text):
         tokens = clean_tokens(tokenize(block), stopwords)
         if tokens:
             sentences.append(tokens)

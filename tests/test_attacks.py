@@ -325,20 +325,29 @@ def test_similarity_matrix_reads_like_an_array():
 
 
 def test_detect_rfes_hands_each_rfe_its_own_rows(monkeypatch):
-    """One matrix per RFE, of that RFE's sentences only; an RFE with none
-    gets an empty (0, n_examples) matrix."""
+    """Each RFE's report is built from the above-tau hits of its own
+    sentences only, in order; an RFE with none gets no hits."""
     bank = load_bank(SMALL_BANK)
-    shapes = []
+    handed = []
+    report = attacks._report
 
-    def spy(matrix, bank, tau):
-        shapes.append(matrix.shape)
-        return detect_attacks(matrix, bank, tau)
+    def spy(sentence_hits, bank, tau):
+        handed.append(list(sentence_hits))
+        return report(sentence_hits, bank, tau)
 
-    monkeypatch.setattr(attacks, "detect_attacks", spy)
+    monkeypatch.setattr(attacks, "_report", spy)
     texts = ["position requires degree\ncredentials evaluation", "", "zebra\nzebra\nquantum"]
-    reports = detect_rfes(texts, bank)
-    assert shapes == [(2, 4), (0, 4), (3, 4)]
-    assert reports == per_text_reference(texts, bank, DEFAULT_TAU)
+    for tau in (0.0, DEFAULT_TAU):
+        handed.clear()
+        reports = detect_rfes(texts, bank, tau)
+        assert [len(hits) for hits in handed] == [2, 0, 3]
+        assert handed == [
+            [[(j, v) for j, v in enumerate(row) if v > tau]
+             for row in similarity_matrix(split_sentences(text, bank.stopwords), bank)]
+            for text in texts
+        ]
+        assert any(handed[0]) == (tau == 0.0) and not any(handed[2])
+        assert reports == per_text_reference(texts, bank, tau)
 
 
 def evidence_loop_reference(matrix, tau):
@@ -441,6 +450,35 @@ def test_detect_rfes_equals_per_text_detection_with_repeated_sentences():
         distinct += len({tuple(s) for sentences in split for s in sentences})
         empty += split.count([])
     assert distinct < scored / 3 and empty > 20
+
+
+def test_detect_rfes_cleans_each_distinct_line_once_and_keeps_per_text_reports():
+    """Lines that normalize alike share one cleaning, and lines that clean
+    alike one row; the reports still equal the per-text ones. Blank-line
+    runs, a line that cleans to nothing, whitespace that is not a newline
+    inside a line, and characters whose lowercase is not one a-z letter
+    (dotted capital I, final sigma) are all in the batch."""
+    bank = load_bank(SMALL_BANK)
+    texts = [
+        "Position requires DEGREE knowledge\nposition requires degree knowledge 2021",
+        "position, requires; degree knowledge!\n\n\nthe of 123 !!\n\ncredentials evaluation",
+        "credentials evaluation\ncredentials evaluation\n\n",
+        "credentials\revaluation\x0bfrom\u2028qualified evaluator\r\nthe 9",
+        "İnstitution credentialsΣ evaluationΣ\nΣ\nİ\n",
+        "\n\n",
+        "the of 123 !!",
+        "",
+    ]
+    cleaned = [tuple(s) for text in texts for s in split_sentences(text, bank.stopwords)]
+    assert len(set(cleaned)) < len(cleaned)
+    matrix = similarity_matrix(sorted(set(cleaned)), bank)
+    present = sorted({v for row in matrix for v in row if 0.0 < v < 1.0})
+    assert present
+    for tau in (0.0, present[len(present) // 2], DEFAULT_TAU, 1.0):
+        reports = detect_rfes(texts, bank, tau)
+        assert reports == per_text_reference(texts, bank, tau)
+        assert [detect_rfe(text, bank, tau) for text in texts] == reports
+    assert detect_rfes(texts, bank, 0.0)[4].evidence
 
 
 def test_detect_rfes_on_an_empty_rfe_and_an_empty_batch():

@@ -659,8 +659,9 @@ def test_a_coo_index_outside_the_shape_is_refused_by_name(row, col):
 @pytest.mark.parametrize(
     "param, value",
     [("l2", -1.0), ("l2", math.nan), ("l2", math.inf), ("max_iters", -1),
-     ("grad_tol", math.nan)],
-    ids=["negative-l2", "nan-l2", "inf-l2", "negative-max_iters", "nan-grad_tol"],
+     ("grad_tol", math.nan), ("grad_tol", -1.0)],
+    ids=["negative-l2", "nan-l2", "inf-l2", "negative-max_iters", "nan-grad_tol",
+         "negative-grad_tol"],
 )
 def test_out_of_range_training_params_are_refused_by_name(param, value):
     """Checked before the training set, which here is empty."""

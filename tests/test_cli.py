@@ -176,16 +176,22 @@ def test_train_docs_seed42_heads_converge_and_print_fit_record(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--max-iters", "-1"), ("--l2", "-1"), ("--l2", "nan"), ("--grad-tol", "nan")]
+    "flag, value",
+    [("--max-iters", "-1"), ("--l2", "-1"), ("--l2", "nan"), ("--grad-tol", "nan"),
+     ("--grad-tol", "-1")],
 )
-def test_train_docs_refuses_an_out_of_range_training_param(tmp_path, corpus_42, capsys,
-                                                          flag, value):
-    root, _ = corpus_42
-    bundle = tmp_path / "bundle"
-    assert run(["train-docs", "--corpus", str(root), "--out", str(bundle), flag, value]) == 1
-    assert not bundle.exists()
+def test_train_docs_refuses_an_out_of_range_training_param(tmp_path, capsys, flag, value):
+    """A usage error from the flag or from --config, before the corpus is
+    read: the corpus here does not exist, which alone would exit 1."""
     param = flag[2:].replace("-", "_")
-    assert re.search(f"^error: {param} ", capsys.readouterr().err, re.M)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({param: value}), "utf-8")
+    for option in ([flag, value], ["--config", str(config)]):
+        argv = ["train-docs", "--corpus", str(tmp_path / "no-corpus"),
+                "--out", str(tmp_path / "bundle"), *option]
+        assert run(argv) == 2
+        assert re.search(f"\\b{param} must be .*, got '{value}'$", capsys.readouterr().err, re.M)
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_train_docs_defaults_are_the_estimator_defaults(tmp_path, corpus_42, capsys):
@@ -431,6 +437,26 @@ def test_detect_on_a_directory_writes_the_single_file_runs_concatenated(tmp_path
         singles.append(out.read_bytes())
     assert len(singles) == 49
     assert batch.read_bytes() == b"".join(singles)
+
+
+def test_detect_on_a_directory_reads_the_files_a_txt_glob_lists(tmp_path):
+    """The inputs are the entries of sorted(DIR.glob("*.txt")), dot-files
+    included and case kept, with Path.stem ids; a directory among them is
+    read, and fails, like a file."""
+    corpus = gen_small_corpus(tmp_path, rfes=2, docs=0)
+    rfes = json.loads((corpus / "manifest.json").read_text("utf-8"))["rfes"]
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    for k, name in enumerate(("b.txt", ".h.txt", ".txt", "a.b.txt", "x.TXT", "notes.md")):
+        (inbox / name).write_bytes((corpus / rfes[k % 2]["file"]).read_bytes())
+    argv = ["detect", "--bank", str(corpus / "bank.jsonl"), "--input", str(inbox),
+            "--out", str(tmp_path / "out.jsonl")]
+    assert run(argv) == 0
+    lines = (tmp_path / "out.jsonl").read_text("utf-8").splitlines()
+    ids = [json.loads(line)["id"] for line in lines]
+    assert ids == [p.stem for p in sorted(inbox.glob("*.txt"))] == [".h", ".txt", "a.b", "b"]
+    (inbox / "d.txt").mkdir()
+    assert run(argv) == 1
 
 
 def test_draft_writes_output_and_sidecar(tmp_path):
