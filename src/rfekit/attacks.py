@@ -127,12 +127,14 @@ def load_bank(source, stopwords=None) -> ExampleBank:
         raise BankFormatError(f"attack types with no surviving example sentences: {orphaned}")
     vocab, vectors = fit_vectors([tokens for tokens, _ in examples], BANK_N_RANGE)
     postings: dict[int, list[tuple[int, float]]] = {}
+    norms = []
     for j, vec in enumerate(vectors):
+        norms.append(norm(vec))
         for index, weight in vec:
             postings.setdefault(index, []).append((j, weight))
     return ExampleBank(
         attacks=tuple([AttackType(*item) for item in descriptions.items()]),
-        examples=tuple(examples), vocab=vocab, norms=tuple([norm(v) for v in vectors]),
+        examples=tuple(examples), vocab=vocab, norms=tuple(norms),
         postings=postings, stopwords=stopwords,
     )
 

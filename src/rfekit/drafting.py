@@ -208,10 +208,12 @@ class BeneficiaryStore:
         ``soc_code`` that is not ``NN-NNNN``.
 
         With no ``case_number`` every line is checked. With one, the whole
-        file is still read, but only the lines whose raw text contains the
-        case number or a backslash (a JSON escape could spell it) are decoded
-        and checked, and the store holds their records: the cost of a lookup
-        is one record, and a malformed line elsewhere goes unseen.
+        file is still read and UTF-8-checked, but only the lines whose raw
+        text contains the case number or a backslash (a JSON escape could
+        spell it) are decoded and checked, and the store holds their records:
+        in a file they are found by a text search, so a lookup costs one read
+        and decode of the file plus the matching lines, and a malformed line
+        elsewhere goes unseen.
         """
         rows = read_records(source, BENEFICIARY_FIELD_NAMES, StoreFormatError, "store",
                             holding=case_number)

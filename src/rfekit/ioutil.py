@@ -3,6 +3,7 @@ rule, atomic writes and the bare-file-name rule: one of each for rfekit."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 # Numbers the temp files of this process, so no two writes share one, even
 # writes from several threads or one nested in another.
 _temp_serial = itertools.count()
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -26,15 +28,27 @@ def atomic_write_bytes(path, data: bytes) -> None:
     against power loss.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     name = os.fsencode(path.name)
     suffix = f".{os.getpid()}.{next(_temp_serial)}.tmp".encode()
-    tmp = path.with_name(os.fsdecode(name[:max(64, len(name) - len(suffix))] + suffix))
+    tmp = os.fspath(path.with_name(os.fsdecode(name[:max(64, len(name) - len(suffix))] + suffix)))
     try:
-        tmp.write_bytes(data)
+        fd = os.open(tmp, _TEMP_FLAGS, 0o666)
+    except (FileNotFoundError, NotADirectoryError):
+        # The parent is missing (or a file, which this mkdir refuses): made on
+        # demand, so a write into an existing directory pays no mkdir.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, _TEMP_FLAGS, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 
@@ -55,24 +69,25 @@ def atomic_write_json(path, obj) -> None:
 def read_bytes(path, error, what: str) -> bytes:
     """The bytes of the file at ``path``; a file that cannot be read (missing,
     a directory, a NUL in the name) raises ``error("cannot read <what> <path>: ...")``."""
-    return _read(path, error, what, "rb")
+    try:
+        with open(os.fspath(path), "rb") as file:  # not a descriptor
+            return file.read()
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
 
 
 def read_text(path, error, what: str) -> str:
     """The UTF-8 text of the file at ``path``, its line ends read as ``\\n``;
     a file that cannot be read or is not UTF-8 raises ``error(message)`` as
-    :func:`read_bytes` does."""
-    return _read(path, error, what, "r", "utf-8")
-
-
-def _read(path, error, what: str, mode: str, encoding=None):
+    :func:`read_bytes` does. The bytes are decoded in one call and ``\\r\\n``
+    and ``\\r`` replaced after, which gives text-mode reading's text and
+    decode error without its per-character newline pass."""
+    data = read_bytes(path, error, what)
     try:
-        with open(os.fspath(path), mode, encoding=encoding) as file:  # not a descriptor
-            return file.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"cannot read {what} {path}: not UTF-8 ({exc})") from None
-    except (OSError, ValueError) as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def read_json(data: bytes, error, what: str, magic=None, versions=()) -> dict:
@@ -104,20 +119,60 @@ def read_records(source, fields, error, what: str, holding=None) -> list[list[st
 
     Given the string ``holding``, only the lines whose raw text contains it
     or a backslash (a JSON escape could spell it) are decoded and checked;
-    the others are skipped unread, but still counted in line numbers."""
+    the others are skipped unread, but still counted in line numbers. In a
+    file they are found with ``str.find``, so only the lines around a match
+    are split out of the text."""
     if isinstance(source, (str, Path)):
-        source = read_text(source, error, what).splitlines()
+        text = read_text(source, error, what)
+        if holding is not None:
+            return _decode(_lines_holding(text, holding), fields, error, what,
+                           lambda at: len(text[:at[0]].splitlines()) + at[1] + 1)
+        source = text.splitlines()
+    numbered = enumerate(source, start=1)
+    if holding is not None:
+        numbered = ((n, line) for n, line in numbered if holding in line or "\\" in line)
+    return _decode(numbered, fields, error, what, lambda n: n)
+
+
+def _lines_holding(text: str, holding: str):
+    """``((begin, k), line)`` for each line of ``text.splitlines()`` that
+    contains ``holding`` or a backslash, in order: ``line`` is line ``k`` of
+    the newline-bounded segment that starts at ``text[begin]``. Only the
+    segments around a match are split; each ends after a ``\\n`` or at the
+    end of the text, so its lines are lines of the whole text."""
+    size = len(text)
+
+    def next_at(needle, start):
+        at = text.find(needle, start)
+        return size if at < 0 else at
+
+    start, hold, slash = 0, next_at(holding, 0), next_at("\\", 0)
+    while (first := min(hold, slash)) < size:
+        begin = max(start, text.rfind("\n", start, first) + 1)
+        start = text.find("\n", first) + 1 or size
+        for k, line in enumerate(text[begin:start].splitlines()):
+            if holding in line or "\\" in line:
+                yield (begin, k), line
+        if hold < start:
+            hold = next_at(holding, start)
+        if slash < start:
+            slash = next_at("\\", start)
+
+
+def _decode(numbered, fields, error, what: str, line_number) -> list[list[str]]:
+    """The records of the non-blank lines of ``numbered``, ``(at, line)``
+    pairs; an error names the line ``line_number(at)``, worked out only then."""
     records = []
-    for lineno, line in enumerate(source, start=1):
-        if not line.strip() or holding is not None and holding not in line and "\\" not in line:
+    for at, line in numbered:
+        if not line.strip():
             continue
         try:
             obj = json.loads(line)
             values = [obj[k] for k in fields]
         except (ValueError, RecursionError, KeyError, TypeError) as exc:
-            raise error(f"{what} line {lineno}: {exc}") from None
+            raise error(f"{what} line {line_number(at)}: {exc}") from None
         if not all([type(v) is str for v in values]):
-            raise error(f"{what} line {lineno}: every field must be a string")
+            raise error(f"{what} line {line_number(at)}: every field must be a string")
         records.append(values)
     return records
 

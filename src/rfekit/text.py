@@ -8,6 +8,7 @@ workers.
 
 from __future__ import annotations
 
+import functools
 import re
 from importlib import resources
 
@@ -55,7 +56,9 @@ def split_sentences(text: str, stopwords) -> list[list[str]]:
     return sentences
 
 
+@functools.cache
 def load_stopwords() -> frozenset[str]:
-    """The stopword list shipped with the package."""
+    """The stopword list shipped with the package, read once per process: it
+    is package data, not an input, and the frozenset cannot be changed."""
     text = resources.files("rfekit.data").joinpath("stopwords.txt").read_text("ascii")
     return frozenset(text.split())

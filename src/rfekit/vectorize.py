@@ -137,10 +137,10 @@ def fit_vectors(token_docs, n_range) -> tuple[Vocabulary, list[tuple[tuple[int, 
         raise ValueError("cannot fit a vocabulary on an empty corpus")
     doc_freq = Counter(chain.from_iterable(counts))
     grams = sorted(doc_freq)
-    vocab = Vocabulary({g: i for i, g in enumerate(grams)},
+    vocab = Vocabulary(dict(zip(grams, range(len(grams)))),
                        tuple(map(doc_freq.__getitem__, grams)), len(counts), n_range)
     column, idf = vocab.ngram_to_index.__getitem__, vocab.idf_table
-    return vocab, [_unit([(i, c[grams[i]] * idf[i]) for i in sorted(map(column, c))])
+    return vocab, [_unit([(i, n * idf[i]) for i, n in sorted(zip(map(column, c), c.values()))])
                    for c in counts]
 
 
@@ -151,7 +151,7 @@ def fit_vocab(corpus, n_range) -> Vocabulary:
 
 def norm(vec) -> float:
     """Euclidean length of a sparse vector (a tuple of ``(index, weight)``)."""
-    return math.sqrt(sum(w * w for _, w in vec))
+    return math.sqrt(sum([w * w for _, w in vec]))
 
 
 def tfidf_vector(tokens: list[str], vocab: Vocabulary) -> tuple[tuple[int, float], ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -408,6 +409,18 @@ def test_detect_rfe_cleans_the_rfe_with_the_bank_stopwords():
     assert report.evidence == (Evidence(0, 0, 1.0),)
 
 
+def test_load_bank_cleans_its_examples_with_the_list_it_is_given():
+    """A given list replaces the shipped one, and leaves the shipped list,
+    which is read once per process, as it was."""
+    sentence = "The position requires a degree in the specialty"
+    custom = load_bank([bank_line("a", sentence)], stopwords=["position", "degree"])
+    assert custom.examples == ((("the", "requires", "a", "in", "the", "specialty"), "a"),)
+    assert custom.stopwords == frozenset({"position", "degree"})
+    default = load_bank([bank_line("a", sentence)])
+    assert default.examples == ((("position", "requires", "degree", "specialty"), "a"),)
+    assert default.stopwords is load_stopwords()
+
+
 def per_text_reference(texts, bank, tau):
     """``detect_rfes`` by its definition: one matrix and one report per text."""
     return [
@@ -584,6 +597,23 @@ def test_load_bank_norms_and_postings_are_the_example_vectors(rfe_corpus_42):
             got = bank.postings[index]
             assert [j for j, _ in got] == [j for j, _ in pairs]
             assert [(type(w), w.hex()) for _, w in got] == [(float, w.hex()) for _, w in pairs]
+
+
+# sha256 over the seed-42 bank's norms, postings (in key order) and
+# vocabulary, every float as its hex: the bank fit must keep each bit.
+SEED_42_BANK_DIGEST = "6b6d2f66946c31bb21910f5bb3df0552aaf431025f6c599cea1ff60eb0449630"
+
+
+def test_seed42_bank_matches_its_pinned_digest(rfe_corpus_42):
+    root, manifest = rfe_corpus_42
+    bank = load_bank(root / manifest["paths"]["bank"])
+    parts = (
+        [w.hex() for w in bank.norms],
+        [(i, [(j, w.hex()) for j, w in pairs]) for i, pairs in bank.postings.items()],
+        list(bank.vocab.ngram_to_index.items()), bank.vocab.doc_freq,
+        bank.vocab.corpus_size, bank.vocab.n_range,
+    )
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == SEED_42_BANK_DIGEST
 
 
 def bank_side_from_fit_tfidf(examples):

@@ -173,19 +173,21 @@ def test_evaluate_attacks_tau_one_flags_nothing():
 # no absent attack scores above 0.26, so the false-positive side of the
 # strict > tau rule never runs there.
 NEAR_MISS_RFES = Path(__file__).parent / "data" / "near-miss-rfes.json"
-# Per attack, against the seed-42 bank at DEFAULT_TAU: (tp, fp, fn, tn), and
-# the highest similarity of the attack in an RFE that does not demand it.
+# Per attack, against the seed-42 bank at DEFAULT_TAU: (tp, fp, fn, tn), the
+# lowest similarity of the attack in an RFE that demands it (its highest pair
+# there), and the highest similarity of the attack in an RFE that does not.
 NEAR_MISS_PINS = {
-    "specialty-occupation": ((1, 1, 1, 4), 0.801702),
-    "beneficiary-qualification": ((1, 1, 0, 5), 0.770654),
-    "employer-employee-relationship": ((1, 0, 0, 6), 0.586572),
+    "specialty-occupation": ((1, 1, 1, 4), 0.408921, 0.801702),
+    "beneficiary-qualification": ((1, 1, 0, 5), 1.0, 0.770654),
+    "employer-employee-relationship": ((1, 0, 0, 6), 1.0, 0.586572),
 }
 
 
 def test_near_miss_rfes_pin_each_attacks_counts_and_highest_absent_score(rfe_corpus_42):
     """Quoted bank wording is a false positive above tau and a true negative
     just below it; an absent attack between 0.4 and tau means that scaling
-    every similarity by 1.5 flips a decision and moves a pinned count."""
+    every similarity by 1.5 flips a decision and moves a pinned count. The
+    present attack scored below tau is the false negative."""
     root, manifest = rfe_corpus_42
     bank = load_bank(root / manifest["paths"]["bank"])
     rfes = [("\n".join(r["lines"]) + "\n", r["attacks"])
@@ -194,15 +196,19 @@ def test_near_miss_rfes_pin_each_attacks_counts_and_highest_absent_score(rfe_cor
     found, near_misses = {}, []
     for attack in bank.attack_ids:
         counts, _ = evaluate_attacks(bank, rfes, attack, DEFAULT_TAU)
-        absent = [
-            max([e.similarity for e in report.evidence
-                 if bank.attack_of(e.example_index) == attack], default=0.0)
-            for (_, truth), report in zip(rfes, reports) if attack not in truth
+        scores = [
+            (attack in truth, max([e.similarity for e in report.evidence
+                                   if bank.attack_of(e.example_index) == attack], default=0.0))
+            for (_, truth), report in zip(rfes, reports)
         ]
-        found[attack] = ((counts.tp, counts.fp, counts.fn, counts.tn), max(absent))
+        present = [score for demanded, score in scores if demanded]
+        absent = [score for demanded, score in scores if not demanded]
+        found[attack] = ((counts.tp, counts.fp, counts.fn, counts.tn), min(present), max(absent))
         near_misses += [score for score in absent if DEFAULT_TAU / 1.5 < score <= DEFAULT_TAU]
-    assert found == {attack: (counts, pytest.approx(score, abs=1e-6))
-                     for attack, (counts, score) in NEAR_MISS_PINS.items()}
+    assert found == {
+        attack: (counts, pytest.approx(low, abs=1e-6), pytest.approx(high, abs=1e-6))
+        for attack, (counts, low, high) in NEAR_MISS_PINS.items()
+    }
     assert len(near_misses) == 7
 
 

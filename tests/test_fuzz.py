@@ -147,6 +147,111 @@ def test_store_load_for_a_case_matches_the_whole_store_load_on_mutants(rfe_corpu
     assert loaded > 20
 
 
+def scan_and_loop(path, case_number, lines):
+    """The outcomes of loading the store for ``case_number`` from the file at
+    ``path`` (the scan of its text) and from its ``lines`` (the loop over
+    them); with ``lines`` None (the file is not UTF-8) the scan must refuse."""
+    scan = store_outcome(lambda p: BeneficiaryStore.load(p, case_number), path)
+    if lines is None:
+        assert scan[0] == "error" and "not UTF-8" in scan[1]
+        return scan, scan
+    return scan, store_outcome(lambda _: BeneficiaryStore.load(lines, case_number), path)
+
+
+def file_lines(path):
+    try:
+        return path.read_text("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return None
+
+
+def test_store_scan_for_a_case_equals_the_line_loop_on_mutants(rfe_corpus_42, tmp_path):
+    """For every mutant and every case number of the original store, the
+    lookup that scans the file's text gives the records, or the error
+    message, of the loop over the file's lines."""
+    root, manifest = rfe_corpus_42
+    original = (root / manifest["paths"]["store"]).read_bytes()
+    cases = [json.loads(line)["case_number"] for line in original.decode().splitlines()]
+    rng = random.Random(4343)
+    path = tmp_path / "store.jsonl"
+    outcomes = set()
+    for _ in range(MUTANTS):
+        path.write_bytes(mutate(original, rng))
+        lines = file_lines(path)
+        for case_number in cases:
+            scan, loop = scan_and_loop(path, case_number, lines)
+            assert scan == loop, case_number
+            outcomes.add(scan[0] if lines is not None else "utf-8")
+    assert outcomes == {"ok", "error", "utf-8"}
+
+
+def store_text(*records, sep="\n"):
+    """The JSON lines of ``records``, joined by ``sep``: each a case number, a
+    (case number, institution) pair, the institution put in unescaped, or a
+    raw line (empty or starting with ``{``)."""
+    lines = []
+    for record in records:
+        if not record or record[0] == "{":
+            lines.append(record)
+            continue
+        case, institution = record if isinstance(record, tuple) else (record, "U")
+        lines.append(json.dumps({
+            "case_number": case, "soc_code": "15-1252", "field_of_study": "CS",
+            "degree": "BS", "institution": "@",
+        }).replace('"@"', f'"{institution}"'))
+    return sep.join(lines)
+
+
+FAR = ["F-%d" % i for i in range(40)]  # records that never hold X-1
+
+
+@pytest.mark.parametrize("data, case_number, expected", [
+    (store_text("X-1", *FAR) + "\n", "X-1", ("ok", ["X-1"])),
+    (store_text(*FAR, "X-1"), "X-1", ("ok", ["X-1"])),
+    (store_text("X-0", "", "X-1", sep="\r\n") + "\r\n", "X-1", ("ok", ["X-1"])),
+    (store_text("X-0", "", "{bad X-1", sep="\r\n"), "X-1", ("error", "store line 3")),
+    (store_text("X-0", "X-1", "X-2", sep="\r"), "X-1", ("ok", ["X-1"])),
+    (store_text("X-0", "", "{bad X-1", sep="\r"), "X-1", ("error", "store line 3")),
+    (store_text(("X-1", "U\u2028V")) + "\n", "X-1", ("error", "store line 1")),
+    (store_text(("X-0", "U\u2028V"), "{bad X-1"), "X-1", ("error", "store line 3")),
+    (store_text(("X-1", "U\x0bV")) + "\n", "X-1", ("error", "store line 1")),
+    (store_text(("X-0", "U\x0bV"), "", "{bad X-1"), "X-1", ("error", "store line 4")),
+    (store_text("X-0", "X-2", "{bad X-1", sep="\x0b"), "X-1", ("error", "store line 3")),
+    (store_text(*FAR[:3], "X-1", *FAR[3:], ("X-1", "V")), "X-1",
+     ("error", "duplicate case number 'X-1'")),
+    (store_text("X-0", '{"case_number": "\\u0058-1", "soc_code": "15-1252", '
+                '"field_of_study": "CS", "degree": "BS", "institution": "U"}'),
+     "X-1", ("ok", ["X-1"])),
+    (store_text("X-0", "{not json", *FAR, "X-1"), "X-1", ("ok", ["X-1"])),
+    (store_text("X-0", "{not json", *FAR, "X-1", "{bad X-1 \\ too"), "X-1",
+     ("error", "store line 44")),
+    (store_text("X-0", "X-1", "X-2"), "", ("ok", ["X-0", "X-1", "X-2"])),
+    ("", "X-1", ("ok", [])),
+], ids=["first-line", "last-line-no-newline", "crlf", "crlf-line-number", "lone-cr",
+        "lone-cr-line-number", "u2028-in-match", "u2028-line-number", "vt-in-match",
+        "vt-line-number", "vt-line-ends", "duplicate", "escaped", "malformed-elsewhere",
+        "malformed-match-far-down", "empty-case-number", "empty-file"])
+def test_store_scan_for_a_case_equals_the_line_loop(tmp_path, data, case_number, expected):
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(data.encode("utf-8"))
+    scan, loop = scan_and_loop(path, case_number, file_lines(path))
+    assert scan == loop
+    kind, detail = expected
+    assert scan[0] == kind
+    if kind == "ok":
+        assert [fields[0] for fields in scan[1]] == detail
+    else:
+        assert scan[1].startswith(detail)
+
+
+def test_store_scan_for_a_case_refuses_a_non_utf8_byte_far_from_the_match(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(store_text("X-1", *FAR).encode("utf-8") + b"\n" + b'{"f": "\xff"}\n')
+    assert file_lines(path) is None
+    scan, _ = scan_and_loop(path, "X-1", None)
+    assert scan[1].startswith(f"cannot read store {path}: not UTF-8")
+
+
 def test_bank_load_mutants_raise_only_bank_format_error(rfe_corpus_42, tmp_path):
     root, manifest = rfe_corpus_42
     original = (root / manifest["paths"]["bank"]).read_bytes()

@@ -58,6 +58,31 @@ def test_write_creates_parents_and_leaves_no_temp(tmp_path):
     assert list(target.parent.iterdir()) == [target]
 
 
+def test_write_into_an_existing_directory_makes_no_directory(tmp_path, monkeypatch):
+    """The parent is made only when the temp file cannot be created without it."""
+    def mkdir(*args, **kwargs):
+        raise AssertionError("mkdir called for an existing directory")
+
+    monkeypatch.setattr(ioutil.Path, "mkdir", mkdir)
+    atomic_write_bytes(tmp_path / "out.txt", b"x")
+    assert (tmp_path / "out.txt").read_bytes() == b"x"
+
+
+@pytest.mark.parametrize("parts, raised", [
+    (("file", "out.txt"), FileExistsError),
+    (("file", "sub", "out.txt"), NotADirectoryError),
+])
+def test_write_under_a_regular_file_raises_what_mkdir_raises(tmp_path, parts, raised):
+    """A regular file where a parent directory should be fails the write with
+    the error ``mkdir(parents=True, exist_ok=True)`` of that parent raises,
+    and leaves nothing behind."""
+    (tmp_path / "file").write_bytes(b"kept")
+    with pytest.raises(raised):
+        atomic_write_bytes(tmp_path.joinpath(*parts), b"x")
+    assert list(tmp_path.iterdir()) == [tmp_path / "file"]
+    assert (tmp_path / "file").read_bytes() == b"kept"
+
+
 def test_second_writer_between_write_and_rename(tmp_path, monkeypatch):
     """A complete write to the same path lands while the first is mid-flight.
 
@@ -97,13 +122,13 @@ def test_failed_rename_removes_temp_and_keeps_old(tmp_path, monkeypatch):
 
 def test_failed_data_write_removes_temp(tmp_path, monkeypatch):
     target = tmp_path / "out.txt"
-    real_write_bytes = ioutil.Path.write_bytes
+    real_write = os.write
 
-    def write_bytes(self, data):
-        real_write_bytes(self, data[:1])
+    def write(fd, data):
+        real_write(fd, data[:1])
         raise OSError("disk full")
 
-    monkeypatch.setattr(ioutil.Path, "write_bytes", write_bytes)
+    monkeypatch.setattr(ioutil.os, "write", write)
     with pytest.raises(OSError, match="disk full"):
         atomic_write_bytes(target, b"new")
     assert list(tmp_path.iterdir()) == []
@@ -397,6 +422,26 @@ def test_read_text_reads_line_ends_as_newline_and_read_bytes_keeps_them(tmp_path
     (tmp_path / "a.txt").write_bytes(b"one\r\ntwo\rthree\n")
     assert read_text(tmp_path / "a.txt", Malformed, "doc") == "one\ntwo\nthree\n"
     assert read_bytes(str(tmp_path / "a.txt"), Malformed, "doc") == b"one\r\ntwo\rthree\n"
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\r", b"a\r\r\nb\n\rc\r", b"\xef\xbb\xbfbom\r\n", b"x" * 20000 + b"\r\n\xc3\xa9\r",
+    b"caf\xe9", b"x" * 20000 + b"\r\n\xff", b"x" * 9000 + b"\xe2\x82", b"ab\xed\xa0\x80",
+], ids=["empty", "cr", "mixed-ends", "bom", "long", "latin1", "bad-byte-far-in",
+        "cut-character", "surrogate"])
+def test_read_text_equals_text_mode_reading(tmp_path, data):
+    """The text, or the decode error, of ``open(path, encoding="utf-8").read()``."""
+    path = tmp_path / "a.txt"
+    path.write_bytes(data)
+    try:
+        with open(path, encoding="utf-8") as file:
+            expected = file.read()
+    except UnicodeDecodeError as exc:
+        message = f"cannot read doc {path}: not UTF-8 ({exc})"
+        with pytest.raises(Malformed, match=f"^{re.escape(message)}$"):
+            read_text(path, Malformed, "doc")
+    else:
+        assert read_text(path, Malformed, "doc") == expected
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import string
+from pathlib import Path
 
+from rfekit import text
 from rfekit.text import (
     clean_tokens,
     load_stopwords,
@@ -137,3 +139,8 @@ def test_stopword_list_shape():
     assert words == sorted(words)
     assert all(w.isalpha() and w.islower() for w in words)
 
+
+def test_load_stopwords_reads_the_shipped_list_once():
+    shipped = Path(text.__file__).parent / "data" / "stopwords.txt"
+    assert load_stopwords() is load_stopwords()
+    assert load_stopwords() == frozenset(shipped.read_text("ascii").split())
